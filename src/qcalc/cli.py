@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -146,10 +147,35 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative decimal literal as a value.
+
+    argparse's own rule takes ``-1e-05`` for an option name, since it only
+    recognizes negative numbers without an exponent.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float (nan and inf are usage errors)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *, need_q: bool) -> None:
     p.add_argument(
         "--q",
-        type=float,
+        type=_finite,
         required=need_q,
         help="deformation parameter q"
         + ("" if need_q else " (restricts the sweep to this one value)"),
@@ -160,9 +186,9 @@ def _add_common(p: argparse.ArgumentParser, *, need_q: bool) -> None:
     )
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the table here instead of stdout")
-    p.add_argument("--abs-tol", type=float, default=None, metavar="TOL",
+    p.add_argument("--abs-tol", type=_finite, default=None, metavar="TOL",
                    help="quadrature absolute tolerance override")
-    p.add_argument("--rel-tol", type=float, default=None, metavar="TOL",
+    p.add_argument("--rel-tol", type=_finite, default=None, metavar="TOL",
                    help="quadrature/derivative relative tolerance override")
     p.add_argument(
         "--singularity", choices=("error", "reflect"), default="error",
@@ -171,16 +197,16 @@ def _add_common(p: argparse.ArgumentParser, *, need_q: bool) -> None:
 
 
 def _add_grid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--from", dest="x_from", type=float, default=None,
+    p.add_argument("--from", dest="x_from", type=_finite, default=None,
                    metavar="X0", help="grid start")
-    p.add_argument("--to", dest="x_to", type=float, default=None,
+    p.add_argument("--to", dest="x_to", type=_finite, default=None,
                    metavar="X1", help="grid end")
     p.add_argument("--points", type=int, default=None, metavar="N",
                    help="grid size (>= 2)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcalc",
         description="Deformed calculus toolkit: q-exponential/q-logarithm "
         "evaluation, primal/dual q-derivatives and q-integrals, q-lines, "
@@ -209,8 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="borges-dual is the flawed value-side form kept as a negative "
         "control; it reports error_estimate 0.0 (no estimate defined)",
     )
-    p.add_argument("x_lo", type=float)
-    p.add_argument("x_hi", type=float)
+    p.add_argument("x_lo", type=_finite)
+    p.add_argument("x_hi", type=_finite)
     _add_common(p, need_q=True)
 
     p = sub.add_parser(
@@ -220,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("primal", "dual"))
     p.add_argument("kind", choices=("secant", "tangent"))
     p.add_argument(
-        "anchors", type=float, nargs="+", metavar="X",
+        "anchors", type=_finite, nargs="+", metavar="X",
         help="secant: X_I X_J; tangent: X0",
     )
     _add_common(p, need_q=True)

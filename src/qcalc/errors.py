@@ -13,6 +13,7 @@ __all__ = [
     "DegenerateSecantError",
     "InverseMismatchError",
     "ToleranceWarning",
+    "EVAL_ERRORS",
 ]
 
 
@@ -70,3 +71,9 @@ class InverseMismatchError(QcalcError, ValueError):
 
 class ToleranceWarning(UserWarning):
     """A numerical routine finished without reaching its requested tolerance."""
+
+
+# What evaluating an expression raises at a point outside its domain: the
+# errors a compiled function's domain predicate and the derivative stencils
+# treat as "outside".
+EVAL_ERRORS = (DomainError, PoleError, OverflowError, ValueError, ZeroDivisionError)

@@ -24,10 +24,12 @@ with exact analytic derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+import operator
+from dataclasses import dataclass
+from functools import cache, cached_property
+from typing import Callable, NoReturn, Optional, Union
 
-from .errors import DomainError, ParseError, PoleError, UnknownBuiltinError
+from .errors import EVAL_ERRORS, DomainError, ParseError, PoleError, UnknownBuiltinError
 from .qcore import Deformation, EvalFlag, ExtendedValue, big_e, ln_big_e, q_exp, q_log
 
 __all__ = [
@@ -56,7 +58,8 @@ class RealFunction:
     Attributes:
         eval: the function itself.
         derivative: optional ordinary derivative x -> f'(x).
-        domain: predicate, True on the open set where eval is defined.
+        domain: predicate, True on the open set where eval is defined; if its
+            ``by_evaluation`` is true, exactly where eval raises no EVAL_ERRORS.
         label: human-readable description (expression text for parsed input).
     """
 
@@ -73,30 +76,40 @@ class RealFunction:
 # Syntax tree
 
 
+class _Node:
+    @cached_property
+    def _compiled(self) -> Callable[..., float]:
+        """The tree as nested closures (see Evaluation), built on first use."""
+        return _closure(self)
+
+    def __getstate__(self):  # closures do not pickle; they are rebuilt on use
+        return {k: v for k, v in vars(self).items() if k != "_compiled"}
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expr"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: "Expr"
     deformation: Optional[Deformation] = None  # bound for qexp/qlog
@@ -186,7 +199,7 @@ class _Parser:
     def cur(self) -> _Token:
         return self.tokens[self.i]
 
-    def _fail(self, expected: tuple[str, ...]):
+    def _fail(self, expected: tuple[str, ...]) -> NoReturn:
         tok = self.cur
         what = tok.kind if tok.kind == _T_END else f"{tok.text!r}"
         raise ParseError(
@@ -257,7 +270,6 @@ class _Parser:
             self._expect_op(")")
             return node
         self._fail(("number", "'x'", "function name", "'('"))
-        raise AssertionError("unreachable")
 
 
 def parse(text: str, d: Deformation) -> Expr:
@@ -286,15 +298,12 @@ def _render(node: Expr, min_prec: int) -> str:
         body = "-" + _render(node.operand, _PREC_POW)
         return f"({body})" if _PREC_NEG < min_prec else body
     assert isinstance(node, BinOp)
-    if node.op in "+-":
-        prec = _PREC_ADD
-        body = _render(node.left, prec) + node.op + _render(node.right, prec + 1)
-    elif node.op in "*/":
-        prec = _PREC_MUL
-        body = _render(node.left, prec) + node.op + _render(node.right, prec + 1)
-    else:  # '^'
+    if node.op == "^":
         prec = _PREC_POW
         body = _render(node.left, _PREC_ATOM) + "^" + _render(node.right, _PREC_NEG)
+    else:
+        prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
+        body = _render(node.left, prec) + node.op + _render(node.right, prec + 1)
     return f"({body})" if prec < min_prec else body
 
 
@@ -304,7 +313,9 @@ def to_text(node: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: a tree is compiled once into nested closures, one per node,
+# each taking (x, flags=None); qexp nodes add their diagnostics to flags
+# when it is a set. Operands are evaluated left to right.
 
 def _safe_pow(base: float, exponent: float) -> float:
     if base == 0.0 and exponent < 0.0:
@@ -314,64 +325,69 @@ def _safe_pow(base: float, exponent: float) -> float:
     return math.pow(base, exponent)
 
 
-def _eval(node: Expr, x: float, flags: Optional[set[EvalFlag]]) -> float:
+def _quotient(num: float, den: float) -> float:
+    if den == 0.0:
+        raise DomainError("division by zero")
+    return num / den
+
+
+def _ln(v: float) -> float:
+    if v <= 0.0:
+        raise DomainError(f"ln of non-positive value {v}")
+    return math.log(v)
+
+
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise DomainError(f"sqrt of negative value {v}")
+    return math.sqrt(v)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": _quotient, "^": _safe_pow}
+_UNARY = {"ln": _ln, "exp": math.exp, "sin": math.sin, "cos": math.cos,
+          "sqrt": _sqrt, "abs": abs}
+
+
+def _closure(node: Expr) -> Callable[..., float]:
     if isinstance(node, Num):
-        return node.value
+        c = node.value
+        return lambda x, flags=None: c
     if isinstance(node, Var):
-        return x
+        return lambda x, flags=None: x
     if isinstance(node, Neg):
-        return -_eval(node.operand, x, flags)
+        a = _closure(node.operand)
+        return lambda x, flags=None: -a(x, flags)
     if isinstance(node, BinOp):
-        a = _eval(node.left, x, flags)
-        b = _eval(node.right, x, flags)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        return _safe_pow(a, b)
+        op, a = _BINARY[node.op], _closure(node.left)
+        if isinstance(node.right, Num):  # saves a call per evaluation
+            c = node.right.value
+            return lambda x, flags=None: op(a(x, flags), c)
+        b = _closure(node.right)
+        return lambda x, flags=None: op(a(x, flags), b(x, flags))
     assert isinstance(node, Call)
-    v = _eval(node.arg, x, flags)
-    name = node.func
-    if name == "ln":
-        if v <= 0.0:
-            raise DomainError(f"ln of non-positive value {v}")
-        return math.log(v)
-    if name == "exp":
-        return math.exp(v)
-    if name == "sin":
-        return math.sin(v)
-    if name == "cos":
-        return math.cos(v)
-    if name == "sqrt":
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v}")
-        return math.sqrt(v)
-    if name == "abs":
-        return abs(v)
-    if name == "qexp":
-        ev = q_exp(v, node.deformation)
-        if flags is not None:
-            flags.update(ev.flags)
-        return ev.value
-    assert name == "qlog"
-    return q_log(v, node.deformation)
+    a, d = _closure(node.arg), node.deformation
+    if node.func == "qexp":
+        def qexp(x, flags=None):
+            ev = q_exp(a(x, flags), d)
+            if flags is not None:
+                flags.update(ev.flags)
+            return ev.value
+
+        return qexp
+    g = (lambda v: q_log(v, d)) if node.func == "qlog" else _UNARY[node.func]
+    return lambda x, flags=None: g(a(x, flags))
 
 
 def evaluate(node: Expr, x: float) -> float:
     """Evaluate the tree at x. Raises DomainError outside the domain."""
-    return _eval(node, x, None)
+    return node._compiled(x)
 
 
 def evaluate_extended(node: Expr, x: float) -> ExtendedValue:
     """Evaluate collecting cutoff/pole/limit-branch diagnostics."""
     flags: set[EvalFlag] = set()
-    value = _eval(node, x, flags)
+    value = node._compiled(x, flags)
     return ExtendedValue(value, frozenset(flags))
 
 
@@ -516,30 +532,25 @@ def differentiate(node: Expr) -> Expr:
 def compile(ast: Expr) -> RealFunction:  # noqa: A001 - mirrors re.compile
     """Wrap a tree as a RealFunction with a synthesized ordinary derivative.
 
-    The domain predicate reports True exactly where evaluation succeeds.
+    The domain predicate reports True exactly where evaluation succeeds
+    (``by_evaluation``); the derivative is derived on its first call.
     """
-    dast = differentiate(ast)
+    fn, dast = ast._compiled, cache(lambda: differentiate(ast))
 
-    def _fn(x: float) -> float:
-        return _eval(ast, x, None)
-
-    def _dfn(x: float) -> float:
-        return _eval(dast, x, None)
-
-    def _domain(x: float) -> bool:
+    def domain(x: float) -> bool:
         try:
-            _eval(ast, x, None)
-        except (DomainError, PoleError, OverflowError, ValueError, ZeroDivisionError):
+            fn(x)
+        except EVAL_ERRORS:
             return False
         return True
 
-    return RealFunction(eval=_fn, derivative=_dfn, domain=_domain, label=to_text(ast))
+    domain.by_evaluation = True
+    return RealFunction(
+        eval=fn, derivative=lambda x: evaluate(dast(), x), domain=domain, label=to_text(ast)
+    )
 
 
 def _builtin_qexp(d: Deformation) -> RealFunction:
-    def fn(x: float) -> float:
-        return q_exp(x, d).value
-
     def dfn(x: float) -> float:
         if d.classical:
             return math.exp(x)
@@ -550,25 +561,21 @@ def _builtin_qexp(d: Deformation) -> RealFunction:
             return 0.0  # flat on the cutoff region
         raise PoleError("derivative undefined at/beyond the pole for q > 1")
 
-    return RealFunction(eval=fn, derivative=dfn, domain=lambda x: True, label="qexp")
+    return RealFunction(eval=lambda x: q_exp(x, d).value, derivative=dfn, label="qexp")
 
 
 def _builtin_qlog(d: Deformation) -> RealFunction:
-    def fn(x: float) -> float:
-        return q_log(x, d)
-
     def dfn(x: float) -> float:
         if x <= 0.0:
             raise DomainError(f"qlog derivative requires x > 0, got {x}")
         return x ** (-d.q)
 
-    return RealFunction(eval=fn, derivative=dfn, domain=lambda x: x > 0.0, label="qlog")
+    return RealFunction(
+        eval=lambda x: q_log(x, d), derivative=dfn, domain=lambda x: x > 0.0, label="qlog"
+    )
 
 
 def _builtin_big_e(d: Deformation) -> RealFunction:
-    def fn(x: float) -> float:
-        return big_e(x, d)
-
     def dfn(x: float) -> float:
         if d.classical:
             return math.exp(x)
@@ -578,13 +585,10 @@ def _builtin_big_e(d: Deformation) -> RealFunction:
         sign = 1.0 if s > 0.0 else -1.0
         return sign * abs(s) ** (d.q / d.delta)
 
-    return RealFunction(eval=fn, derivative=dfn, domain=lambda x: True, label="bigE")
+    return RealFunction(eval=lambda x: big_e(x, d), derivative=dfn, label="bigE")
 
 
 def _builtin_ln_big_e(d: Deformation) -> RealFunction:
-    def fn(x: float) -> float:
-        return ln_big_e(x, d)
-
     def dfn(x: float) -> float:
         s = d.bracket(x)
         if s == 0.0:
@@ -592,7 +596,8 @@ def _builtin_ln_big_e(d: Deformation) -> RealFunction:
         return 1.0 / s
 
     return RealFunction(
-        eval=fn, derivative=dfn, domain=lambda x: d.bracket(x) != 0.0, label="lnBigE"
+        eval=lambda x: ln_big_e(x, d), derivative=dfn,
+        domain=lambda x: d.bracket(x) != 0.0, label="lnBigE",
     )
 
 
@@ -611,9 +616,7 @@ def _builtin_recip(d: Deformation) -> RealFunction:
 
 
 def _builtin_identity(d: Deformation) -> RealFunction:
-    return RealFunction(
-        eval=lambda x: x, derivative=lambda x: 1.0, domain=lambda x: True, label="identity"
-    )
+    return RealFunction(eval=lambda x: x, derivative=lambda x: 1.0, label="identity")
 
 
 _BUILTINS: dict[str, Callable[[Deformation], RealFunction]] = {
@@ -634,10 +637,8 @@ def builtin(name: str, d: Deformation) -> RealFunction:
     Raises:
         UnknownBuiltinError: if name is not one of BUILTIN_NAMES.
     """
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
+    if name not in _BUILTINS:
         raise UnknownBuiltinError(
             f"unknown builtin {name!r}; expected one of {', '.join(BUILTIN_NAMES)}"
-        ) from None
-    return factory(d)
+        )
+    return _BUILTINS[name](d)

@@ -23,13 +23,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    MissingDerivativeError,
-    PoleError,
-    ToleranceWarning,
-)
-from .funcexpr import RealFunction
+from .errors import DomainError, MissingDerivativeError, PoleError, ToleranceWarning
+from .funcexpr import EVAL_ERRORS, RealFunction
 from .qcore import Deformation, ln_big_e
 
 __all__ = [
@@ -105,34 +100,42 @@ def _richardson(phi, h0: float, levels: int) -> tuple[float, float]:
     Returns (value, error_estimate); the estimate is the difference of the
     last two diagonal entries of the extrapolation table.
     """
-    prev_row: list[float] = []
-    diag: list[float] = []
+    row: list[float] = []
     for j in range(levels + 1):
-        row = [phi(h0 / (2.0**j))]
+        prev_row, row = row, [phi(h0 / (2.0**j))]
         for k in range(1, j + 1):
             row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / (4.0**k - 1.0))
-        prev_row = row
-        diag.append(row[-1])
-    return diag[-1], abs(diag[-1] - diag[-2])
+    return row[-1], abs(row[-1] - prev_row[-1])
 
 
-def _refine(phi, h0: float, config: DerivConfig, where: str) -> tuple[float, float]:
-    """Run Richardson, shrinking the whole stencil when it exits the domain."""
+def _checked(f: RealFunction):
+    """f.eval, raising DomainError outside f's domain (see RealFunction)."""
+    if getattr(f.domain, "by_evaluation", False):
+        return f.eval
+
+    def checked(x: float) -> float:
+        if not f.domain(x):
+            raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
+        return f.eval(x)
+
+    return checked
+
+
+def _refine(phi, centre: float, config: DerivConfig, where: str) -> tuple[float, float]:
+    """Run Richardson on steps scaled to the differencing coordinate's
+    centre, shrinking the whole stencil when it exits the domain."""
+    h0 = config.base_step * (2.0**config.richardson_levels) * max(1.0, abs(centre))
     last_error: Exception | None = None
     for attempt in range(_MAX_SHRINKS + 1):
         try:
             value, err = _richardson(phi, h0 / (2.0**attempt), config.richardson_levels)
-        except (DomainError, PoleError, ValueError, OverflowError, ZeroDivisionError) as e:
+        except EVAL_ERRORS as e:
             last_error = e
             continue
         if err > config.rel_tol * max(1.0, abs(value)):
-            warnings.warn(
-                ToleranceWarning(
-                    f"{where}: error estimate {err:.3e} exceeds "
-                    f"rel_tol={config.rel_tol:.1e} (value {value:.6e})"
-                ),
-                stacklevel=4,
-            )
+            message = (f"{where}: error estimate {err:.3e} exceeds "
+                       f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")
+            warnings.warn(ToleranceWarning(message), stacklevel=4)
         return value, err
     raise DomainError(
         f"{where}: no difference stencil fits inside the domain "
@@ -170,15 +173,12 @@ def primal_qderiv_numeric_with_estimate(
             x_of = lambda u: math.expm1(d.delta * u) / d.delta
         else:
             x_of = lambda u: (-math.exp(d.delta * u) - 1.0) / d.delta
+    f_at = _checked(f)
 
     def phi(h: float) -> float:
-        xp, xm = x_of(u0 + h), x_of(u0 - h)
-        if not (f.domain(xp) and f.domain(xm)):
-            raise DomainError("stencil point outside domain")
-        return (f(xp) - f(xm)) / (2.0 * h)
+        return (f_at(x_of(u0 + h)) - f_at(x_of(u0 - h))) / (2.0 * h)
 
-    h0 = config.base_step * (2.0**config.richardson_levels) * max(1.0, abs(u0))
-    return _refine(phi, h0, config, "primal derivative")
+    return _refine(phi, u0, config, "primal derivative")
 
 
 def dual_qderiv_numeric(
@@ -200,22 +200,21 @@ def dual_qderiv_numeric_with_estimate(
     F: RealFunction, x: float, d: Deformation, config: DerivConfig = DerivConfig()
 ) -> tuple[float, float]:
     """dual_qderiv_numeric plus its extrapolation-table error estimate."""
-    if not F.domain(x):
-        raise DomainError(f"x = {x} is outside the domain of {F.label or 'F'}")
-    if d.bracket(F(x)) <= 0.0:
+    F_at = _checked(F)
+    try:
+        y = F_at(x)
+    except EVAL_ERRORS as e:
+        raise DomainError(f"x = {x} is outside the domain of {F.label or 'F'}") from e
+    if d.bracket(y) <= 0.0:
         raise DomainError(
-            f"F(x) = {F(x)} lies in the cutoff region at x = {x}; "
+            f"F(x) = {y} lies in the cutoff region at x = {x}; "
             "the dual derivative is undefined there"
         )
 
     def phi(h: float) -> float:
-        xp, xm = x + h, x - h
-        if not (F.domain(xp) and F.domain(xm)):
-            raise DomainError("stencil point outside domain")
-        yp, ym = F(xp), F(xm)
+        yp, ym = F_at(x + h), F_at(x - h)
         if d.bracket(yp) <= 0.0 or d.bracket(ym) <= 0.0:
             raise DomainError("stencil value in the cutoff region")
         return (ln_big_e(yp, d) - ln_big_e(ym, d)) / (2.0 * h)
 
-    h0 = config.base_step * (2.0**config.richardson_levels) * max(1.0, abs(x))
-    return _refine(phi, h0, config, "dual derivative")
+    return _refine(phi, x, config, "dual derivative")

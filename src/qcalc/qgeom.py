@@ -19,12 +19,14 @@ primal slope of a curve and the dual slope of its inverse;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
     DegenerateSecantError,
     DomainError,
     InverseMismatchError,
+    PoleError,
 )
 from .funcexpr import RealFunction
 from .qcore import Deformation, ln_big_e, q_add, q_log_exp_of, q_sub
@@ -143,6 +145,21 @@ def dual_secant_slope(
 # ---------------------------------------------------------------------------
 # Interpolating lines and tangents
 
+def _dual_intercept(y0: float, k: float, x0: float, d: Deformation) -> float:
+    """y0 (-)_q q_log_exp_of(k*x0): the value at 0 of the dual line of slope
+    k through (x0, y0).
+
+    The q_sub denominator 1 + delta*q_log_exp_of(k*x0) equals
+    exp(delta*k*x0) exactly; forming it as a sum cancels when the
+    exponential is small, so it is computed as the exponential.
+    """
+    ramp = q_log_exp_of(k * x0, d)
+    den = math.exp(d.delta * k * x0)
+    if den == 0.0:
+        raise PoleError(f"exp(delta*k*x0) underflows for k = {k}, x0 = {x0}")
+    return (y0 - ramp) / den
+
+
 def primal_qline_through(
     F: RealFunction, x_i: float, x_j: float, d: Deformation
 ) -> PrimalQLine:
@@ -157,8 +174,7 @@ def dual_qline_through(
 ) -> DualQLine:
     """The dual line through (x_i, F(x_i)) and (x_j, F(x_j))."""
     k = dual_secant_slope(F, x_i, x_j, d)
-    intercept = q_sub(F(x_i), q_log_exp_of(k * x_i, d), d)
-    return DualQLine(d, k, intercept)
+    return DualQLine(d, k, _dual_intercept(F(x_i), k, x_i, d))
 
 
 def primal_qtangent(
@@ -183,14 +199,14 @@ def dual_qtangent(
     Raises:
         DomainError: if F(x0) lies in the cutoff region.
     """
-    if d.bracket(F(x0)) <= 0.0:
+    y0 = F(x0)
+    if d.bracket(y0) <= 0.0:
         raise DomainError("tangent point value lies in the cutoff region")
     if F.derivative is not None:
         k = dual_qderiv_closed(F, x0, d)
     else:
         k = dual_qderiv_numeric(F, x0, d, cfg)
-    intercept = q_sub(F(x0), q_log_exp_of(k * x0, d), d)
-    return DualQLine(d, k, intercept)
+    return DualQLine(d, k, _dual_intercept(y0, k, x0, d))
 
 
 # ---------------------------------------------------------------------------

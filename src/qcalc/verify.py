@@ -132,10 +132,15 @@ def _support_points(
 def _worst(
     residuals: list[tuple[float, float]],
 ) -> tuple[float, str]:
-    """Max residual plus the deformation value where it occurred."""
+    """Max residual plus the deformation value where it occurred.
+
+    A non-finite residual (NaN included, which max() would pass over when it
+    is not first) counts as the worst, so the property fails.
+    """
     if not residuals:
         return 0.0, _NOT_EXERCISED
-    r, q = max(residuals)
+    non_finite = [item for item in residuals if not math.isfinite(item[0])]
+    r, q = non_finite[0] if non_finite else max(residuals)
     return r, f"worst at q={q:g}"
 
 

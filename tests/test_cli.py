@@ -261,3 +261,40 @@ class TestOutput:
         assert "expression grammar" in res.stdout
         assert "qexp" in res.stdout
         assert "exit codes" in res.stdout
+
+
+class TestNumberArguments:
+    def test_infinite_integration_bound_is_a_usage_error(self):
+        res = run_cli("integrate", "x", "primal", "0", "inf", "--q", "0.5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "usage:" in res.stderr and "finite" in res.stderr
+
+    def test_nan_q_is_a_usage_error(self):
+        res = run_cli("eval", "x", "--q", "nan", "--from", "0", "--to", "1",
+                      "--points", "2")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "usage:" in res.stderr and "finite" in res.stderr
+
+    def test_non_finite_grid_anchor_and_tolerance_are_usage_errors(self):
+        for argv in (
+            ("eval", "x", "--q", "1", "--from", "0", "--to", "inf", "--points", "2"),
+            ("qline", "x", "primal", "tangent", "nan", "--q", "0.5"),
+            ("integrate", "x", "primal", "0", "1", "--q", "0.5", "--rel-tol", "inf"),
+        ):
+            res = run_cli(*argv)
+            assert res.returncode == 2, argv
+            assert "usage:" in res.stderr, argv
+
+    def test_negative_exponent_notation_integration_bound(self):
+        res = run_cli("integrate", "x", "primal", "-1e-05", "1", "--q", "0.5")
+        assert res.returncode == 0, res.stderr
+        plain = run_cli("integrate", "x", "primal", "-0.00001", "1", "--q", "0.5")
+        assert res.stdout == plain.stdout
+
+    def test_negative_exponent_notation_grid_start(self):
+        res = run_cli("eval", "x", "--from", "-1e-05", "--to", "1", "--points", "2",
+                      "--q", "0.5")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[1].startswith("-1.0000000000000001e-05,")

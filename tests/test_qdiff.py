@@ -296,3 +296,29 @@ class TestConfig:
         cfg = DerivConfig(base_step=1e-4, richardson_levels=4, rel_tol=1e-6)
         got = primal_qderiv_numeric(f, 1.0, d, cfg)
         assert scaled_err(got, 2.25) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Work per point: each stencil point of a compiled function is evaluated once
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize("q", [-1.0, 0.5, 1.0, 2.0])
+    def test_compiled_function_evaluations_per_point(self, q, monkeypatch):
+        # the expression holds one qexp node, so q_exp calls count evaluations
+        d = Deformation(q)
+        f = funcexpr.compile(parse("x*qexp(x/4)+sin(x)^2", d))
+        calls = []
+        real_q_exp = funcexpr.q_exp
+
+        def counting_q_exp(x, dd):
+            calls.append(x)
+            return real_q_exp(x, dd)
+
+        monkeypatch.setattr(funcexpr, "q_exp", counting_q_exp)
+        budget = 2 * (DerivConfig().richardson_levels + 1) + 1
+        for op in (primal_qderiv_numeric, dual_qderiv_numeric):
+            for x in (-0.3, 0.2, 0.4):
+                calls.clear()
+                op(f, x, d)
+                assert 0 < len(calls) <= budget, (op.__name__, x, len(calls))

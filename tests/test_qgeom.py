@@ -405,3 +405,14 @@ class TestIntegralRatio:
             integral_ratio(f, g, 1.0, 1.0, 1.0, 2.25, d)
         with pytest.raises(DegenerateSecantError):
             integral_ratio(f, g, 0.0, 1.0, 2.25, 2.25, d)
+
+
+class TestDualInterceptCancellation:
+    def test_tangent_intercept_where_the_ramp_is_tiny(self):
+        # exp(delta*k*x0) is about 1.9e-10 here; 1 + delta*q_log_exp_of(k*x0)
+        # formed as a sum left only six or seven correct digits in the intercept
+        d = Deformation(2.0)
+        F = funcexpr.compile(parse("x^2+3*x-1", d))
+        line = dual_qtangent(F, 0.5376754515423714, d)
+        want = -516724221.34126623  # mpmath, 50 digits
+        assert abs(line.intercept - want) <= 1e-12 * abs(want)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qcalc import verify
 from qcalc.errors import DomainError
 from qcalc.verify import DEFAULT_Q_SWEEP, PropertyResult, run_battery
 
@@ -64,3 +65,15 @@ class TestResultShape:
 
     def test_default_sweep_constant(self):
         assert DEFAULT_Q_SWEEP == (-1.0, 0.0, 0.5, 0.9, 1.0, 1.1, 2.0)
+
+
+class TestNonFiniteResiduals:
+    def test_nan_after_finite_residuals_fails_the_row(self, monkeypatch):
+        # max() over (residual, q) tuples passes over a NaN that is not first
+        residuals = [(1e-16, 0.5), (math.nan, 2.0), (1e-15, 1.0)]
+        probe = ("probe/nan-residual", 1e-12, lambda ds, fault_sign: verify._worst(residuals))
+        monkeypatch.setattr(verify, "_BATTERY", [probe])
+        (row,) = run_battery([0.5])
+        assert math.isnan(row.max_residual)
+        assert not row.passed
+        assert row.detail == "worst at q=2"
