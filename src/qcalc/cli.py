@@ -466,7 +466,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"qcalc: {exc}", file=sys.stderr)
         return 2
-    except (QcalcError, OverflowError, ZeroDivisionError) as exc:
+    except OverflowError as exc:
+        # exc.args[-1] drops the errno of "(34, 'Numerical result out of range')"
+        where = f'{args.command} "{args.expr}"' if hasattr(args, "expr") else args.command
+        print(f"qcalc: {where}: numeric overflow ({exc.args[-1]})", file=sys.stderr)
+        return 1
+    except (QcalcError, ZeroDivisionError) as exc:
         print(f"qcalc: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,17 @@ from functools import cache, cached_property
 from typing import Callable, NoReturn, Optional, Union
 
 from .errors import EVAL_ERRORS, DomainError, ParseError, PoleError, UnknownBuiltinError
-from .qcore import Deformation, EvalFlag, ExtendedValue, big_e, ln_big_e, q_exp, q_log
+from .qcore import (
+    Deformation,
+    EvalFlag,
+    ExtendedValue,
+    _cutoff_power,
+    _exp_q1,
+    big_e,
+    ln_big_e,
+    q_exp,
+    q_log,
+)
 
 __all__ = [
     "RealFunction",
@@ -139,6 +149,9 @@ class _Token:
         self.pos = pos  # character offset into the source
 
 
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also takes '²', '١'
+
+
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
@@ -155,21 +168,21 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(_T_OP, ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j] in _DIGITS:
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i] in _DIGITS:
                         i += 1
             tokens.append(_Token(_T_NUM, text[start:i], start))
             continue
@@ -367,15 +380,28 @@ def _closure(node: Expr) -> Callable[..., float]:
         return lambda x, flags=None: op(a(x, flags), b(x, flags))
     assert isinstance(node, Call)
     a, d = _closure(node.arg), node.deformation
-    if node.func == "qexp":
+    if node.func == "qexp":  # q_exp's two branches, without its ExtendedValue
+        classical, delta = d.classical, d.delta
+
         def qexp(x, flags=None):
-            ev = q_exp(a(x, flags), d)
+            v = a(x, flags)
+            v, vflags = _exp_q1(v) if classical else _cutoff_power(1.0 + delta * v, d)
             if flags is not None:
-                flags.update(ev.flags)
-            return ev.value
+                flags.update(vflags)
+            return v
 
         return qexp
-    g = (lambda v: q_log(v, d)) if node.func == "qlog" else _UNARY[node.func]
+    if node.func == "qlog":  # q_log with delta bound
+        classical, delta = d.classical, d.delta
+
+        def qlog(x, flags=None):
+            v = a(x, flags)
+            if v <= 0.0:
+                raise DomainError(f"q_log requires x > 0, got {v}")
+            return math.log(v) if classical else math.expm1(delta * math.log(v)) / delta
+
+        return qlog
+    g = _UNARY[node.func]
     return lambda x, flags=None: g(a(x, flags))
 
 

@@ -57,24 +57,32 @@ class Deformation:
         q: the deformation parameter; q = 1 recovers ordinary calculus.
         q1_epsilon: threshold on |1 - q| below which the classical branch
             is taken. Branch selection is deterministic.
+        delta: 1 - q, the exponent appearing in every deformed formula.
+        classical: True when |1 - q| < q1_epsilon and the q=1 limit branch
+            applies.
+        inv_delta: 1/(1 - q), the exponent of the bracket powers; NaN on the
+            classical branch.
+
+    delta, classical and inv_delta are computed once from q and q1_epsilon;
+    they take no part in the constructor, repr, equality or hashing.
     """
 
     q: float
     q1_epsilon: float = 1e-12
+    delta: float = field(init=False, repr=False, compare=False)
+    classical: bool = field(init=False, repr=False, compare=False)
+    inv_delta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.q):
+            raise ValueError(f"q must be finite, got {self.q}")
         if not self.q1_epsilon > 0.0:
             raise ValueError("q1_epsilon must be positive")
-
-    @property
-    def delta(self) -> float:
-        """1 - q, the exponent appearing in every deformed formula."""
-        return 1.0 - self.q
-
-    @property
-    def classical(self) -> bool:
-        """True when |1 - q| < q1_epsilon and the q=1 limit branch applies."""
-        return abs(self.delta) < self.q1_epsilon
+        delta = 1.0 - self.q
+        classical = abs(delta) < self.q1_epsilon
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "classical", classical)
+        object.__setattr__(self, "inv_delta", math.nan if classical else 1.0 / delta)
 
     @property
     def pole(self) -> float:
@@ -123,6 +131,8 @@ class ExtendedValue:
 _Q1 = frozenset({EvalFlag.Q1_BRANCH})
 _CUT = frozenset({EvalFlag.CUTOFF_APPLIED})
 _POLE = frozenset({EvalFlag.POLE_REACHED})
+_Q1_POLE = _Q1 | _POLE
+_NONE: frozenset[EvalFlag] = frozenset()
 
 
 def q_log(x: float, d: Deformation) -> float:
@@ -141,6 +151,32 @@ def q_log(x: float, d: Deformation) -> float:
     return math.expm1(d.delta * math.log(x)) / d.delta
 
 
+def _exp_q1(x: float) -> tuple[float, frozenset[EvalFlag]]:
+    """exp(x) flagged Q1_BRANCH, +inf with POLE_REACHED past the float range:
+    the classical branch of q_exp, as (value, flags)."""
+    try:
+        return math.exp(x), _Q1
+    except OverflowError:
+        return math.inf, _Q1_POLE
+
+
+def _cutoff_power(b: float, d: Deformation) -> tuple[float, frozenset[EvalFlag]]:
+    """[b]_+^(1/(1-q)) for a non-classical d, as (value, flags).
+
+    The one copy of the cutoff rule: b <= 0 gives 0 with CUTOFF_APPLIED when
+    the exponent is positive (q < 1), +inf with POLE_REACHED when it is
+    negative (q > 1); exponent-range overflow also gives +inf, POLE_REACHED.
+    """
+    if b <= 0.0:
+        if d.delta > 0.0:
+            return 0.0, _CUT
+        return math.inf, _POLE
+    try:
+        return b ** d.inv_delta, _NONE
+    except OverflowError:
+        return math.inf, _POLE
+
+
 def q_exp(x: float, d: Deformation) -> ExtendedValue:
     """q-exponential [1 + (1-q)x]_+^(1/(1-q)), total on the reals.
 
@@ -150,19 +186,8 @@ def q_exp(x: float, d: Deformation) -> ExtendedValue:
     POLE_REACHED. Classical branch: exp(x), flagged Q1_BRANCH.
     """
     if d.classical:
-        try:
-            return ExtendedValue(math.exp(x), _Q1)
-        except OverflowError:
-            return ExtendedValue(math.inf, _Q1 | _POLE)
-    s = d.bracket(x)
-    if s <= 0.0:
-        if d.delta > 0.0:
-            return ExtendedValue(0.0, _CUT)
-        return ExtendedValue(math.inf, _POLE)
-    try:
-        return ExtendedValue(s ** (1.0 / d.delta))
-    except OverflowError:
-        return ExtendedValue(math.inf, _POLE)
+        return ExtendedValue(*_exp_q1(x))
+    return ExtendedValue(*_cutoff_power(1.0 + d.delta * x, d))
 
 
 def big_e(x: float, d: Deformation) -> float:
@@ -173,17 +198,8 @@ def big_e(x: float, d: Deformation) -> float:
     for q < 1 and +inf there for q > 1. Classical branch: exp(x).
     """
     if d.classical:
-        try:
-            return math.exp(x)
-        except OverflowError:
-            return math.inf
-    a = abs(d.bracket(x))
-    if a == 0.0:
-        return 0.0 if d.delta > 0.0 else math.inf
-    try:
-        return a ** (1.0 / d.delta)
-    except OverflowError:
-        return math.inf
+        return _exp_q1(x)[0]
+    return _cutoff_power(abs(1.0 + d.delta * x), d)[0]
 
 
 def ln_big_e(x: float, d: Deformation) -> float:
@@ -223,18 +239,6 @@ def q_sub(x: float, y: float, d: Deformation) -> float:
     return (x - y) / den
 
 
-def _bracket_power(b: float, d: Deformation) -> ExtendedValue:
-    # [b]_+^(1/delta) with q_exp's cutoff semantics.
-    if b <= 0.0:
-        if d.delta > 0.0:
-            return ExtendedValue(0.0, _CUT)
-        return ExtendedValue(math.inf, _POLE)
-    try:
-        return ExtendedValue(b ** (1.0 / d.delta))
-    except OverflowError:
-        return ExtendedValue(math.inf, _POLE)
-
-
 def q_mul(x: float, y: float, d: Deformation) -> ExtendedValue:
     """Deformed product [x^(1-q) + y^(1-q) - 1]_+^(1/(1-q)) for x, y > 0.
 
@@ -247,7 +251,7 @@ def q_mul(x: float, y: float, d: Deformation) -> ExtendedValue:
         raise DomainError(f"q_mul requires positive arguments, got ({x}, {y})")
     if d.classical:
         return ExtendedValue(x * y, _Q1)
-    return _bracket_power(x**d.delta + y**d.delta - 1.0, d)
+    return ExtendedValue(*_cutoff_power(x**d.delta + y**d.delta - 1.0, d))
 
 
 def q_div(x: float, y: float, d: Deformation) -> ExtendedValue:
@@ -260,7 +264,7 @@ def q_div(x: float, y: float, d: Deformation) -> ExtendedValue:
         raise DomainError(f"q_div requires positive arguments, got ({x}, {y})")
     if d.classical:
         return ExtendedValue(x / y, _Q1)
-    return _bracket_power(x**d.delta - y**d.delta + 1.0, d)
+    return ExtendedValue(*_cutoff_power(x**d.delta - y**d.delta + 1.0, d))
 
 
 def q_power_n(x: float, n: int, d: Deformation) -> ExtendedValue:
@@ -277,7 +281,7 @@ def q_power_n(x: float, n: int, d: Deformation) -> ExtendedValue:
         raise DomainError(f"q_power_n requires n >= 1, got {n}")
     if d.classical:
         return ExtendedValue(x**n, _Q1)
-    return _bracket_power(n * x**d.delta - (n - 1.0), d)
+    return ExtendedValue(*_cutoff_power(n * x**d.delta - (n - 1.0), d))
 
 
 def q_times_n(n: int, x: float, d: Deformation) -> float:

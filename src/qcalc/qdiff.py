@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import DomainError, MissingDerivativeError, PoleError, ToleranceWarning
 from .funcexpr import EVAL_ERRORS, RealFunction
@@ -94,17 +95,25 @@ def dual_qderiv_closed(F: RealFunction, x: float, d: Deformation) -> float:
     return F.derivative(x) / den
 
 
+@cache
+def _richardson_tables(levels: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The step divisors 2^j and the extrapolation denominators 4^k - 1."""
+    return (tuple(2.0**j for j in range(levels + 1)),
+            tuple(4.0**k - 1.0 for k in range(levels + 1)))
+
+
 def _richardson(phi, h0: float, levels: int) -> tuple[float, float]:
     """Extrapolate central differences phi(h0/2^j) to the h -> 0 limit.
 
     Returns (value, error_estimate); the estimate is the difference of the
     last two diagonal entries of the extrapolation table.
     """
+    halvings, denominators = _richardson_tables(levels)
     row: list[float] = []
-    for j in range(levels + 1):
-        prev_row, row = row, [phi(h0 / (2.0**j))]
+    for j, halving in enumerate(halvings):
+        prev_row, row = row, [phi(h0 / halving)]
         for k in range(1, j + 1):
-            row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / (4.0**k - 1.0))
+            row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / denominators[k])
     return row[-1], abs(row[-1] - prev_row[-1])
 
 
@@ -168,11 +177,11 @@ def primal_qderiv_numeric_with_estimate(
         s = d.bracket(x)
         if s == 0.0:
             raise PoleError(f"x = {x} sits on the pole of the coordinate chart")
-        u0 = ln_big_e(x, d)
+        u0, delta = ln_big_e(x, d), d.delta
         if s > 0.0:
-            x_of = lambda u: math.expm1(d.delta * u) / d.delta
+            x_of = lambda u: math.expm1(delta * u) / delta
         else:
-            x_of = lambda u: (-math.exp(d.delta * u) - 1.0) / d.delta
+            x_of = lambda u: (-math.exp(delta * u) - 1.0) / delta
     f_at = _checked(f)
 
     def phi(h: float) -> float:
@@ -211,10 +220,16 @@ def dual_qderiv_numeric_with_estimate(
             "the dual derivative is undefined there"
         )
 
+    classical, delta = d.classical, d.delta
+
     def phi(h: float) -> float:
+        # ln_big_e(yp, d) - ln_big_e(ym, d) on the support the check ensures
         yp, ym = F_at(x + h), F_at(x - h)
-        if d.bracket(yp) <= 0.0 or d.bracket(ym) <= 0.0:
+        tp, tm = delta * yp, delta * ym
+        if 1.0 + tp <= 0.0 or 1.0 + tm <= 0.0:
             raise DomainError("stencil value in the cutoff region")
-        return (ln_big_e(yp, d) - ln_big_e(ym, d)) / (2.0 * h)
+        if classical:
+            return (yp - ym) / (2.0 * h)
+        return (math.log1p(tp) / delta - math.log1p(tm) / delta) / (2.0 * h)
 
     return _refine(phi, x, config, "dual derivative")

@@ -66,6 +66,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise ValueError(f"tolerances must be finite, got {self.abs_tol}, {self.rel_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
@@ -118,43 +120,100 @@ _WG_CENTER = 0.41795918367346938776
 
 
 def _kronrod_panel(g, a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod value and its error heuristic on [a, b]."""
+    """15-point Kronrod value and its error heuristic on [a, b].
+
+    Straight-line code: g is called at the centre, then at +- each
+    abscissa from the outermost in, and both sums accumulate in that order.
+    """
+    x1, x2, x3, x4, x5, x6, x7 = _XK
+    w1, w2, w3, w4, w5, w6, w7 = _WK
+    v2, v4, v6 = _WG
     c = 0.5 * (a + b)
     hl = 0.5 * (b - a)
     fc = g(c)
-    sk = _WK_CENTER * fc
-    sg = _WG_CENTER * fc
-    for i, x in enumerate(_XK):
-        pair = g(c + hl * x) + g(c - hl * x)
-        sk += _WK[i] * pair
-        if i % 2 == 1:  # Gauss subset
-            sg += _WG[i // 2] * pair
+    p1 = g(c + hl * x1) + g(c - hl * x1)
+    p2 = g(c + hl * x2) + g(c - hl * x2)
+    p3 = g(c + hl * x3) + g(c - hl * x3)
+    p4 = g(c + hl * x4) + g(c - hl * x4)
+    p5 = g(c + hl * x5) + g(c - hl * x5)
+    p6 = g(c + hl * x6) + g(c - hl * x6)
+    p7 = g(c + hl * x7) + g(c - hl * x7)
+    sk = (_WK_CENTER * fc + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5
+          + w6 * p6 + w7 * p7)
+    sg = _WG_CENTER * fc + v2 * p2 + v4 * p4 + v6 * p6
     value = sk * hl
     d = abs(value - sg * hl)
     return value, min(d, (200.0 * d) ** 1.5)
 
 
+# Past this, a partial sum of the heap's values or estimates, in the order
+# math.fsum takes them, could overflow where the exact sum does not.
+_EXACT_SUM_LIMIT = 2.0**1000
+
+
+def _grow(partials: list[float], x: float) -> None:
+    """Add x to the exact sum held as non-overlapping partials (Shewchuk's
+    algorithm, as in math.fsum); the list is empty when the sum is zero."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x] if x else []
+
+
 def _adaptive(g, a: float, b: float, config: QuadratureConfig) -> tuple[float, float, bool]:
-    """Worst-first adaptive refinement; deterministic for a given input."""
+    """Worst-first adaptive refinement; deterministic for a given input.
+
+    The totals are exact running sums (Shewchuk partials), so an iteration
+    costs the same however many panels there are: math.fsum of the
+    partials equals math.fsum over the heap. The heap itself is summed
+    while a sum is exactly zero (math.fsum takes the sign of a zero from
+    its summands), and for good once `bound`, the sum of |value| + estimate
+    over every panel made, reaches _EXACT_SUM_LIMIT or is not finite.
+    """
     value, err = _kronrod_panel(g, a, b)
     # heap entries: (-err, insertion order, a, b, value, err)
     heap = [(-err, 0, a, b, value, err)]
+    values: list[float] = []
+    errors: list[float] = []
+    _grow(values, value)
+    _grow(errors, err)
+    bound = abs(value) + err
     order = 1
     for _ in range(config.max_subdivisions):
-        total = math.fsum(e[4] for e in heap)
-        total_err = math.fsum(e[5] for e in heap)
+        total, total_err = _totals(heap, values, errors, bound)
         if total_err <= max(config.abs_tol, config.rel_tol * abs(total)):
             return total, total_err, True
-        _, _, wa, wb, _, _ = heapq.heappop(heap)
+        _, _, wa, wb, value, err = heapq.heappop(heap)
+        if bound < _EXACT_SUM_LIMIT:
+            _grow(values, -value)
+            _grow(errors, -err)
         mid = 0.5 * (wa + wb)
         for lo, hi in ((wa, mid), (mid, wb)):
             v, e = _kronrod_panel(g, lo, hi)
             heapq.heappush(heap, (-e, order, lo, hi, v, e))
             order += 1
-    total = math.fsum(e[4] for e in heap)
-    total_err = math.fsum(e[5] for e in heap)
+            bound += abs(v) + e
+            if bound < _EXACT_SUM_LIMIT:
+                _grow(values, v)
+                _grow(errors, e)
+    total, total_err = _totals(heap, values, errors, bound)
     converged = total_err <= max(config.abs_tol, config.rel_tol * abs(total))
     return total, total_err, converged
+
+
+def _totals(heap, values, errors, bound) -> tuple[float, float]:
+    """math.fsum of the heap's values and of its error estimates."""
+    exact = bound < _EXACT_SUM_LIMIT
+    total = math.fsum(values) if exact and values else math.fsum(e[4] for e in heap)
+    total_err = math.fsum(errors) if exact and errors else math.fsum(e[5] for e in heap)
+    return total, total_err
 
 
 def _adaptive_directed(g, a: float, b: float, config: QuadratureConfig):
@@ -210,8 +269,8 @@ def primal_qint(
     if d.classical:
         g = f.eval
     else:
-        def g(x: float, _f=f.eval) -> float:
-            return _f(x) / d.bracket(x)
+        def g(x: float, _f=f.eval, delta=d.delta) -> float:
+            return _f(x) / (1.0 + delta * x)
 
     value, err, converged = _adaptive_directed(g, x_lo, hi, config)
     if not converged:
@@ -359,9 +418,9 @@ def borges_dual_qint(
     inverse of the dual derivative but is not one: already for f = 1/x it
     produces ln x - delta/x + c. Kept as the negative control.
     """
-    def g(x: float) -> float:
-        y = f(x)
-        return (1.0 + d.delta * y) * y
+    def g(x: float, _f=f.eval, delta=d.delta) -> float:
+        y = _f(x)
+        return (1.0 + delta * y) * y
 
     value, _, _ = _adaptive_directed(g, x_lo, x_hi, config)
     return value

@@ -298,3 +298,19 @@ class TestNumberArguments:
                       "--q", "0.5")
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[1].startswith("-1.0000000000000001e-05,")
+
+
+class TestEvaluationErrors:
+    def test_overflow_names_the_command_and_the_expression(self):
+        res = run_cli("eval", "exp(x)", "--q", "1", "--from", "0", "--to", "1000",
+                      "--points", "2")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == 'qcalc: eval "exp(x)": numeric overflow (math range error)\n'
+
+    @pytest.mark.parametrize("expr", ["\u00b2", "x+\u0661"])  # '²', Arabic-Indic one
+    def test_non_ascii_digits_are_parse_errors(self, expr):
+        res = run_cli("eval", expr, "--q", "1", "--from", "0", "--to", "1", "--points", "2")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("qcalc: illegal character")

@@ -185,6 +185,13 @@ class TestParseErrors:
             parse("sin(π)*$", D_HALF)
         assert exc.value.offset == 8
 
+    @pytest.mark.parametrize("text,offset", [("\u00b2", 0), ("x+\u0661", 2), ("2e\u00b3", 1)])
+    def test_only_ascii_digits_are_digits(self, text, offset):
+        # '²' and '³' would crash float(), an Arabic-Indic '١' would read as 1
+        with pytest.raises(ParseError) as exc:
+            parse(text, D_HALF)
+        assert exc.value.offset == offset
+
     def test_message_mentions_offset(self):
         with pytest.raises(ParseError) as exc:
             parse("1 + * 2", D_HALF)

@@ -4,7 +4,9 @@ Frozen expected values come from tests/oracles/generate_frozen_values.py
 (50-digit mpmath evaluation of the defining formulas).
 """
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -56,6 +58,45 @@ class TestDeformation:
         assert Deformation(0.5).pole == -2.0
         assert Deformation(2.0).pole == 1.0
         assert math.isnan(Deformation(1.0).pole)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_is_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be finite"):
+            Deformation(q)
+
+    @pytest.mark.parametrize(
+        "q", [-1.0, 0.0, 0.5, 0.9, 1.0, 1.1, 2.0, 1.0 + 1e-13, 1.0 - 1e-13]
+    )
+    def test_stored_constants_equal_their_formulas(self, q):
+        d = Deformation(q)
+        assert d.delta == 1.0 - q
+        assert d.classical is (abs(1.0 - q) < d.q1_epsilon)
+        if d.classical:
+            assert math.isnan(d.inv_delta)
+        else:
+            assert d.inv_delta == 1.0 / (1.0 - q)
+        assert d.bracket(0.25) == 1.0 + (1.0 - q) * 0.25
+
+    def test_stored_constants_stay_out_of_the_dataclass_interface(self):
+        d = Deformation(0.5)
+        assert repr(d) == "Deformation(q=0.5, q1_epsilon=1e-12)"
+        assert d == Deformation(0.5) and hash(d) == hash(Deformation(0.5))
+        assert d != Deformation(0.5, q1_epsilon=1e-9)
+        assert len({d, Deformation(0.5), Deformation(2.0)}) == 2
+        with pytest.raises(TypeError):
+            Deformation(0.5, delta=0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.delta = 0.25
+
+    def test_stored_constants_survive_pickling_and_replace(self):
+        d = Deformation(0.5)
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d
+        assert (back.delta, back.classical, back.inv_delta) == (0.5, False, 2.0)
+        moved = dataclasses.replace(d, q=2.0)
+        assert (moved.delta, moved.classical, moved.inv_delta) == (-1.0, False, -1.0)
+        near = dataclasses.replace(Deformation(1.0 + 1e-10), q1_epsilon=1e-9)
+        assert near.classical and math.isnan(near.inv_delta)
 
 
 class TestPointValues:

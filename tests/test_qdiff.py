@@ -304,18 +304,20 @@ class TestConfig:
 
 class TestEvaluationCount:
     @pytest.mark.parametrize("q", [-1.0, 0.5, 1.0, 2.0])
-    def test_compiled_function_evaluations_per_point(self, q, monkeypatch):
-        # the expression holds one qexp node, so q_exp calls count evaluations
+    def test_compiled_function_evaluations_per_point(self, q):
+        # the tree's compiled closure, wrapped before compile() takes it,
+        # counts the centre-point domain check and the stencil points alike
         d = Deformation(q)
-        f = funcexpr.compile(parse("x*qexp(x/4)+sin(x)^2", d))
+        ast = parse("x*qexp(x/4)+sin(x)^2", d)
         calls = []
-        real_q_exp = funcexpr.q_exp
+        real_closure = ast._compiled
 
-        def counting_q_exp(x, dd):
+        def counting_closure(x, flags=None):
             calls.append(x)
-            return real_q_exp(x, dd)
+            return real_closure(x, flags)
 
-        monkeypatch.setattr(funcexpr, "q_exp", counting_q_exp)
+        vars(ast)["_compiled"] = counting_closure
+        f = funcexpr.compile(ast)
         budget = 2 * (DerivConfig().richardson_levels + 1) + 1
         for op in (primal_qderiv_numeric, dual_qderiv_numeric):
             for x in (-0.3, 0.2, 0.4):

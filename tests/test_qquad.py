@@ -184,6 +184,13 @@ class TestToleranceContract:
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerances_are_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(abs_tol=tol)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(rel_tol=tol)
+
 
 # ---------------------------------------------------------------------------
 # Independent cross-checks: midpoint sum and geometric partition
