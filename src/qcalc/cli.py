@@ -21,6 +21,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from typing import Sequence
 
 from . import funcexpr, verify
@@ -172,6 +173,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """argparse type: a finite float greater than zero (for tolerances)."""
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be greater than zero, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *, need_q: bool) -> None:
     p.add_argument(
         "--q",
@@ -186,9 +195,9 @@ def _add_common(p: argparse.ArgumentParser, *, need_q: bool) -> None:
     )
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the table here instead of stdout")
-    p.add_argument("--abs-tol", type=_finite, default=None, metavar="TOL",
+    p.add_argument("--abs-tol", type=_positive, default=None, metavar="TOL",
                    help="quadrature absolute tolerance override")
-    p.add_argument("--rel-tol", type=_finite, default=None, metavar="TOL",
+    p.add_argument("--rel-tol", type=_positive, default=None, metavar="TOL",
                    help="quadrature/derivative relative tolerance override")
     p.add_argument(
         "--singularity", choices=("error", "reflect"), default="error",
@@ -442,6 +451,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning for commands: the message alone, no source line."""
+    print(f"qcalc: warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -453,16 +467,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code is None else 2
 
     try:
-        if args.command == "eval":
-            text, code = _cmd_eval(args), 0
-        elif args.command == "diff":
-            text, code = _cmd_diff(args), 0
-        elif args.command == "integrate":
-            text, code = _cmd_integrate(args), 0
-        elif args.command == "qline":
-            text, code = _cmd_qline(args), 0
-        else:
-            text, code = _cmd_verify(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            if args.command == "eval":
+                text, code = _cmd_eval(args), 0
+            elif args.command == "diff":
+                text, code = _cmd_diff(args), 0
+            elif args.command == "integrate":
+                text, code = _cmd_integrate(args), 0
+            elif args.command == "qline":
+                text, code = _cmd_qline(args), 0
+            else:
+                text, code = _cmd_verify(args)
     except ParseError as exc:
         print(f"qcalc: {exc}", file=sys.stderr)
         return 2

@@ -23,10 +23,10 @@ with exact analytic derivatives.
 
 from __future__ import annotations
 
+import builtins
 import math
-import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, NoReturn, Optional, Union
 
 from .errors import EVAL_ERRORS, DomainError, ParseError, PoleError, UnknownBuiltinError
@@ -89,10 +89,10 @@ class RealFunction:
 class _Node:
     @cached_property
     def _compiled(self) -> Callable[..., float]:
-        """The tree as nested closures (see Evaluation), built on first use."""
-        return _closure(self)
+        """The tree as one generated function (see Evaluation), built on first use."""
+        return _generate(self)
 
-    def __getstate__(self):  # closures do not pickle; they are rebuilt on use
+    def __getstate__(self):  # generated functions do not pickle; rebuilt on use
         return {k: v for k, v in vars(self).items() if k != "_compiled"}
 
 
@@ -326,83 +326,114 @@ def to_text(node: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: a tree is compiled once into nested closures, one per node,
-# each taking (x, flags=None); qexp nodes add their diagnostics to flags
-# when it is a set. Operands are evaluated left to right.
+# Evaluation: a tree is compiled once into one straight-line function
+# f(x, flags=None); qexp nodes add their diagnostics to flags when it is a
+# set. Each operation node gets a local t<i>, assigned in post-order with
+# operands left to right, and the check of ln, sqrt, / and ^ is a statement
+# just before its operation. Constants and the qexp/qlog kernels are
+# parameters of a factory that returns f, so no expression text reaches the
+# source, and trees of one shape share one compiled factory.
 
-def _safe_pow(base: float, exponent: float) -> float:
-    if base == 0.0 and exponent < 0.0:
-        raise DomainError("0 raised to a negative power")
-    if base < 0.0 and not exponent.is_integer():
-        raise DomainError(f"negative base {base} with non-integer exponent {exponent}")
-    return math.pow(base, exponent)
+def _qexp_kernel(d: Deformation) -> Callable[[float, Optional[set]], float]:
+    classical, delta = d.classical, d.delta
 
+    def qexp(v, flags):  # q_exp's two branches, without its ExtendedValue
+        v, vflags = _exp_q1(v) if classical else _cutoff_power(1.0 + delta * v, d)
+        if flags is not None:
+            flags.update(vflags)
+        return v
 
-def _quotient(num: float, den: float) -> float:
-    if den == 0.0:
-        raise DomainError("division by zero")
-    return num / den
-
-
-def _ln(v: float) -> float:
-    if v <= 0.0:
-        raise DomainError(f"ln of non-positive value {v}")
-    return math.log(v)
+    return qexp
 
 
-def _sqrt(v: float) -> float:
-    if v < 0.0:
-        raise DomainError(f"sqrt of negative value {v}")
-    return math.sqrt(v)
+def _qlog_kernel(d: Deformation) -> Callable[[float], float]:
+    classical, delta = d.classical, d.delta
+
+    def qlog(v):  # q_log with delta bound
+        if v <= 0.0:
+            raise DomainError(f"q_log requires x > 0, got {v}")
+        return math.log(v) if classical else math.expm1(delta * math.log(v)) / delta
+
+    return qlog
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": _quotient, "^": _safe_pow}
-_UNARY = {"ln": _ln, "exp": math.exp, "sin": math.sin, "cos": math.cos,
-          "sqrt": _sqrt, "abs": abs}
+_GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
+            "sqrt": math.sqrt, "math_pow": math.pow, "DomainError": DomainError}
+# per operator or function: the expression, and the checks (condition,
+# message) that precede it, as templates over the operand names
+_TEMPLATES = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}",
+              "^": "math_pow({}, {})", "ln": "log({})", "exp": "exp({})",
+              "sin": "sin({})", "cos": "cos({})", "sqrt": "sqrt({})", "abs": "abs({})"}
+_CHECKS = {
+    "/": (("{1} == 0.0", '"division by zero"'),),
+    "^": (("{0} == 0.0 and {1} < 0.0", '"0 raised to a negative power"'),
+          ("{0} < 0.0 and not {1}.is_integer()",
+           'f"negative base {{{0}}} with non-integer exponent {{{1}}}"')),
+    "ln": (("{0} <= 0.0", 'f"ln of non-positive value {{{0}}}"'),),
+    "sqrt": (("{0} < 0.0", 'f"sqrt of negative value {{{0}}}"'),),
+}
 
 
-def _closure(node: Expr) -> Callable[..., float]:
-    if isinstance(node, Num):
-        c = node.value
-        return lambda x, flags=None: c
-    if isinstance(node, Var):
-        return lambda x, flags=None: x
-    if isinstance(node, Neg):
-        a = _closure(node.operand)
-        return lambda x, flags=None: -a(x, flags)
-    if isinstance(node, BinOp):
-        op, a = _BINARY[node.op], _closure(node.left)
-        if isinstance(node.right, Num):  # saves a call per evaluation
-            c = node.right.value
-            return lambda x, flags=None: op(a(x, flags), c)
-        b = _closure(node.right)
-        return lambda x, flags=None: op(a(x, flags), b(x, flags))
-    assert isinstance(node, Call)
-    a, d = _closure(node.arg), node.deformation
-    if node.func == "qexp":  # q_exp's two branches, without its ExtendedValue
-        classical, delta = d.classical, d.delta
+class _Source:
+    """The statements of one tree's function and the values its names bind."""
 
-        def qexp(x, flags=None):
-            v = a(x, flags)
-            v, vflags = _exp_q1(v) if classical else _cutoff_power(1.0 + delta * v, d)
-            if flags is not None:
-                flags.update(vflags)
-            return v
+    def __init__(self, root: Expr):
+        self.lines: list[str] = []
+        self.params: list[str] = []
+        self.values: list[object] = []
+        self.result = self.emit(root)
 
-        return qexp
-    if node.func == "qlog":  # q_log with delta bound
-        classical, delta = d.classical, d.delta
+    def bind(self, prefix: str, value: object) -> str:
+        self.params.append(f"{prefix}{len(self.params)}")
+        self.values.append(value)
+        return self.params[-1]
 
-        def qlog(x, flags=None):
-            v = a(x, flags)
-            if v <= 0.0:
-                raise DomainError(f"q_log requires x > 0, got {v}")
-            return math.log(v) if classical else math.expm1(delta * math.log(v)) / delta
+    def assign(self, expression: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {expression}")
+        return name
 
-        return qlog
-    g = _UNARY[node.func]
-    return lambda x, flags=None: g(a(x, flags))
+    def emit(self, node: Expr) -> str:
+        """Append the statements computing node; return the name of its value."""
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, Num):
+            return self.bind("c", node.value)
+        if isinstance(node, Neg):
+            return self.assign(f"-{self.emit(node.operand)}")
+        if isinstance(node, BinOp):
+            key, operands = node.op, (self.emit(node.left), self.emit(node.right))
+        else:
+            key, operands = node.func, (self.emit(node.arg),)
+            if key == "qexp":
+                return self.assign(f"{self.bind('k', _qexp_kernel(node.deformation))}"
+                                   f"({operands[0]}, flags)")
+            if key == "qlog":
+                return self.assign(f"{self.bind('k', _qlog_kernel(node.deformation))}"
+                                   f"({operands[0]})")
+        template = _TEMPLATES[key]
+        for condition, message in _CHECKS.get(key, ()):
+            self.lines.append(f"if {condition.format(*operands)}: "
+                              f"raise DomainError({message.format(*operands)})")
+        return self.assign(template.format(*operands))
+
+    def text(self) -> str:
+        body = "".join(f"        {line}\n" for line in self.lines)
+        return (f"def factory({', '.join(self.params)}):\n"
+                f"    def f(x, flags=None):\n{body}        return {self.result}\n"
+                f"    return f\n")
+
+
+@lru_cache(maxsize=256)
+def _factory(source: str) -> Callable[..., Callable[..., float]]:
+    scope = dict(_GLOBALS)
+    exec(builtins.compile(source, "<qcalc expression>", "exec"), scope)
+    return scope["factory"]
+
+
+def _generate(node: Expr) -> Callable[..., float]:
+    source = _Source(node)
+    return _factory(source.text())(*source.values)
 
 
 def evaluate(node: Expr, x: float) -> float:

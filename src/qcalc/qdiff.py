@@ -63,6 +63,8 @@ class DerivConfig:
             raise ValueError("richardson_levels must be at least 1")
         if self.rel_tol <= 0.0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not math.isfinite(self.rel_tol):
+            raise ValueError(f"rel_tol must be finite, got {self.rel_tol}")
 
 
 def primal_qderiv_closed(f: RealFunction, x: float, d: Deformation) -> float:

@@ -314,3 +314,31 @@ class TestEvaluationErrors:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("qcalc: illegal character")
+
+
+class TestToleranceArguments:
+    @pytest.mark.parametrize("option", ["--abs-tol", "--rel-tol"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_non_positive_tolerance_is_a_usage_error(self, option, value):
+        res = run_cli("integrate", "x", "primal", "0", "1", "--q", "0.5", option, value)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "usage:" in res.stderr and "greater than zero" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+class TestWarnings:
+    def test_tolerance_warning_prints_the_message_alone(self):
+        res = run_cli("diff", "abs(x-0.3)", "primal", "numeric", "--q", "0.5",
+                      "--from", "0", "--to", "0.6", "--points", "3")
+        assert res.returncode == 0
+        assert res.stdout == (
+            "x,derivative,error_estimate\n"
+            "0.0000000000000000e+00,-9.9999999999802069e-01,4.3718362263689414e-12\n"
+            "2.9999999999999999e-01,1.0660548754473858e-06,1.1004478692496267e-06\n"
+            "5.9999999999999998e-01,1.3000000000154355e+00,2.5609736553633411e-11\n"
+        )
+        assert res.stderr == (
+            "qcalc: warning: primal derivative: error estimate 1.100e-06 exceeds "
+            "rel_tol=1.0e-08 (value 1.066055e-06)\n"
+        )

@@ -290,6 +290,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             DerivConfig(rel_tol=-1.0)
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
+    def test_rejects_non_finite_rel_tol(self, rel_tol):
+        # err > nan is never true, so a nan tolerance would never warn
+        with pytest.raises(ValueError, match="finite"):
+            DerivConfig(rel_tol=rel_tol)
+
     def test_tighter_base_step_still_converges(self):
         d = Deformation(0.5)
         f = builtin("qexp", d)
