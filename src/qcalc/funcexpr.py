@@ -139,6 +139,10 @@ _T_IDENT = "identifier"
 _T_OP = "operator"
 _T_END = "end of input"
 
+# parser frames: [_GROUP, call name or None, deformation], [_EXPR, node, op],
+# [_TERM, node, op], [_FACTOR, negated, base]
+_GROUP, _EXPR, _TERM, _FACTOR = range(4)
+
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
@@ -231,32 +235,30 @@ class _Parser:
             self._fail((f"'{op}'",))
 
     def parse(self) -> Expr:
-        node = self.expr()
-        if self.cur.kind != _T_END:
-            self._fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
-        return node
+        """The recursive descent of the grammar, run on an explicit stack of
+        frames so that nesting depth is not bounded by the interpreter's
+        recursion limit. Tokens are read, and errors raised, in the same
+        order as by the recursive form."""
+        stack: list[list] = []
+        self._open(stack, None, None)
+        while True:
+            stack.append([_FACTOR, self._accept_op("-") is not None, None])
+            node = self._primary(stack)
+            while node is not None:  # a primary has ended
+                if self._accept_op("^"):
+                    stack[-1][2] = node  # a base: its exponent is the next factor
+                    break
+                node = self._reduce(stack, node)
+                if not stack:
+                    return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while (op := self._accept_op("+", "-")) is not None:
-            node = BinOp(op, node, self.term())
-        return node
+    def _open(self, stack: list[list], name: Optional[str], d: Optional[Deformation]):
+        """Push a group (the whole input, a parenthesis or a call's argument)
+        and the expr and term that start it."""
+        stack += ([_GROUP, name, d], [_EXPR, None, None], [_TERM, None, None])
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while (op := self._accept_op("*", "/")) is not None:
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        # '-'? primary ('^' factor)?  with '^' binding tighter than the minus
-        negated = self._accept_op("-") is not None
-        node = self.primary()
-        if self._accept_op("^"):
-            node = BinOp("^", node, self.factor())
-        return Neg(node) if negated else node
-
-    def primary(self) -> Expr:
+    def _primary(self, stack: list[list]) -> Optional[Expr]:
+        """Read a primary; None when it opened a group, whose value ends it."""
         tok = self.cur
         if tok.kind == _T_NUM:
             self.i += 1
@@ -274,15 +276,45 @@ class _Parser:
             name = tok.text
             self.i += 1
             self._expect_op("(")
-            arg = self.expr()
-            self._expect_op(")")
-            d = self.d if name in _DEFORMED_CALLS else None
-            return Call(name, arg, d)
+            self._open(stack, name, self.d if name in _DEFORMED_CALLS else None)
+            return None
         if self._accept_op("("):
-            node = self.expr()
-            self._expect_op(")")
-            return node
+            self._open(stack, None, None)
+            return None
         self._fail(("number", "'x'", "function name", "'('"))
+
+    def _reduce(self, stack: list[list], node: Expr) -> Optional[Expr]:
+        """Close the frames that end at a primary not followed by '^'.
+
+        Returns None when another factor follows; otherwise the value of the
+        group that closed: a primary, or the whole tree once the stack is empty.
+        """
+        _, negated, _ = stack.pop()
+        node = Neg(node) if negated else node
+        while stack[-1][0] == _FACTOR:  # factors whose exponent this was
+            _, negated, base = stack.pop()
+            node = BinOp("^", base, node)
+            node = Neg(node) if negated else node
+        term = stack[-1]
+        term[1] = node if term[1] is None else BinOp(term[2], term[1], node)
+        if (op := self._accept_op("*", "/")) is not None:
+            term[2] = op
+            return None
+        stack.pop()
+        expr = stack[-1]
+        expr[1] = term[1] if expr[1] is None else BinOp(expr[2], expr[1], term[1])
+        if (op := self._accept_op("+", "-")) is not None:
+            expr[2] = op
+            stack.append([_TERM, None, None])
+            return None
+        stack.pop()
+        _, name, d = stack.pop()
+        if not stack:
+            if self.cur.kind != _T_END:
+                self._fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
+            return expr[1]
+        self._expect_op(")")
+        return expr[1] if name is None else Call(name, expr[1], d)
 
 
 def parse(text: str, d: Deformation) -> Expr:
@@ -295,34 +327,83 @@ def parse(text: str, d: Deformation) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Tree passes (the printer, the derivative, the code generator) keep their
+# own stacks, so a tree's depth is not bounded by the recursion limit.
+
+def _post_order(root: Expr, leaf: Callable, combine: Callable):
+    """leaf(node) for a node without operands, combine(node, *results) for
+    the others; operands left to right, each before its parent.
+
+    A node object met again (derivative trees share their operands' subtrees)
+    reuses its first result, so a pass costs the number of distinct nodes,
+    which a derivative keeps linear in the size of its tree.
+    """
+    done: dict[int, object] = {}
+    results: list = []
+    todo: list = [root]  # nodes to visit, and (node, arity) to combine
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            node, arity = node
+            operands = results[-arity:]
+            del results[-arity:]
+            value = done[id(node)] = combine(node, *operands)
+        elif id(node) in done:
+            value = done[id(node)]
+        elif type(node) is BinOp:
+            todo += ((node, 2), node.right, node.left)
+            continue
+        elif type(node) is Neg:
+            todo += ((node, 1), node.operand)
+            continue
+        elif type(node) is Call:
+            todo += ((node, 1), node.arg)
+            continue
+        else:
+            value = done[id(node)] = leaf(node)
+        results.append(value)
+    return results[0]
+
+
+# ---------------------------------------------------------------------------
 # Pretty printer (minimal parentheses; print -> parse is the identity)
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _render(node: Expr, min_prec: int) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Call):
-        return f"{node.func}({_render(node.arg, _PREC_ADD)})"
-    if isinstance(node, Neg):
-        body = "-" + _render(node.operand, _PREC_POW)
-        return f"({body})" if _PREC_NEG < min_prec else body
-    assert isinstance(node, BinOp)
-    if node.op == "^":
-        prec = _PREC_POW
-        body = _render(node.left, _PREC_ATOM) + "^" + _render(node.right, _PREC_NEG)
-    else:
-        prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
-        body = _render(node.left, prec) + node.op + _render(node.right, prec + 1)
-    return f"({body})" if prec < min_prec else body
-
-
 def to_text(node: Expr) -> str:
     """Render a tree to expression text that re-parses to the same tree."""
-    return _render(node, _PREC_ADD)
+    out: list[str] = []
+    todo: list = [(node, _PREC_ADD)]  # (node, least precedence it may show), or text
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, min_prec = item
+        if isinstance(node, Num):
+            out.append(repr(node.value))
+        elif isinstance(node, Var):
+            out.append("x")
+        elif isinstance(node, Call):
+            out.append(f"{node.func}(")
+            todo += (")", (node.arg, _PREC_ADD))
+        elif isinstance(node, Neg):
+            wrap = _PREC_NEG < min_prec
+            out.append("(-" if wrap else "-")
+            todo += (")", (node.operand, _PREC_POW)) if wrap else ((node.operand, _PREC_POW),)
+        else:
+            if node.op == "^":
+                prec, left, right = _PREC_POW, _PREC_ATOM, _PREC_NEG
+            else:
+                prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
+                left, right = prec, prec + 1
+            wrap = prec < min_prec
+            if wrap:
+                out.append("(")
+                todo.append(")")
+            todo += ((node.right, right), node.op, (node.left, left))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +411,8 @@ def to_text(node: Expr) -> str:
 # f(x, flags=None); qexp nodes add their diagnostics to flags when it is a
 # set. Each operation node gets a local t<i>, assigned in post-order with
 # operands left to right, and the check of ln, sqrt, / and ^ is a statement
-# just before its operation. Constants and the qexp/qlog kernels are
+# just before its operation; a node object that occurs twice (as in
+# derivative trees) is computed once. Constants and the qexp/qlog kernels are
 # parameters of a factory that returns f, so no expression text reaches the
 # source, and trees of one shape share one compiled factory.
 
@@ -381,7 +463,8 @@ class _Source:
         self.lines: list[str] = []
         self.params: list[str] = []
         self.values: list[object] = []
-        self.result = self.emit(root)
+        self.panels: dict = {}  # Kronrod panels built from these statements (qquad)
+        self.result = _post_order(root, self.leaf, self.operation)
 
     def bind(self, prefix: str, value: object) -> str:
         self.params.append(f"{prefix}{len(self.params)}")
@@ -393,18 +476,17 @@ class _Source:
         self.lines.append(f"{name} = {expression}")
         return name
 
-    def emit(self, node: Expr) -> str:
-        """Append the statements computing node; return the name of its value."""
-        if isinstance(node, Var):
-            return "x"
-        if isinstance(node, Num):
-            return self.bind("c", node.value)
+    def leaf(self, node: Expr) -> str:
+        return "x" if isinstance(node, Var) else self.bind("c", node.value)
+
+    def operation(self, node: Expr, *operands: str) -> str:
+        """Append the statements of one operation node; return its value's name."""
         if isinstance(node, Neg):
-            return self.assign(f"-{self.emit(node.operand)}")
+            return self.assign(f"-{operands[0]}")
         if isinstance(node, BinOp):
-            key, operands = node.op, (self.emit(node.left), self.emit(node.right))
+            key = node.op
         else:
-            key, operands = node.func, (self.emit(node.arg),)
+            key = node.func
             if key == "qexp":
                 return self.assign(f"{self.bind('k', _qexp_kernel(node.deformation))}"
                                    f"({operands[0]}, flags)")
@@ -433,7 +515,9 @@ def _factory(source: str) -> Callable[..., Callable[..., float]]:
 
 def _generate(node: Expr) -> Callable[..., float]:
     source = _Source(node)
-    return _factory(source.text())(*source.values)
+    f = _factory(source.text())(*source.values)
+    f.source = source  # its statements, for code that inlines f (qquad's panels)
+    return f
 
 
 def evaluate(node: Expr, x: float) -> float:
@@ -520,25 +604,26 @@ def _pow(a: Expr, b: Expr) -> Expr:
 
 
 def _const_value(node: Expr) -> Optional[float]:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        inner = _const_value(node.operand)
-        return None if inner is None else -inner
-    return None
+    negations = 0
+    while isinstance(node, Neg):
+        node, negations = node.operand, negations + 1
+    if not isinstance(node, Num):
+        return None
+    return -node.value if negations % 2 else node.value
 
 
 def differentiate(node: Expr) -> Expr:
     """Symbolic d/dx of the tree; every node kind is closed under it."""
-    if isinstance(node, Num):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0)
+    return _post_order(node, lambda leaf: Num(1.0 if isinstance(leaf, Var) else 0.0),
+                       _derivative)
+
+
+def _derivative(node: Expr, du: Expr, dv: Optional[Expr] = None) -> Expr:
+    """d/dx of an operation node, given the derivatives of its operands."""
     if isinstance(node, Neg):
-        return _neg(differentiate(node.operand))
+        return _neg(du)
     if isinstance(node, BinOp):
         u, v = node.left, node.right
-        du, dv = differentiate(u), differentiate(v)
         if node.op == "+":
             return _add(du, dv)
         if node.op == "-":
@@ -554,8 +639,7 @@ def differentiate(node: Expr) -> Expr:
         return _mul(
             _pow(u, v), _add(_mul(dv, Call("ln", u)), _div(_mul(v, du), u))
         )
-    assert isinstance(node, Call)
-    u, du = node.arg, differentiate(node.arg)
+    u = node.arg
     name = node.func
     if name == "ln":
         return _div(du, u)

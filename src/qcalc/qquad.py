@@ -5,6 +5,18 @@ The primal integral is an ordinary integral against the weight
 ordinary integral of the integrand. Both ride on one adaptive
 Gauss-Kronrod engine with deterministic worst-interval-first refinement.
 
+The engine's unit of work is a generated panel function, one Python frame
+for the 15 Kronrod nodes of an interval, with the integrand weight fused
+in. For a compiled expression it repeats the tree's statements at each
+node; its code is compiled once per tree shape and weight (a cold cost of
+a few ms) and the panel is kept on the tree. Any other point function,
+and a tree of more than _INLINE_LIMIT statements, is called at each node
+by the same template. The totals over the heap of panels are math.fsum
+over the heap while it is short (below _SHORT_HEAP panels: cheaper than
+keeping sums), then exact running sums, which keep a long run linear in
+its subdivision count. Results equal those of the looped panel and of
+summing the heap on every iteration, bit for bit.
+
 Cross-check paths that deliberately share no code with that engine:
 
 * :func:`primal_qint_riemann` — a flat midpoint sum;
@@ -23,7 +35,10 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
+from operator import itemgetter
 
+from . import funcexpr
 from .errors import DomainError, SingularityError
 from .funcexpr import RealFunction
 from .qcore import Deformation, ln_big_e, q_add, q_exp, q_log_exp_of, q_times_n
@@ -78,11 +93,14 @@ class IntegralResult:
 
     Unless TOLERANCE_NOT_MET is flagged, error_estimate is at most
     max(abs_tol, rel_tol * |value|) of the config that produced it.
+    n_panels counts the 15-point Kronrod panels computed; it takes no part
+    in equality or hashing.
     """
 
     value: float
     error_estimate: float
     flags: frozenset = field(default_factory=frozenset)
+    n_panels: int = field(default=0, compare=False)
 
     def __float__(self) -> float:
         return self.value
@@ -119,36 +137,73 @@ _WG = (
 _WG_CENTER = 0.41795918367346938776
 
 
-def _kronrod_panel(g, a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod value and its error heuristic on [a, b].
+# panel(a, b) -> (value, estimate) sets x to the centre, then to c + hl*x_k
+# and c - hl*x_k from the outermost node in; at each node it runs the
+# integrand's statements (or t0 = g(x)) and applies the weight, and both sums
+# accumulate in the order of the looped rule. The weight's delta and the
+# integrand's constants are arguments of the panel's factory, so one
+# builtins.compile serves every integrand of one shape and weight.
+_WEIGHTS = {
+    "none": "{0}",
+    "primal": "{0} / (1.0 + delta * x)",  # the primal measure dx / (1 + delta*x)
+    "borges": "(1.0 + delta * {0}) * {0}",  # borges_dual_qint's value-side integrand
+}
+# Integrands of more statements call their function at each node instead of
+# inlining it: the unrolled panel repeats the statements 15 times, and its
+# compile time and size grow with them.
+_INLINE_LIMIT = 32
 
-    Straight-line code: g is called at the centre, then at +- each
-    abscissa from the outermost in, and both sums accumulate in that order.
-    """
-    x1, x2, x3, x4, x5, x6, x7 = _XK
-    w1, w2, w3, w4, w5, w6, w7 = _WK
-    v2, v4, v6 = _WG
-    c = 0.5 * (a + b)
-    hl = 0.5 * (b - a)
-    fc = g(c)
-    p1 = g(c + hl * x1) + g(c - hl * x1)
-    p2 = g(c + hl * x2) + g(c - hl * x2)
-    p3 = g(c + hl * x3) + g(c - hl * x3)
-    p4 = g(c + hl * x4) + g(c - hl * x4)
-    p5 = g(c + hl * x5) + g(c - hl * x5)
-    p6 = g(c + hl * x6) + g(c - hl * x6)
-    p7 = g(c + hl * x7) + g(c - hl * x7)
-    sk = (_WK_CENTER * fc + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5
-          + w6 * p6 + w7 * p7)
-    sg = _WG_CENTER * fc + v2 * p2 + v4 * p4 + v6 * p6
-    value = sk * hl
-    d = abs(value - sg * hl)
-    return value, min(d, (200.0 * d) ** 1.5)
+
+def _panel_text(lines, result: str, params, weight: str) -> str:
+    weighted = _WEIGHTS[weight].format(result)
+    body = ["flags = None", "c = 0.5 * (a + b)", "hl = 0.5 * (b - a)"]
+
+    def at(node: str, name: str):
+        body.append(f"x = {node}")
+        body.extend(lines)
+        body.append(f"{name} = {weighted}")
+
+    at("c", "fc")
+    for k, xk in enumerate(_XK, 1):
+        at(f"c + hl * {xk!r}", "y")
+        at(f"c - hl * {xk!r}", "z")
+        body.append(f"p{k} = y + z")
+    sk = [f"{_WK_CENTER!r} * fc"] + [f"{w!r} * p{k}" for k, w in enumerate(_WK, 1)]
+    sg = [f"{_WG_CENTER!r} * fc"] + [f"{w!r} * p{k}" for k, w in zip((2, 4, 6), _WG)]
+    body += [f"sk = {' + '.join(sk)}", f"sg = {' + '.join(sg)}", "value = sk * hl",
+             "d = abs(value - sg * hl)", "return value, min(d, (200.0 * d) ** 1.5)"]
+    statements = "".join(f"        {line}\n" for line in body)
+    return (f"def factory({', '.join([*params, 'delta'])}):\n"
+            f"    def panel(a, b):\n{statements}    return panel\n")
+
+
+@cache
+def _point_factory(weight: str):
+    return funcexpr._factory(_panel_text(["t0 = g(x)"], "t0", ["g"], weight))
+
+
+def _kronrod(g, weight: str, delta: float):
+    """The panel of point function g times the weight, cached on g's tree."""
+    source = getattr(g, "source", None)
+    if not isinstance(source, funcexpr._Source) or len(source.lines) > _INLINE_LIMIT:
+        return _point_factory(weight)(g, delta)
+    panel = source.panels.get((weight, delta))
+    if panel is None:
+        text = _panel_text(source.lines, source.result, source.params, weight)
+        panel = funcexpr._factory(text)(*source.values, delta)
+        source.panels[weight, delta] = panel
+    return panel
 
 
 # Past this, a partial sum of the heap's values or estimates, in the order
 # math.fsum takes them, could overflow where the exact sum does not.
 _EXACT_SUM_LIMIT = 2.0**1000
+# Below this many panels in the heap, the totals are math.fsum over the heap:
+# two passes in C cost less than the six running-sum updates of an iteration.
+# From this size on, running sums (built from the heap once) keep the cost
+# of an iteration independent of the heap's size.
+_SHORT_HEAP = 48
+_value_of, _error_of = itemgetter(4), itemgetter(5)
 
 
 def _grow(partials: list[float], x: float) -> None:
@@ -167,62 +222,76 @@ def _grow(partials: list[float], x: float) -> None:
     partials[i:] = [x] if x else []
 
 
-def _adaptive(g, a: float, b: float, config: QuadratureConfig) -> tuple[float, float, bool]:
+def _refine(panel, a: float, b: float, config: QuadratureConfig):
     """Worst-first adaptive refinement; deterministic for a given input.
 
-    The totals are exact running sums (Shewchuk partials), so an iteration
-    costs the same however many panels there are: math.fsum of the
-    partials equals math.fsum over the heap. The heap itself is summed
-    while a sum is exactly zero (math.fsum takes the sign of a zero from
-    its summands), and for good once `bound`, the sum of |value| + estimate
-    over every panel made, reaches _EXACT_SUM_LIMIT or is not finite.
+    Returns the value, its estimate, whether the tolerance was met, and the
+    number of panels computed. The totals are math.fsum over the heap while
+    it is short. From _SHORT_HEAP panels on they are exact running sums
+    (Shewchuk partials), whose math.fsum equals that over the heap; the heap
+    is summed instead while a sum is exactly zero (math.fsum takes the sign
+    of a zero from its summands), and for good once `bound`, the sum of
+    |value| + estimate over every panel made, reaches _EXACT_SUM_LIMIT or is
+    not finite.
     """
-    value, err = _kronrod_panel(g, a, b)
+    value, err = panel(a, b)
     # heap entries: (-err, insertion order, a, b, value, err)
     heap = [(-err, 0, a, b, value, err)]
-    values: list[float] = []
-    errors: list[float] = []
-    _grow(values, value)
-    _grow(errors, err)
+    values = errors = None
     bound = abs(value) + err
     order = 1
     for _ in range(config.max_subdivisions):
         total, total_err = _totals(heap, values, errors, bound)
         if total_err <= max(config.abs_tol, config.rel_tol * abs(total)):
-            return total, total_err, True
+            return total, total_err, True, order
         _, _, wa, wb, value, err = heapq.heappop(heap)
-        if bound < _EXACT_SUM_LIMIT:
+        running = values is not None
+        if running and bound < _EXACT_SUM_LIMIT:
             _grow(values, -value)
             _grow(errors, -err)
         mid = 0.5 * (wa + wb)
         for lo, hi in ((wa, mid), (mid, wb)):
-            v, e = _kronrod_panel(g, lo, hi)
+            v, e = panel(lo, hi)
             heapq.heappush(heap, (-e, order, lo, hi, v, e))
             order += 1
             bound += abs(v) + e
-            if bound < _EXACT_SUM_LIMIT:
+            if running and bound < _EXACT_SUM_LIMIT:
                 _grow(values, v)
                 _grow(errors, e)
+        if not running and len(heap) >= _SHORT_HEAP and bound < _EXACT_SUM_LIMIT:
+            values, errors = [], []
+            for entry in heap:
+                _grow(values, entry[4])
+                _grow(errors, entry[5])
     total, total_err = _totals(heap, values, errors, bound)
     converged = total_err <= max(config.abs_tol, config.rel_tol * abs(total))
-    return total, total_err, converged
+    return total, total_err, converged, order
 
 
 def _totals(heap, values, errors, bound) -> tuple[float, float]:
     """math.fsum of the heap's values and of its error estimates."""
-    exact = bound < _EXACT_SUM_LIMIT
-    total = math.fsum(values) if exact and values else math.fsum(e[4] for e in heap)
-    total_err = math.fsum(errors) if exact and errors else math.fsum(e[5] for e in heap)
+    exact = values is not None and bound < _EXACT_SUM_LIMIT
+    total = math.fsum(values) if exact and values else math.fsum(map(_value_of, heap))
+    total_err = math.fsum(errors) if exact and errors else math.fsum(map(_error_of, heap))
     return total, total_err
 
 
-def _adaptive_directed(g, a: float, b: float, config: QuadratureConfig):
+def _adaptive(g, a: float, b: float, config: QuadratureConfig) -> tuple[float, float, bool]:
+    """Value, estimate and convergence of point function g on [a, b]."""
+    return _refine(_kronrod(g, "none", 0.0), a, b, config)[:3]
+
+
+def _integrate(g, a: float, b: float, config: QuadratureConfig, weight: str = "none",
+               delta: float = 0.0) -> tuple[float, float, bool, int]:
+    """_refine of g times the weight from a to b: swapped bounds negate the
+    value, and a == b gives 0 from no panels."""
     if a == b:
-        return 0.0, 0.0, True
+        return 0.0, 0.0, True, 0
+    panel = _kronrod(g, weight, delta)
     if a < b:
-        return _adaptive(g, a, b, config)
-    value, err, ok = _adaptive(g, b, a, config)
-    return -value, err, ok
+        return _refine(panel, a, b, config)
+    value, err, ok, n_panels = _refine(panel, b, a, config)
+    return -value, err, ok, n_panels
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +315,8 @@ def primal_qint(
     """
     if x_lo > x_hi:
         inner = primal_qint(f, x_hi, x_lo, d, config)
-        return IntegralResult(-inner.value, inner.error_estimate, inner.flags)
+        return IntegralResult(-inner.value, inner.error_estimate, inner.flags,
+                              inner.n_panels)
     if x_lo == x_hi:
         return IntegralResult(0.0, 0.0)
 
@@ -266,16 +336,11 @@ def primal_qint(
             flags.add(IntegralFlag.SINGULARITY_CROSSED)
             flags.add(IntegralFlag.REFLECTION_APPLIED)
 
-    if d.classical:
-        g = f.eval
-    else:
-        def g(x: float, _f=f.eval, delta=d.delta) -> float:
-            return _f(x) / (1.0 + delta * x)
-
-    value, err, converged = _adaptive_directed(g, x_lo, hi, config)
+    weight = ("none", 0.0) if d.classical else ("primal", d.delta)
+    value, err, converged, n_panels = _integrate(f.eval, x_lo, hi, config, *weight)
     if not converged:
         flags.add(IntegralFlag.TOLERANCE_NOT_MET)
-    return IntegralResult(value, err, frozenset(flags))
+    return IntegralResult(value, err, frozenset(flags), n_panels)
 
 
 def primal_qint_riemann(
@@ -375,14 +440,14 @@ def dual_qint(
     inside the quadrature. The error estimate is transported through the
     outer map by its derivative exp(delta * A).
     """
-    a_val, a_err, converged = _adaptive_directed(f.eval, x_lo, x_hi, config)
+    a_val, a_err, converged, n_panels = _integrate(f.eval, x_lo, x_hi, config)
     value = q_log_exp_of(a_val, d)
     try:
         scale = math.exp(d.delta * a_val)
     except OverflowError:
         scale = math.inf
     flags = frozenset() if converged else frozenset({IntegralFlag.TOLERANCE_NOT_MET})
-    return IntegralResult(value, a_err * scale, flags)
+    return IntegralResult(value, a_err * scale, flags, n_panels)
 
 
 def dual_qint_from(
@@ -401,7 +466,7 @@ def dual_qint_from(
     inner = dual_qint(f, x_lo, x_hi, d, config)
     value = q_add(inner.value, start, d)
     return IntegralResult(
-        value, inner.error_estimate * abs(d.bracket(start)), inner.flags
+        value, inner.error_estimate * abs(d.bracket(start)), inner.flags, inner.n_panels
     )
 
 
@@ -418,9 +483,5 @@ def borges_dual_qint(
     inverse of the dual derivative but is not one: already for f = 1/x it
     produces ln x - delta/x + c. Kept as the negative control.
     """
-    def g(x: float, _f=f.eval, delta=d.delta) -> float:
-        y = _f(x)
-        return (1.0 + delta * y) * y
-
-    value, _, _ = _adaptive_directed(g, x_lo, x_hi, config)
+    value, _, _, _ = _integrate(f.eval, x_lo, x_hi, config, "borges", d.delta)
     return value

@@ -121,3 +121,138 @@ def test_non_finite_and_zero_sums_match_the_reference(g):
     config = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=60)
     same_outcome(g, 0.0, 1.0, config)
     same_outcome(g, 0.0, 1.0, QuadratureConfig())
+
+
+# Runs past the switch from sums over a short heap to running sums. Each
+# window below is first hit by a panel on the side of the switch named with
+# it, which `test_windows_are_hit_on_their_side_of_the_switch` checks.
+LONG = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=400)
+
+
+def _narrow_window(lo, width, value):
+    return lambda x: value if lo < x < lo + width else math.sin(40.0 * x)
+
+
+def _heap_size_at_first_hit(g):
+    """Panels in the reference's heap when a panel first makes the sum of
+    |value| + estimate non-finite or raises (None if none does)."""
+    value, err = reference_panel(g, 0.0, 1.0)
+    heap = [(-err, 0, 0.0, 1.0, value, err)]
+    bound, order = abs(value) + err, 1
+    for _ in range(LONG.max_subdivisions):
+        if not math.isfinite(bound):
+            return len(heap)
+        _, _, wa, wb, _, _ = heapq.heappop(heap)
+        mid = 0.5 * (wa + wb)
+        for lo, hi in ((wa, mid), (mid, wb)):
+            try:
+                v, e = reference_panel(g, lo, hi)
+            except ArithmeticError:
+                return len(heap)
+            heapq.heappush(heap, (-e, order, lo, hi, v, e))
+            order += 1
+            bound += abs(v) + e
+    return None
+
+
+WINDOWS = {  # (lo, width, value): hit after the switch?
+    (0.33, 0.001, math.inf): True,
+    (0.34, 0.001, -math.inf): True,
+    (0.33, 0.001, math.nan): True,
+    (0.33, 0.001, 1e250): True,  # the estimate overflows: OverflowError
+    (0.5, 0.0001, math.inf): False,  # non-finite before the switch: no running sums
+}
+
+
+@pytest.mark.parametrize("window,after", list(WINDOWS.items()))
+def test_windows_are_hit_on_their_side_of_the_switch(window, after):
+    from qcalc import qquad
+
+    size = _heap_size_at_first_hit(_narrow_window(*window))
+    assert size is not None and (size >= qquad._SHORT_HEAP) is after
+
+
+def _odd_about_zero(x):
+    """sin(40x), but 1 at 0: the first panel on [-1, 1] is not converged,
+    and its two halves have opposite values, so the total is exactly zero
+    whenever the refinement is symmetric."""
+    return 1.0 if x == 0.0 else math.sin(40.0 * x)
+
+
+@pytest.mark.parametrize("g,a,b", [
+    *((_narrow_window(*w), 0.0, 1.0) for w in WINDOWS),
+    (_odd_about_zero, -1.0, 1.0),
+    (lambda x: -0.0, 0.0, 1.0),
+    (lambda x: 1e300 * math.exp(400.0 * x), 0.0, 1.0),  # bound over from the first panel
+    (lambda x: math.sin(40.0 * x) * math.exp(x), -0.15, 0.75),
+])
+def test_runs_past_the_short_heap_switch_match_the_reference(g, a, b):
+    for n in (47, 48, 49, 400):
+        same_outcome(g, a, b, QuadratureConfig(1e-300, 1e-300, n))
+
+
+@pytest.mark.parametrize("n", [49, 51, 399])
+def test_zero_totals_past_the_switch_fall_back_to_the_heap(n):
+    # these odd subdivision counts end on an exactly zero total
+    config = QuadratureConfig(1e-300, 1e-300, n)
+    assert same_outcome(_odd_about_zero, -1.0, 1.0, config)[0] == bits(0.0)
+
+
+# ---------------------------------------------------------------------------
+# Panel counts of the integrators against a counting reference
+
+
+def counted_reference(g, a, b, config):
+    """reference_adaptive on [min, max] and the panels it computed."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return g(x)
+
+    if a == b:
+        return 0
+    reference_adaptive(counting, min(a, b), max(a, b), config)
+    assert len(calls) % 15 == 0
+    return len(calls) // 15
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@pytest.mark.parametrize("text", ["exp(-x)*sin(3*x)+1", "sqrt(x)*exp(x)", "x*ln(x)"])
+def test_n_panels_counts_the_panels(text, q):
+    from qcalc.qquad import dual_qint, dual_qint_from, primal_qint
+
+    d = Deformation(q)
+    f = funcexpr.compile(parse(text, d))
+
+    def weighted(x):
+        return f.eval(x) / (1.0 + d.delta * x)
+
+    primal_g = f.eval if d.classical else weighted
+    for a, b in ((0.0, 0.75), (0.75, 0.0), (0.5, 0.5)):
+        assert primal_qint(f, a, b, d).n_panels == counted_reference(primal_g, a, b, CONFIGS[0])
+        want = counted_reference(f.eval, a, b, CONFIGS[0])
+        assert dual_qint(f, a, b, d).n_panels == want
+        assert dual_qint_from(f, a, b, 0.25, d).n_panels == want
+
+
+def test_n_panels_of_a_reflected_integral():
+    from qcalc.qquad import IntegralFlag, SingularityMode, primal_qint
+
+    d = Deformation(2.0)  # the pole of the weight is at 1
+    f = funcexpr.compile(parse("sin(30*x)+1", d))
+    config = QuadratureConfig(singularity_mode=SingularityMode.REFLECT)
+    res = primal_qint(f, 0.5, 1.25, d, config)
+    assert IntegralFlag.REFLECTION_APPLIED in res.flags
+    mirror = -2.0 / d.delta - 1.25
+    want = counted_reference(lambda x: f.eval(x) / (1.0 + d.delta * x), 0.5, mirror, config)
+    assert res.n_panels == want > 1
+    assert primal_qint(f, 1.25, 0.5, d, config).n_panels == want
+
+
+def test_n_panels_takes_no_part_in_equality_or_hashing():
+    from qcalc.qquad import IntegralResult
+
+    a, b = IntegralResult(1.0, 0.5, n_panels=3), IntegralResult(1.0, 0.5, n_panels=7)
+    assert a == b and hash(a) == hash(b)
+    assert IntegralResult(1.0, 0.5).n_panels == 0
