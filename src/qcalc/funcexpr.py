@@ -26,7 +26,7 @@ from __future__ import annotations
 import builtins
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, NoReturn, Optional, Union
 
 from .errors import EVAL_ERRORS, DomainError, ParseError, PoleError, UnknownBuiltinError
@@ -463,7 +463,6 @@ class _Source:
         self.lines: list[str] = []
         self.params: list[str] = []
         self.values: list[object] = []
-        self.panels: dict = {}  # Kronrod panels built from these statements (qquad)
         self.result = _post_order(root, self.leaf, self.operation)
 
     def bind(self, prefix: str, value: object) -> str:
@@ -516,8 +515,66 @@ def _factory(source: str) -> Callable[..., Callable[..., float]]:
 def _generate(node: Expr) -> Callable[..., float]:
     source = _Source(node)
     f = _factory(source.text())(*source.values)
-    f.source = source  # its statements, for code that inlines f (qquad's panels)
+    f.tree = node  # to generate its Kronrod panels from
+    f.panels = {}  # weight template -> (rule, panel maker); see kronrod_panel
     return f
+
+
+# ---------------------------------------------------------------------------
+# Kronrod panels: panel(a, b) -> (value, estimate) is one frame that loops
+# over the nodes of a Gauss-Kronrod rule on [a, b] (the centre, then
+# c + hl*x_k and c - hl*x_k from the outermost node in), runs a tree's
+# statements once per node and applies an integrand weight in the same
+# statement, then forms both sums in the order of the looped rule. The tree's
+# own names are x, flags, t<i> and the parameters of _Source.bind; the
+# panel's start with an underscore, apart from delta, the weight's parameter.
+
+def _panel_text(lines: list[str], result: str, params: list[str], weight: str, rule) -> str:
+    xk, wk, wk_centre, wg, wg_centre = rule
+    n = len(xk)
+    nodes = ", ".join(["_c"] + [f"_c {s} _hl * {x!r}" for x in xk for s in "+-"])
+    names = ", ".join(["_fc"] + [f"_{s}{k}" for k in range(1, n + 1) for s in "yz"])
+    sk = " + ".join([f"{wk_centre!r} * _fc"] + [f"{w!r} * _p{k}" for k, w in enumerate(wk, 1)])
+    sg = " + ".join([f"{wg_centre!r} * _fc"] + [f"{w!r} * _p{2 * k}" for k, w in enumerate(wg, 1)])
+    head = ["flags = None", "_c = 0.5 * (_a + _b)", "_hl = 0.5 * (_b - _a)", "_f = []",
+            f"for x in ({nodes}):"]
+    tail = [f"{names} = _f", *(f"_p{k} = _y{k} + _z{k}" for k in range(1, n + 1)),
+            f"_sk = {sk}", f"_sg = {sg}", "_value = _sk * _hl", "_d = abs(_value - _sg * _hl)",
+            "return _value, min(_d, (200.0 * _d) ** 1.5)"]
+    loop = [*lines, f"_f.append({weight.format(result)})"]
+    body = "".join([*(f"        {line}\n" for line in head),
+                    *(f"            {line}\n" for line in loop),
+                    *(f"        {line}\n" for line in tail)])
+    return (f"def factory({', '.join([*params, 'delta'])}):\n"
+            f"    def panel(_a, _b):\n{body}    return panel\n")
+
+
+@lru_cache(maxsize=16)
+def _point_panel(weight: str, rule) -> Callable[..., Callable[[float, float], tuple]]:
+    return _factory(_panel_text(["t0 = g(x)"], "t0", ["g"], weight, rule))
+
+
+def kronrod_panel(g: Callable[[float], float], weight: str, delta: float, rule
+                  ) -> Callable[[float, float], tuple[float, float]]:
+    """The panel of the integrand ``weight.format(g(x))`` under a Gauss-Kronrod rule.
+
+    ``weight`` is an expression template over ``{0}``, the point value, and
+    may use ``x`` and ``delta``; ``rule`` is (Kronrod abscissae from the
+    outermost in, their weights, the centre's weight, the Gauss weights of
+    the 2nd, 4th, ... abscissae, the centre's Gauss weight). For a function
+    generated from a tree the tree's statements are inlined, and its panel
+    code is compiled once per tree shape and weight; any other g is called
+    at each node.
+    """
+    tree = getattr(g, "tree", None)
+    if not isinstance(tree, _Node):
+        return _point_panel(weight, rule)(g, delta)
+    entry = g.panels.get(weight)
+    if entry is None or entry[0] is not rule:
+        source = _Source(tree)
+        text = _panel_text(source.lines, source.result, source.params, weight, rule)
+        entry = g.panels[weight] = (rule, partial(_factory(text), *source.values))
+    return entry[1](delta)
 
 
 def evaluate(node: Expr, x: float) -> float:

@@ -7,15 +7,16 @@ Gauss-Kronrod engine with deterministic worst-interval-first refinement.
 
 The engine's unit of work is a generated panel function, one Python frame
 for the 15 Kronrod nodes of an interval, with the integrand weight fused
-in. For a compiled expression it repeats the tree's statements at each
-node; its code is compiled once per tree shape and weight (a cold cost of
-a few ms) and the panel is kept on the tree. Any other point function,
-and a tree of more than _INLINE_LIMIT statements, is called at each node
-by the same template. The totals over the heap of panels are math.fsum
-over the heap while it is short (below _SHORT_HEAP panels: cheaper than
-keeping sums), then exact running sums, which keep a long run linear in
-its subdivision count. Results equal those of the looped panel and of
-summing the heap on every iteration, bit for bit.
+in (funcexpr.kronrod_panel). For a compiled expression it loops over the
+nodes and runs the tree's statements at each one, so it grows with the
+tree as the tree's own function does; its code is compiled once per tree
+shape and weight (a cold cost below 1 ms for small trees). Any other
+point function is called at each node by the same template. The totals
+over the heap of panels are math.fsum over the heap while it is short
+(below _SHORT_HEAP panels: cheaper than keeping sums), then exact running
+sums, which keep a long run linear in its subdivision count. Results equal
+those of the looped reference panel and of summing the heap on every
+iteration, bit for bit.
 
 Cross-check paths that deliberately share no code with that engine:
 
@@ -35,7 +36,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 from operator import itemgetter
 
 from . import funcexpr
@@ -135,64 +135,19 @@ _WG = (
     0.38183005050511894495,
 )
 _WG_CENTER = 0.41795918367346938776
-
-
-# panel(a, b) -> (value, estimate) sets x to the centre, then to c + hl*x_k
-# and c - hl*x_k from the outermost node in; at each node it runs the
-# integrand's statements (or t0 = g(x)) and applies the weight, and both sums
-# accumulate in the order of the looped rule. The weight's delta and the
-# integrand's constants are arguments of the panel's factory, so one
-# builtins.compile serves every integrand of one shape and weight.
+_RULE = (_XK, _WK, _WK_CENTER, _WG, _WG_CENTER)
+# The integrand weights, as templates over the point value {0} (see
+# funcexpr.kronrod_panel, which generates the panels).
 _WEIGHTS = {
     "none": "{0}",
     "primal": "{0} / (1.0 + delta * x)",  # the primal measure dx / (1 + delta*x)
     "borges": "(1.0 + delta * {0}) * {0}",  # borges_dual_qint's value-side integrand
 }
-# Integrands of more statements call their function at each node instead of
-# inlining it: the unrolled panel repeats the statements 15 times, and its
-# compile time and size grow with them.
-_INLINE_LIMIT = 32
-
-
-def _panel_text(lines, result: str, params, weight: str) -> str:
-    weighted = _WEIGHTS[weight].format(result)
-    body = ["flags = None", "c = 0.5 * (a + b)", "hl = 0.5 * (b - a)"]
-
-    def at(node: str, name: str):
-        body.append(f"x = {node}")
-        body.extend(lines)
-        body.append(f"{name} = {weighted}")
-
-    at("c", "fc")
-    for k, xk in enumerate(_XK, 1):
-        at(f"c + hl * {xk!r}", "y")
-        at(f"c - hl * {xk!r}", "z")
-        body.append(f"p{k} = y + z")
-    sk = [f"{_WK_CENTER!r} * fc"] + [f"{w!r} * p{k}" for k, w in enumerate(_WK, 1)]
-    sg = [f"{_WG_CENTER!r} * fc"] + [f"{w!r} * p{k}" for k, w in zip((2, 4, 6), _WG)]
-    body += [f"sk = {' + '.join(sk)}", f"sg = {' + '.join(sg)}", "value = sk * hl",
-             "d = abs(value - sg * hl)", "return value, min(d, (200.0 * d) ** 1.5)"]
-    statements = "".join(f"        {line}\n" for line in body)
-    return (f"def factory({', '.join([*params, 'delta'])}):\n"
-            f"    def panel(a, b):\n{statements}    return panel\n")
-
-
-@cache
-def _point_factory(weight: str):
-    return funcexpr._factory(_panel_text(["t0 = g(x)"], "t0", ["g"], weight))
 
 
 def _kronrod(g, weight: str, delta: float):
-    """The panel of point function g times the weight, cached on g's tree."""
-    source = getattr(g, "source", None)
-    if not isinstance(source, funcexpr._Source) or len(source.lines) > _INLINE_LIMIT:
-        return _point_factory(weight)(g, delta)
-    panel = source.panels.get((weight, delta))
-    if panel is None:
-        text = _panel_text(source.lines, source.result, source.params, weight)
-        panel = funcexpr._factory(text)(*source.values, delta)
-        source.panels[weight, delta] = panel
-    return panel
+    """panel(a, b) -> (value, estimate) of point function g times the weight."""
+    return funcexpr.kronrod_panel(g, _WEIGHTS[weight], delta, _RULE)
 
 
 # Past this, a partial sum of the heap's values or estimates, in the order

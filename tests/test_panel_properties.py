@@ -22,7 +22,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 WEIGHTS = ("none", "primal", "borges")
-INTERVALS = [(0.0, 1.0), (-0.15, 0.75), (-2.0, 3.0), (0.0, 0.0), (1.0, -1.0), (-1e300, 1e300)]
+INTERVALS = [(0.0, 1.0), (-0.15, 0.75), (-2.0, 3.0), (0.0, 0.0), (1.0, -1.0), (-1e300, 1e300),
+             (-0.0, -0.0), (-1.5e308, 1.5e308)]  # a centre of -0.0; an infinite half-length
 
 
 def weighted(f, weight, delta):
@@ -60,10 +61,9 @@ def test_generated_panel_matches_the_reference_panel(tree, drawn):
 
 
 @pytest.mark.parametrize("weight", WEIGHTS)
-def test_hand_built_and_large_integrands_call_their_function(weight):
+def test_hand_built_and_large_integrands_match_the_reference(weight):
     d = Deformation(0.5)
-    big = funcexpr.compile(parse("+".join(["sin(x)*x"] * 20), d)).eval
-    assert len(big.source.lines) > qquad._INLINE_LIMIT
+    big = funcexpr.compile(parse("+".join(["sin(x)*x"] * 200), d)).eval
     for f in (math.exp, lambda x: 1.0 / x, big):
         panel = qquad._kronrod(f, weight, d.delta)
         for a, b in INTERVALS:
@@ -79,9 +79,28 @@ def test_trees_of_one_shape_share_one_panel_factory():
     info = funcexpr._factory.cache_info()
     assert (info.misses, info.hits) == (1, len(Q_VALUES) - 1)
     assert len({p.__code__ for p in panels}) == 1
-    assert qquad._kronrod(fs[0], "primal", 0.0 + 2.0) is panels[0]  # cached per (weight, delta)
-    assert qquad._kronrod(fs[0], "borges", 2.0) is not panels[0]
     assert len({p(0.1, 0.6) for p in panels}) == len(Q_VALUES)
+
+
+def test_a_tree_keeps_one_panel_maker_per_weight():
+    f = funcexpr.compile(parse("exp(-x)*sin(3*x)+1", Deformation(0.5))).eval
+    assert f.panels == {}  # nothing is kept for a tree that is never integrated
+    for delta in (0.5, -1.0, 2.0, 0.25):
+        qquad._kronrod(f, "primal", delta)
+    qquad._kronrod(f, "borges", 0.5)
+    assert len(f.panels) == 2
+    makers = dict(f.panels)
+    qquad._kronrod(f, "primal", 3.0)
+    assert f.panels == makers  # the same maker objects: nothing regenerated
+
+
+def test_a_panel_holds_the_statements_of_its_tree_once():
+    d = Deformation(0.5)
+    fs = [funcexpr.compile(parse("+".join(["sin(x)*x"] * n), d)).eval for n in (1, 100)]
+    panels = [qquad._kronrod(f, "primal", d.delta) for f in fs]
+    size = [[len(g.__code__.co_code) for g in pair] for pair in (fs, panels)]
+    # written out at each of the 15 nodes, the statements would grow it about 15-fold
+    assert size[1][1] - size[1][0] < 2 * (size[0][1] - size[0][0])
 
 
 def test_evaluated_and_integrated_trees_pickle():
