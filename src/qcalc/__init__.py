@@ -7,157 +7,20 @@ oracles (:mod:`qcalc.qquad`), q-line geometry (:mod:`qcalc.qgeom`), and a
 deterministic CLI (:mod:`qcalc.cli`).
 """
 
-from .errors import (
-    DegenerateSecantError,
-    DomainError,
-    InverseMismatchError,
-    MissingDerivativeError,
-    ParseError,
-    PoleError,
-    QcalcError,
-    SingularityError,
-    ToleranceWarning,
-    UnknownBuiltinError,
-)
-from .qcore import (
-    Deformation,
-    EvalFlag,
-    ExtendedValue,
-    big_e,
-    ln_big_e,
-    q_add,
-    q_div,
-    q_exp,
-    q_log,
-    q_log_exp_of,
-    q_mul,
-    q_power_n,
-    q_sub,
-    q_times_n,
-)
-from .funcexpr import (
-    BUILTIN_NAMES,
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    RealFunction,
-    Var,
-    builtin,
-    evaluate,
-    evaluate_extended,
-    parse,
-    to_text,
-)
-from .qdiff import (
-    DerivConfig,
-    dual_qderiv_closed,
-    dual_qderiv_numeric,
-    dual_qderiv_numeric_with_estimate,
-    primal_qderiv_closed,
-    primal_qderiv_numeric,
-    primal_qderiv_numeric_with_estimate,
-)
-from .qquad import (
-    GeometricPartition,
-    IntegralFlag,
-    IntegralResult,
-    QuadratureConfig,
-    SingularityMode,
-    borges_dual_qint,
-    dual_qint,
-    dual_qint_from,
-    partition_sum_oracle,
-    primal_qint,
-    primal_qint_riemann,
-)
-from .qgeom import (
-    DualQLine,
-    PrimalQLine,
-    dual_qline_eval,
-    dual_qline_through,
-    dual_qtangent,
-    dual_secant_slope,
-    integral_ratio,
-    primal_qline_eval,
-    primal_qline_through,
-    primal_qtangent,
-    primal_secant_slope,
-    slope_duality,
-)
-from .verify import DEFAULT_Q_SWEEP, PropertyResult, run_battery
+from . import errors, funcexpr, qcore, qdiff, qgeom, qquad, verify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Deformation",
-    "EvalFlag",
-    "ExtendedValue",
-    "q_log",
-    "q_exp",
-    "big_e",
-    "ln_big_e",
-    "q_add",
-    "q_sub",
-    "q_mul",
-    "q_div",
-    "q_power_n",
-    "q_times_n",
-    "q_log_exp_of",
-    "RealFunction",
-    "Num",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
-    "parse",
-    "to_text",
-    "builtin",
-    "evaluate",
-    "evaluate_extended",
-    "BUILTIN_NAMES",
-    "DerivConfig",
-    "primal_qderiv_closed",
-    "primal_qderiv_numeric",
-    "primal_qderiv_numeric_with_estimate",
-    "dual_qderiv_closed",
-    "dual_qderiv_numeric",
-    "dual_qderiv_numeric_with_estimate",
-    "SingularityMode",
-    "QuadratureConfig",
-    "IntegralFlag",
-    "IntegralResult",
-    "primal_qint",
-    "primal_qint_riemann",
-    "dual_qint",
-    "dual_qint_from",
-    "borges_dual_qint",
-    "GeometricPartition",
-    "partition_sum_oracle",
-    "PrimalQLine",
-    "DualQLine",
-    "primal_qline_eval",
-    "dual_qline_eval",
-    "primal_secant_slope",
-    "dual_secant_slope",
-    "primal_qline_through",
-    "dual_qline_through",
-    "primal_qtangent",
-    "dual_qtangent",
-    "slope_duality",
-    "integral_ratio",
-    "DEFAULT_Q_SWEEP",
-    "PropertyResult",
-    "run_battery",
-    "QcalcError",
-    "DomainError",
-    "PoleError",
-    "SingularityError",
-    "ParseError",
-    "UnknownBuiltinError",
-    "MissingDerivativeError",
-    "DegenerateSecantError",
-    "InverseMismatchError",
-    "ToleranceWarning",
-    "__version__",
-]
+# Layer names the package does not re-export: ``compile`` would shadow the
+# builtin under ``from qcalc import *``; the rest are parser and evaluator
+# internals.
+_NOT_EXPORTED = ("compile", "Expr", "CALL_NAMES", "EVAL_ERRORS")
+
+__all__ = []
+for _layer in (qcore, funcexpr, qdiff, qquad, qgeom, verify, errors):
+    for _name in _layer.__all__:
+        if _name not in _NOT_EXPORTED:
+            globals()[_name] = getattr(_layer, _name)
+            __all__.append(_name)
+__all__.append("__version__")
+del _layer, _name

@@ -11,7 +11,8 @@ platforms. Non-finite values print as ``nan``/``inf``/``-inf`` (quoted in
 JSON, since JSON has no literals for them).
 
 Exit codes: 0 success, 1 evaluation/domain error, 2 parse or usage error
-(parse messages carry the UTF-8 byte offset), 3 verification failure.
+(parse messages carry the UTF-8 byte offset) or an --out path that cannot
+be written, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ Parse errors report the UTF-8 byte offset of the offending token.
 exit codes:
   0  success
   1  evaluation/domain error
-  2  parse or usage error
+  2  parse or usage error, or an --out path that cannot be written
   3  verification failure
 """
 
@@ -135,14 +136,6 @@ def _render(meta: dict, header: list[str], rows: list[tuple], fmt: str) -> str:
     return '{\n  "meta": {' + meta_body + '},\n  "rows": ' + rows_block + "\n}\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -195,14 +188,6 @@ def _add_common(p: argparse.ArgumentParser, *, need_q: bool) -> None:
     )
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the table here instead of stdout")
-    p.add_argument("--abs-tol", type=_positive, default=None, metavar="TOL",
-                   help="quadrature absolute tolerance override")
-    p.add_argument("--rel-tol", type=_positive, default=None, metavar="TOL",
-                   help="quadrature/derivative relative tolerance override")
-    p.add_argument(
-        "--singularity", choices=("error", "reflect"), default="error",
-        help="pole crossing policy for primal integrals (default error)",
-    )
 
 
 def _add_grid(p: argparse.ArgumentParser) -> None:
@@ -212,6 +197,7 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
                    metavar="X1", help="grid end")
     p.add_argument("--points", type=int, default=None, metavar="N",
                    help="grid size (>= 2)")
+    p.set_defaults(grid=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -236,6 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("method", choices=("numeric", "closed"))
     _add_common(p, need_q=True)
     _add_grid(p)
+    p.add_argument("--rel-tol", type=_positive, default=DerivConfig.rel_tol,
+                   metavar="TOL",
+                   help="numeric derivative relative tolerance (default %(default)s)")
 
     p = sub.add_parser("integrate", help="q-integral of an expression")
     p.add_argument("expr")
@@ -247,6 +236,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x_lo", type=_finite)
     p.add_argument("x_hi", type=_finite)
     _add_common(p, need_q=True)
+    p.add_argument("--abs-tol", type=_positive, default=QuadratureConfig.abs_tol,
+                   metavar="TOL", help="absolute tolerance (default %(default)s)")
+    p.add_argument("--rel-tol", type=_positive, default=QuadratureConfig.rel_tol,
+                   metavar="TOL", help="relative tolerance (default %(default)s)")
+    p.add_argument(
+        "--singularity", choices=("error", "reflect"), default="error",
+        help="pole crossing policy for primal integrals (default error)",
+    )
 
     p = sub.add_parser(
         "qline", help="q-line parameters (secant/tangent), optionally sampled"
@@ -281,6 +278,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error("--points must be at least 2")
         if not args.x_from < args.x_to:
             parser.error("--from must be strictly less than --to")
+        args.grid = _grid_points(args)
+        if not all(map(math.isfinite, args.grid)):
+            parser.error("the grid from --from to --to overflows to a non-finite point")
     elif args.command in ("eval", "diff"):
         parser.error(f"{args.command} requires --from, --to and --points")
     if args.command == "qline":
@@ -300,31 +300,9 @@ def _grid_points(args: argparse.Namespace) -> list[float]:
     return xs
 
 
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    base = QuadratureConfig()
-    return QuadratureConfig(
-        abs_tol=base.abs_tol if args.abs_tol is None else args.abs_tol,
-        rel_tol=base.rel_tol if args.rel_tol is None else args.rel_tol,
-        max_subdivisions=base.max_subdivisions,
-        singularity_mode=SingularityMode(args.singularity),
-    )
-
-
-def _deriv_config(args: argparse.Namespace) -> DerivConfig:
-    if args.rel_tol is None:
-        return DerivConfig()
-    return DerivConfig(rel_tol=args.rel_tol)
-
-
-def _base_meta(args: argparse.Namespace, qcfg: QuadratureConfig) -> dict:
-    return {
-        "command": args.command,
-        "q": args.q,
-        "abs_tol": qcfg.abs_tol,
-        "rel_tol": qcfg.rel_tol,
-        "singularity": qcfg.singularity_mode.value,
-        "format": args.format,
-    }
+def _base_meta(args: argparse.Namespace, **settings) -> dict:
+    """The meta leading keys: command, q, the settings the command read, format."""
+    return {"command": args.command, "q": args.q, **settings, "format": args.format}
 
 
 def _flags_cell(flags) -> str:
@@ -340,10 +318,10 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     d = Deformation(args.q)
     ast = funcexpr.parse(args.expr, d)
     rows = []
-    for x in _grid_points(args):
+    for x in args.grid:
         ev = funcexpr.evaluate_extended(ast, x)
         rows.append((x, ev.value, _flags_cell(ev.flags)))
-    meta = _base_meta(args, _quad_config(args))
+    meta = _base_meta(args)
     meta.update(expr=args.expr, x_from=args.x_from, x_to=args.x_to,
                 points=args.points)
     return _render(meta, ["x", "value", "flags"], rows, args.format)
@@ -352,9 +330,9 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 def _cmd_diff(args: argparse.Namespace) -> str:
     d = Deformation(args.q)
     fn = funcexpr.compile(funcexpr.parse(args.expr, d))
-    dcfg = _deriv_config(args)
+    dcfg = DerivConfig(rel_tol=args.rel_tol)
     rows = []
-    for x in _grid_points(args):
+    for x in args.grid:
         if args.method == "closed":
             if args.mode == "primal":
                 value = primal_qderiv_closed(fn, x, d)
@@ -366,7 +344,7 @@ def _cmd_diff(args: argparse.Namespace) -> str:
         else:
             value, err = dual_qderiv_numeric_with_estimate(fn, x, d, dcfg)
         rows.append((x, value, err))
-    meta = _base_meta(args, _quad_config(args))
+    meta = _base_meta(args, rel_tol=dcfg.rel_tol)
     meta.update(expr=args.expr, mode=args.mode, method=args.method,
                 x_from=args.x_from, x_to=args.x_to, points=args.points)
     return _render(meta, ["x", "derivative", "error_estimate"], rows,
@@ -376,7 +354,8 @@ def _cmd_diff(args: argparse.Namespace) -> str:
 def _cmd_integrate(args: argparse.Namespace) -> str:
     d = Deformation(args.q)
     fn = funcexpr.compile(funcexpr.parse(args.expr, d))
-    qcfg = _quad_config(args)
+    qcfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
+                            singularity_mode=SingularityMode(args.singularity))
     if args.mode == "primal":
         res = primal_qint(fn, args.x_lo, args.x_hi, d, qcfg)
         row = (res.value, res.error_estimate, _flags_cell(res.flags))
@@ -386,7 +365,8 @@ def _cmd_integrate(args: argparse.Namespace) -> str:
     else:
         value = borges_dual_qint(fn, args.x_lo, args.x_hi, d, qcfg)
         row = (value, 0.0, "")
-    meta = _base_meta(args, qcfg)
+    meta = _base_meta(args, abs_tol=qcfg.abs_tol, rel_tol=qcfg.rel_tol,
+                      singularity=qcfg.singularity_mode.value)
     meta.update(expr=args.expr, mode=args.mode, x_lo=args.x_lo,
                 x_hi=args.x_hi)
     return _render(meta, ["value", "error_estimate", "flags"], [row],
@@ -396,25 +376,24 @@ def _cmd_integrate(args: argparse.Namespace) -> str:
 def _cmd_qline(args: argparse.Namespace) -> str:
     d = Deformation(args.q)
     fn = funcexpr.compile(funcexpr.parse(args.expr, d))
-    dcfg = _deriv_config(args)
     if args.mode == "primal":
         if args.kind == "secant":
             line = primal_qline_through(fn, args.anchors[0], args.anchors[1], d)
         else:
-            line = primal_qtangent(fn, args.anchors[0], d, dcfg)
+            line = primal_qtangent(fn, args.anchors[0], d)
         slope, intercept = line.k_q, line.c
         sample = lambda x: primal_qline_eval(line, x)  # noqa: E731
     else:
         if args.kind == "secant":
             line = dual_qline_through(fn, args.anchors[0], args.anchors[1], d)
         else:
-            line = dual_qtangent(fn, args.anchors[0], d, dcfg)
+            line = dual_qtangent(fn, args.anchors[0], d)
         slope, intercept = line.k_sup_q, line.intercept
         sample = lambda x: dual_qline_eval(line, x)  # noqa: E731
     rows = [("slope", None, slope), ("intercept", None, intercept)]
-    if args.points is not None:
-        rows.extend(("curve", x, sample(x)) for x in _grid_points(args))
-    meta = _base_meta(args, _quad_config(args))
+    if args.grid is not None:
+        rows.extend(("curve", x, sample(x)) for x in args.grid)
+    meta = _base_meta(args)
     meta.update(expr=args.expr, mode=args.mode, kind=args.kind,
                 anchors=list(args.anchors), x_from=args.x_from,
                 x_to=args.x_to, points=args.points)
@@ -491,5 +470,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"qcalc: {exc}", file=sys.stderr)
         return 1
 
-    _emit(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"qcalc: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code

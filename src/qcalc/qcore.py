@@ -13,9 +13,9 @@ together with the deformed arithmetic (written delta = 1 - q)
     x (/)_q y = [x^delta - y^delta + 1]_+^(1/delta)
 
 under which ln_q and e_q satisfy the familiar log/exp identity table. All
-operations take a :class:`Deformation` carrying q and the threshold below
-which |1-q| is treated as the classical q=1 limit (every formula has a
-removable singularity there).
+operations take a :class:`Deformation` carrying q. When |1-q| <
+:data:`Q1_EPSILON` they take the classical q=1 limit branch (every formula
+has a removable singularity there).
 
 Two operations are required to be cancellation-safe and route through
 ``log1p``/``expm1``: :func:`ln_big_e` and :func:`q_log_exp_of`. Likewise
@@ -48,6 +48,8 @@ __all__ = [
     "q_log_exp_of",
 ]
 
+Q1_EPSILON = 1e-12  # |1 - q| below this takes the classical branch
+
 
 @dataclass(frozen=True)
 class Deformation:
@@ -55,20 +57,17 @@ class Deformation:
 
     Attributes:
         q: the deformation parameter; q = 1 recovers ordinary calculus.
-        q1_epsilon: threshold on |1 - q| below which the classical branch
-            is taken. Branch selection is deterministic.
         delta: 1 - q, the exponent appearing in every deformed formula.
-        classical: True when |1 - q| < q1_epsilon and the q=1 limit branch
-            applies.
+        classical: True when |1 - q| < Q1_EPSILON and the q=1 limit branch
+            applies. Branch selection is deterministic.
         inv_delta: 1/(1 - q), the exponent of the bracket powers; NaN on the
             classical branch.
 
-    delta, classical and inv_delta are computed once from q and q1_epsilon;
-    they take no part in the constructor, repr, equality or hashing.
+    delta, classical and inv_delta are computed once from q; they take no
+    part in the constructor, repr, equality or hashing.
     """
 
     q: float
-    q1_epsilon: float = 1e-12
     delta: float = field(init=False, repr=False, compare=False)
     classical: bool = field(init=False, repr=False, compare=False)
     inv_delta: float = field(init=False, repr=False, compare=False)
@@ -76,10 +75,8 @@ class Deformation:
     def __post_init__(self) -> None:
         if not math.isfinite(self.q):
             raise ValueError(f"q must be finite, got {self.q}")
-        if not self.q1_epsilon > 0.0:
-            raise ValueError("q1_epsilon must be positive")
         delta = 1.0 - self.q
-        classical = abs(delta) < self.q1_epsilon
+        classical = abs(delta) < Q1_EPSILON
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "classical", classical)
         object.__setattr__(self, "inv_delta", math.nan if classical else 1.0 / delta)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import DomainError, MissingDerivativeError, PoleError, ToleranceWarning
 from .funcexpr import EVAL_ERRORS, RealFunction
@@ -38,29 +37,25 @@ __all__ = [
     "dual_qderiv_numeric_with_estimate",
 ]
 
-_CBRT_EPS = math.ulp(1.0) ** (1.0 / 3.0)  # ~6.06e-6, optimal central-diff step
+BASE_STEP = math.ulp(1.0) ** (1.0 / 3.0)  # ~6.06e-6, optimal central-diff step
+RICHARDSON_LEVELS = 3  # halvings laid above BASE_STEP
 _MAX_SHRINKS = 8
+# the step divisors 2^j and the extrapolation denominators 4^k - 1
+_HALVINGS = tuple(2.0**j for j in range(RICHARDSON_LEVELS + 1))
+_DENOMINATORS = tuple(4.0**k - 1.0 for k in range(RICHARDSON_LEVELS + 1))
 
 
 @dataclass(frozen=True)
 class DerivConfig:
-    """Stencil and acceptance parameters for the numeric derivatives.
+    """Acceptance threshold for the numeric derivatives.
 
-    base_step is the smallest central-difference step (scaled by the
-    magnitude of the differencing coordinate); richardson_levels halvings
-    are laid above it. rel_tol is the error-estimate acceptance threshold
-    relative to max(1, |result|).
+    rel_tol is the error-estimate acceptance threshold relative to
+    max(1, |result|).
     """
 
-    base_step: float = _CBRT_EPS
-    richardson_levels: int = 3
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.base_step <= 0.0 or not math.isfinite(self.base_step):
-            raise ValueError(f"base_step must be positive, got {self.base_step}")
-        if self.richardson_levels < 1:
-            raise ValueError("richardson_levels must be at least 1")
         if self.rel_tol <= 0.0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if not math.isfinite(self.rel_tol):
@@ -97,25 +92,17 @@ def dual_qderiv_closed(F: RealFunction, x: float, d: Deformation) -> float:
     return F.derivative(x) / den
 
 
-@cache
-def _richardson_tables(levels: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The step divisors 2^j and the extrapolation denominators 4^k - 1."""
-    return (tuple(2.0**j for j in range(levels + 1)),
-            tuple(4.0**k - 1.0 for k in range(levels + 1)))
-
-
-def _richardson(phi, h0: float, levels: int) -> tuple[float, float]:
+def _richardson(phi, h0: float) -> tuple[float, float]:
     """Extrapolate central differences phi(h0/2^j) to the h -> 0 limit.
 
     Returns (value, error_estimate); the estimate is the difference of the
     last two diagonal entries of the extrapolation table.
     """
-    halvings, denominators = _richardson_tables(levels)
     row: list[float] = []
-    for j, halving in enumerate(halvings):
+    for j, halving in enumerate(_HALVINGS):
         prev_row, row = row, [phi(h0 / halving)]
         for k in range(1, j + 1):
-            row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / denominators[k])
+            row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / _DENOMINATORS[k])
     return row[-1], abs(row[-1] - prev_row[-1])
 
 
@@ -135,11 +122,11 @@ def _checked(f: RealFunction):
 def _refine(phi, centre: float, config: DerivConfig, where: str) -> tuple[float, float]:
     """Run Richardson on steps scaled to the differencing coordinate's
     centre, shrinking the whole stencil when it exits the domain."""
-    h0 = config.base_step * (2.0**config.richardson_levels) * max(1.0, abs(centre))
+    h0 = BASE_STEP * 2.0**RICHARDSON_LEVELS * max(1.0, abs(centre))
     last_error: Exception | None = None
     for attempt in range(_MAX_SHRINKS + 1):
         try:
-            value, err = _richardson(phi, h0 / (2.0**attempt), config.richardson_levels)
+            value, err = _richardson(phi, h0 / (2.0**attempt))
         except EVAL_ERRORS as e:
             last_error = e
             continue

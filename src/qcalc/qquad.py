@@ -318,6 +318,21 @@ def primal_qint_riemann(
 # ---------------------------------------------------------------------------
 # Geometric partition of the primal axis
 
+def _bracket_ratio(x_lo: float, x_hi: float, n: int, d: Deformation) -> float:
+    """z = (1 + delta*x_hi)/(1 + delta*x_lo) of a geometric partition,
+    after checking that one can be laid over [x_lo, x_hi] in n steps."""
+    if d.classical:
+        raise DomainError("geometric partition needs q != 1")
+    if n < 1:
+        raise DomainError(f"need at least one step, got n = {n}")
+    if not x_lo < x_hi:
+        raise DomainError("need x_lo < x_hi")
+    s_lo, s_hi = d.bracket(x_lo), d.bracket(x_hi)
+    if s_lo <= 0.0 or s_hi <= 0.0:
+        raise DomainError("both bounds must lie on the support (bracket > 0)")
+    return s_hi / s_lo
+
+
 @dataclass(frozen=True)
 class GeometricPartition:
     """n+1 nodes from x_lo to x_hi, equally spaced in u = ln_big_e(x).
@@ -338,16 +353,7 @@ class GeometricPartition:
 
     def __post_init__(self):
         d = self.deformation
-        if d.classical:
-            raise DomainError("geometric partition needs q != 1")
-        if self.n < 1:
-            raise DomainError(f"need at least one step, got n = {self.n}")
-        if not self.x_lo < self.x_hi:
-            raise DomainError("need x_lo < x_hi")
-        s_lo, s_hi = d.bracket(self.x_lo), d.bracket(self.x_hi)
-        if s_lo <= 0.0 or s_hi <= 0.0:
-            raise DomainError("both bounds must lie on the support (bracket > 0)")
-        z = s_hi / s_lo
+        z = _bracket_ratio(self.x_lo, self.x_hi, self.n, d)
         t = math.expm1(math.log(z) / self.n) / d.delta
         nodes = [self.x_lo]
         for i in range(1, self.n):
@@ -368,8 +374,7 @@ def partition_sum_oracle(
     no quadrature code involved. Decreases monotonically to
     e_q(x_hi) - e_q(x_lo) at rate O(1/n).
     """
-    part = GeometricPartition(x_lo, x_hi, n, d)  # validates the inputs
-    z, delta = part.z, d.delta
+    z, delta = _bracket_ratio(x_lo, x_hi, n, d), d.delta
     du = math.log(z) / (n * delta)
     e_lo = q_exp(x_lo, d).value
     r = z ** (1.0 / (n * delta))  # bracket ratio per cell, in value space

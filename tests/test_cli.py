@@ -1,11 +1,18 @@
-"""End-to-end CLI tests: run the installed entry point as a subprocess."""
+"""End-to-end CLI tests: run the installed entry point as a subprocess.
 
+Checks of options, grids and ``meta`` keys call ``cli.main`` in process,
+where stdout and stderr are captured by pytest.
+"""
+
+import argparse
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+
+from qcalc import cli
 
 CMD = [sys.executable, "-m", "qcalc"]
 
@@ -225,6 +232,16 @@ class TestOutput:
         assert filed.stdout == ""
         assert target.read_text(encoding="utf-8") == direct.stdout
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_path_is_a_usage_error(self, tmp_path, where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+        res = run_cli("eval", "x", "--q", "1", "--from", "0", "--to", "1",
+                      "--points", "2", "--out", str(target))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"qcalc: cannot write {target}: ")
+        assert "Traceback" not in res.stderr
+
     def test_failed_run_creates_no_out_file(self, tmp_path):
         target = tmp_path / "table.csv"
         res = run_cli("eval", "qlog(x)", "--q", "0.5", "--from", "-1",
@@ -287,6 +304,32 @@ class TestNumberArguments:
             assert res.returncode == 2, argv
             assert "usage:" in res.stderr, argv
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "x", "--q", "1", "--from", "-1e308", "--to", "1e308", "--points", "3"),
+            ("eval", "x", "--q", "1", "--from", "0", "--to", "1e308", "--points", "4"),
+            ("diff", "x", "primal", "closed", "--q", "1",
+             "--from", "0", "--to", "1e308", "--points", "4"),
+            ("qline", "x", "primal", "tangent", "0", "--q", "1",
+             "--from", "-1e308", "--to", "1e308", "--points", "2"),
+        ],
+    )
+    def test_grid_with_a_non_finite_point_is_a_usage_error(self, argv, capsys):
+        # hi - lo, or (hi - lo) * i, overflows although both ends are finite
+        assert cli.main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage:" in err and "non-finite" in err
+
+    def test_finite_grid_at_the_float_limit_keeps_its_points(self):
+        res = run_cli("eval", "x", "--q", "1", "--from", "0", "--to", "1e308",
+                      "--points", "3")
+        assert res.returncode == 0
+        assert [line.split(",")[0] for line in res.stdout.splitlines()[1:]] == [
+            "0.0000000000000000e+00", "5.0000000000000001e+307",
+            "1.0000000000000000e+308"]
+
     def test_negative_exponent_notation_integration_bound(self):
         res = run_cli("integrate", "x", "primal", "-1e-05", "1", "--q", "0.5")
         assert res.returncode == 0, res.stderr
@@ -342,3 +385,89 @@ class TestWarnings:
             "qcalc: warning: primal derivative: error estimate 1.100e-06 exceeds "
             "rel_tol=1.0e-08 (value 1.066055e-06)\n"
         )
+
+
+EVAL = ["eval", "x", "--q", "1", "--from", "0", "--to", "1", "--points", "2"]
+DIFF = ["diff", "x", "primal", "closed", "--q", "1", "--from", "0", "--to", "1",
+        "--points", "2"]
+INTEGRATE = ["integrate", "x", "primal", "0", "1", "--q", "0.5"]
+QLINE = ["qline", "x", "primal", "tangent", "0.5", "--q", "1"]
+VERIFY = ["verify", "--q", "1"]
+
+
+class TestOptions:
+    """Each command offers exactly the options it reads."""
+
+    def test_option_set_of_each_command(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: sorted(opt for action in p._actions for opt in action.option_strings
+                         if opt not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        grid = ["--format", "--from", "--out", "--points", "--q", "--to"]
+        assert got == {
+            "eval": grid,
+            "diff": sorted(grid + ["--rel-tol"]),
+            "integrate": ["--abs-tol", "--format", "--out", "--q", "--rel-tol",
+                          "--singularity"],
+            "qline": grid,
+            "verify": ["--format", "--inject-fault", "--out", "--q"],
+        }
+        assert sum(map(len, got.values())) == 29
+
+    @pytest.mark.parametrize(
+        "base,option",
+        [(base, option) for base in (EVAL, QLINE, VERIFY)
+         for option in (["--abs-tol", "1e-9"], ["--rel-tol", "1e-9"],
+                        ["--singularity", "reflect"])]
+        + [(DIFF, ["--abs-tol", "1e-9"]), (DIFF, ["--singularity", "reflect"])],
+        ids=lambda v: v[0],
+    )
+    def test_option_a_command_does_not_read_is_a_usage_error(self, base, option, capsys):
+        assert cli.main(base + option) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_integrate_reads_all_three(self, capsys):
+        argv = ["integrate", "qexp(x)", "primal", "0.5", "-3", "--q", "0.5",
+                "--abs-tol", "1e-9", "--rel-tol", "1e-7", "--singularity", "reflect",
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        meta = doc["meta"]
+        assert (meta["abs_tol"], meta["rel_tol"], meta["singularity"]) == (1e-9, 1e-7, "reflect")
+        assert "ReflectionApplied" in doc["rows"][0]["flags"]
+
+    def test_diff_reads_rel_tol(self, capsys):
+        # the estimate 1.1e-06 at the kink misses the default 1e-08, not 1e-05
+        argv = ["diff", "abs(x-0.3)", "primal", "numeric", "--q", "0.5",
+                "--from", "0", "--to", "0.6", "--points", "3", "--format", "json"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["meta"]["rel_tol"] == 1e-08
+        assert "exceeds rel_tol=1.0e-08" in err
+        assert cli.main(argv + ["--rel-tol", "1e-5"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["meta"]["rel_tol"] == 1e-05
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (EVAL, ["command", "q", "format", "expr", "x_from", "x_to", "points"]),
+            (DIFF, ["command", "q", "rel_tol", "format", "expr", "mode", "method",
+                    "x_from", "x_to", "points"]),
+            (INTEGRATE, ["command", "q", "abs_tol", "rel_tol", "singularity", "format",
+                         "expr", "mode", "x_lo", "x_hi"]),
+            (QLINE, ["command", "q", "format", "expr", "mode", "kind", "anchors",
+                     "x_from", "x_to", "points"]),
+            (VERIFY, ["command", "q_values", "fault_injected", "format"]),
+        ],
+        ids=["eval", "diff", "integrate", "qline", "verify"],
+    )
+    def test_json_meta_keys(self, argv, keys, capsys):
+        assert cli.main(argv + ["--format", "json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["meta"]) == keys

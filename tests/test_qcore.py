@@ -13,6 +13,7 @@ import pytest
 
 from qcalc.errors import DomainError, PoleError
 from qcalc.qcore import (
+    Q1_EPSILON,
     Deformation,
     EvalFlag,
     ExtendedValue,
@@ -48,12 +49,6 @@ class TestDeformation:
         assert not Deformation(1.0 - 2e-12).classical
         assert not Deformation(0.999999).classical
 
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Deformation(0.5, q1_epsilon=0.0)
-        with pytest.raises(ValueError):
-            Deformation(0.5, q1_epsilon=-1e-9)
-
     def test_pole_location(self):
         assert Deformation(0.5).pole == -2.0
         assert Deformation(2.0).pole == 1.0
@@ -70,7 +65,7 @@ class TestDeformation:
     def test_stored_constants_equal_their_formulas(self, q):
         d = Deformation(q)
         assert d.delta == 1.0 - q
-        assert d.classical is (abs(1.0 - q) < d.q1_epsilon)
+        assert d.classical is (abs(1.0 - q) < Q1_EPSILON)
         if d.classical:
             assert math.isnan(d.inv_delta)
         else:
@@ -79,12 +74,13 @@ class TestDeformation:
 
     def test_stored_constants_stay_out_of_the_dataclass_interface(self):
         d = Deformation(0.5)
-        assert repr(d) == "Deformation(q=0.5, q1_epsilon=1e-12)"
+        assert repr(d) == "Deformation(q=0.5)"
         assert d == Deformation(0.5) and hash(d) == hash(Deformation(0.5))
-        assert d != Deformation(0.5, q1_epsilon=1e-9)
         assert len({d, Deformation(0.5), Deformation(2.0)}) == 2
         with pytest.raises(TypeError):
             Deformation(0.5, delta=0.25)
+        with pytest.raises(TypeError):
+            Deformation(0.5, q1_epsilon=1e-9)  # a qcore constant, not a field
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.delta = 0.25
 
@@ -95,8 +91,6 @@ class TestDeformation:
         assert (back.delta, back.classical, back.inv_delta) == (0.5, False, 2.0)
         moved = dataclasses.replace(d, q=2.0)
         assert (moved.delta, moved.classical, moved.inv_delta) == (-1.0, False, -1.0)
-        near = dataclasses.replace(Deformation(1.0 + 1e-10), q1_epsilon=1e-9)
-        assert near.classical and math.isnan(near.inv_delta)
 
 
 class TestPointValues:

@@ -17,7 +17,7 @@ from qcalc import (
     q_log,
     q_sub,
 )
-from qcalc import funcexpr
+from qcalc import funcexpr, qquad
 from qcalc.qdiff import dual_qderiv_numeric, primal_qderiv_numeric
 from qcalc.qquad import (
     GeometricPartition,
@@ -271,6 +271,27 @@ class TestPartitionSum:
     def test_rejects_classical_deformation(self):
         with pytest.raises(DomainError):
             partition_sum_oracle(0.0, 1.0, 8, Deformation(1.0))
+
+    @pytest.mark.parametrize("lo,hi,n,q", [(0.0, 1.0, 4, 1.0), (-3.0, 0.0, 4, 0.5),
+                                           (1.0, 0.0, 4, 0.5), (0.0, 1.0, 0, 0.5)])
+    def test_rejects_what_the_partition_rejects(self, lo, hi, n, q):
+        with pytest.raises(DomainError) as part:
+            GeometricPartition(lo, hi, n, Deformation(q))
+        with pytest.raises(DomainError) as oracle:
+            partition_sum_oracle(lo, hi, n, Deformation(q))
+        assert str(oracle.value) == str(part.value)
+
+    def test_builds_no_partition_nodes(self, monkeypatch):
+        # the closed form reads only the bracket ratio z; each of the n - 1
+        # inner nodes would cost a q_times_n call
+        d = Deformation(0.5)
+        want = partition_sum_oracle(-0.2, 0.9, 4096, d)
+
+        def q_times_n(*args):
+            raise AssertionError("partition_sum_oracle built a partition node")
+
+        monkeypatch.setattr(qquad, "q_times_n", q_times_n)
+        assert partition_sum_oracle(-0.2, 0.9, 4096, d) == want
 
 
 # ---------------------------------------------------------------------------
