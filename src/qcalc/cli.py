@@ -18,38 +18,17 @@ be written, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 import warnings
-from typing import Sequence
+from collections.abc import Sequence
 
-from . import funcexpr, verify
 from .errors import ParseError, QcalcError
-from .qcore import Deformation
-from .qdiff import (
-    DerivConfig,
-    dual_qderiv_closed,
-    dual_qderiv_numeric_with_estimate,
-    primal_qderiv_closed,
-    primal_qderiv_numeric_with_estimate,
-)
-from .qgeom import (
-    dual_qline_eval,
-    dual_qline_through,
-    dual_qtangent,
-    primal_qline_eval,
-    primal_qline_through,
-    primal_qtangent,
-)
-from .qquad import (
-    QuadratureConfig,
-    SingularityMode,
-    borges_dual_qint,
-    dual_qint,
-    primal_qint,
-)
+from .qcore import DERIV_REL_TOL, QUAD_ABS_TOL, QUAD_REL_TOL, Deformation
+
+# Each command imports the layers it runs, and only JSON output imports
+# json: a call loads the code it runs and little else.
 
 __all__ = ["format_float", "main"]
 
@@ -102,6 +81,8 @@ def _csv_cell(v) -> str:
 
 
 def _json_scalar(v) -> str:
+    import json
+
     if v is None:
         return "null"
     if isinstance(v, bool):
@@ -122,6 +103,8 @@ def _render(meta: dict, header: list[str], rows: list[tuple], fmt: str) -> str:
         lines = [",".join(header)]
         lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
+    import json
+
     meta_body = ", ".join(
         f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in meta.items()
     )
@@ -188,6 +171,8 @@ def _add_common(p: argparse.ArgumentParser, *, need_q: bool) -> None:
     )
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the table here instead of stdout")
+    # _validate reports its usage errors with this subcommand's usage line
+    p.set_defaults(command_parser=p)
 
 
 def _add_grid(p: argparse.ArgumentParser) -> None:
@@ -222,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("method", choices=("numeric", "closed"))
     _add_common(p, need_q=True)
     _add_grid(p)
-    p.add_argument("--rel-tol", type=_positive, default=DerivConfig.rel_tol,
+    p.add_argument("--rel-tol", type=_positive, default=DERIV_REL_TOL,
                    metavar="TOL",
                    help="numeric derivative relative tolerance (default %(default)s)")
 
@@ -236,9 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x_lo", type=_finite)
     p.add_argument("x_hi", type=_finite)
     _add_common(p, need_q=True)
-    p.add_argument("--abs-tol", type=_positive, default=QuadratureConfig.abs_tol,
+    p.add_argument("--abs-tol", type=_positive, default=QUAD_ABS_TOL,
                    metavar="TOL", help="absolute tolerance (default %(default)s)")
-    p.add_argument("--rel-tol", type=_positive, default=QuadratureConfig.rel_tol,
+    p.add_argument("--rel-tol", type=_positive, default=QUAD_REL_TOL,
                    metavar="TOL", help="relative tolerance (default %(default)s)")
     p.add_argument(
         "--singularity", choices=("error", "reflect"), default="error",
@@ -267,6 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Cross-option checks argparse cannot express; ``parser`` is the
+    subcommand's, so a usage error shows that command's usage line."""
     if not hasattr(args, "x_from"):
         return
     given = [args.x_from is not None, args.x_to is not None,
@@ -315,6 +302,8 @@ def _flags_cell(flags) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> str:
+    from . import funcexpr
+
     d = Deformation(args.q)
     ast = funcexpr.parse(args.expr, d)
     rows = []
@@ -328,6 +317,15 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
 
 def _cmd_diff(args: argparse.Namespace) -> str:
+    from . import funcexpr
+    from .qdiff import (
+        DerivConfig,
+        dual_qderiv_closed,
+        dual_qderiv_numeric_with_estimate,
+        primal_qderiv_closed,
+        primal_qderiv_numeric_with_estimate,
+    )
+
     d = Deformation(args.q)
     fn = funcexpr.compile(funcexpr.parse(args.expr, d))
     dcfg = DerivConfig(rel_tol=args.rel_tol)
@@ -352,6 +350,9 @@ def _cmd_diff(args: argparse.Namespace) -> str:
 
 
 def _cmd_integrate(args: argparse.Namespace) -> str:
+    from . import funcexpr
+    from .qquad import QuadratureConfig, SingularityMode, borges_dual_qint, dual_qint, primal_qint
+
     d = Deformation(args.q)
     fn = funcexpr.compile(funcexpr.parse(args.expr, d))
     qcfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
@@ -374,6 +375,16 @@ def _cmd_integrate(args: argparse.Namespace) -> str:
 
 
 def _cmd_qline(args: argparse.Namespace) -> str:
+    from . import funcexpr
+    from .qgeom import (
+        dual_qline_eval,
+        dual_qline_through,
+        dual_qtangent,
+        primal_qline_eval,
+        primal_qline_through,
+        primal_qtangent,
+    )
+
     d = Deformation(args.q)
     fn = funcexpr.compile(funcexpr.parse(args.expr, d))
     if args.mode == "primal":
@@ -401,6 +412,8 @@ def _cmd_qline(args: argparse.Namespace) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    from . import verify
+
     q_values = None if args.q is None else [args.q]
     fault_sign = -1.0 if args.inject_fault else 1.0
     results = verify.run_battery(q_values, fault_sign)
@@ -439,7 +452,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate(parser, args)
+        _validate(args.command_parser, args)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

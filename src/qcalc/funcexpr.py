@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import builtins
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, NoReturn, Optional, Union
 
@@ -34,6 +33,7 @@ from .qcore import (
     Deformation,
     EvalFlag,
     ExtendedValue,
+    Record,
     _cutoff_power,
     _exp_q1,
     big_e,
@@ -61,8 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealFunction:
+class RealFunction(Record):
     """An evaluatable real function of one real variable.
 
     Attributes:
@@ -73,10 +72,19 @@ class RealFunction:
         label: human-readable description (expression text for parsed input).
     """
 
-    eval: Callable[[float], float]
-    derivative: Optional[Callable[[float], float]] = None
-    domain: Callable[[float], bool] = lambda x: True
-    label: str = ""
+    _fields = ("eval", "derivative", "domain", "label")
+
+    def __init__(
+        self,
+        eval: Callable[[float], float],  # noqa: A002 - the field's name
+        derivative: Optional[Callable[[float], float]] = None,
+        domain: Callable[[float], bool] = lambda x: True,
+        label: str = "",
+    ) -> None:
+        object.__setattr__(self, "eval", eval)
+        object.__setattr__(self, "derivative", derivative)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "label", label)
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -86,7 +94,7 @@ class RealFunction:
 # Syntax tree
 
 
-class _Node:
+class _Node(Record):
     @cached_property
     def _compiled(self) -> Callable[..., float]:
         """The tree as one generated function (see Evaluation), built on first use."""
@@ -96,33 +104,40 @@ class _Node:
         return {k: v for k, v in vars(self).items() if k != "_compiled"}
 
 
-@dataclass(frozen=True)
 class Num(_Node):
-    value: float
+    _fields = ("value",)
+
+    def __init__(self, value: float) -> None:
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(_Node):
     pass
 
 
-@dataclass(frozen=True)
 class Neg(_Node):
-    operand: "Expr"
+    _fields = ("operand",)
+
+    def __init__(self, operand: Expr) -> None:
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class BinOp(_Node):
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+    _fields = ("op", "left", "right")  # op: one of + - * / ^
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Call(_Node):
-    func: str
-    arg: "Expr"
-    deformation: Optional[Deformation] = None  # bound for qexp/qlog
+    _fields = ("func", "arg", "deformation")  # deformation: bound for qexp/qlog
+
+    def __init__(self, func: str, arg: Expr, deformation: Optional[Deformation] = None) -> None:
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "deformation", deformation)
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import DomainError, PoleError
 
@@ -50,9 +50,70 @@ __all__ = [
 
 Q1_EPSILON = 1e-12  # |1 - q| below this takes the classical branch
 
+# Tolerance defaults of qdiff.DerivConfig and qquad.QuadratureConfig, kept
+# here so that the CLI can show them without importing those layers.
+DERIV_REL_TOL = 1e-8
+QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1e-8
 
-@dataclass(frozen=True)
-class Deformation:
+
+class Record:
+    """Base of qcalc's immutable record classes.
+
+    A subclass names its fields in ``_fields``, in repr order, and, when
+    equality and hashing read fewer of them, those in ``_compared``. Its own
+    ``__init__`` sets every field with ``object.__setattr__`` (writing to
+    ``self.__dict__`` instead would make the instance keep a real dict, and
+    every later attribute read slower). Records
+    compare as the tuples of their compared fields, and only with records of
+    the same class; they hash as those tuples; their repr is
+    ``Class(field=value, ...)`` over ``_fields``. Assigning or deleting an
+    attribute raises ``FrozenInstanceError``, the error of the standard
+    library's frozen records.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        compared = cls.__dict__.get("_compared", cls._fields)
+        if len(compared) > 1:
+            key = attrgetter(*compared)
+        elif compared:
+            get = attrgetter(*compared)
+            key = lambda self: (get(self),)  # noqa: E731
+        else:
+            key = lambda self: ()  # noqa: E731
+        cls._key = staticmethod(key)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        parts = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({parts})"
+
+    def __setattr__(self, name, value):
+        _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        _frozen(f"cannot delete field {name!r}")
+
+
+def _frozen(message: str):
+    # imported here: the error's module is costly to import, and only misuse needs it
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(message)
+
+
+class Deformation(Record):
     """The deformation parameter q with its derived quantities.
 
     Attributes:
@@ -67,16 +128,14 @@ class Deformation:
     part in the constructor, repr, equality or hashing.
     """
 
-    q: float
-    delta: float = field(init=False, repr=False, compare=False)
-    classical: bool = field(init=False, repr=False, compare=False)
-    inv_delta: float = field(init=False, repr=False, compare=False)
+    _fields = ("q",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.q):
-            raise ValueError(f"q must be finite, got {self.q}")
-        delta = 1.0 - self.q
+    def __init__(self, q: float) -> None:
+        if not math.isfinite(q):
+            raise ValueError(f"q must be finite, got {q}")
+        delta = 1.0 - q
         classical = abs(delta) < Q1_EPSILON
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "classical", classical)
         object.__setattr__(self, "inv_delta", math.nan if classical else 1.0 / delta)
@@ -101,8 +160,7 @@ class EvalFlag(enum.Enum):
     Q1_BRANCH = "Q1Branch"
 
 
-@dataclass(frozen=True)
-class ExtendedValue:
+class ExtendedValue(Record):
     """A real value (possibly +inf) plus diagnostic flags.
 
     Invariants: +inf carries ``POLE_REACHED``; ``CUTOFF_APPLIED`` appears only
@@ -110,8 +168,11 @@ class ExtendedValue:
     1/(1-q), in which case the value is exactly 0.
     """
 
-    value: float
-    flags: frozenset[EvalFlag] = field(default_factory=frozenset)
+    _fields = ("value", "flags")
+
+    def __init__(self, value: float, flags: frozenset[EvalFlag] = frozenset()) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "flags", flags)
 
     def __float__(self) -> float:
         return self.value

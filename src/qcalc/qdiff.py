@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import DomainError, MissingDerivativeError, PoleError, ToleranceWarning
 from .funcexpr import EVAL_ERRORS, RealFunction
-from .qcore import Deformation, ln_big_e
+from .qcore import DERIV_REL_TOL, Deformation, Record, ln_big_e
 
 __all__ = [
     "DerivConfig",
@@ -45,21 +44,21 @@ _HALVINGS = tuple(2.0**j for j in range(RICHARDSON_LEVELS + 1))
 _DENOMINATORS = tuple(4.0**k - 1.0 for k in range(RICHARDSON_LEVELS + 1))
 
 
-@dataclass(frozen=True)
-class DerivConfig:
+class DerivConfig(Record):
     """Acceptance threshold for the numeric derivatives.
 
     rel_tol is the error-estimate acceptance threshold relative to
     max(1, |result|).
     """
 
-    rel_tol: float = 1e-8
+    _fields = ("rel_tol",)
 
-    def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not math.isfinite(self.rel_tol):
-            raise ValueError(f"rel_tol must be finite, got {self.rel_tol}")
+    def __init__(self, rel_tol: float = DERIV_REL_TOL) -> None:
+        if rel_tol <= 0.0:
+            raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+        if not math.isfinite(rel_tol):
+            raise ValueError(f"rel_tol must be finite, got {rel_tol}")
+        object.__setattr__(self, "rel_tol", rel_tol)
 
 
 def primal_qderiv_closed(f: RealFunction, x: float, d: Deformation) -> float:

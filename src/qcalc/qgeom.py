@@ -20,7 +20,6 @@ primal slope of a curve and the dual slope of its inverse;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateSecantError,
@@ -29,9 +28,8 @@ from .errors import (
     PoleError,
 )
 from .funcexpr import RealFunction
-from .qcore import Deformation, ln_big_e, q_add, q_log_exp_of, q_sub
+from .qcore import Deformation, Record, ln_big_e, q_add, q_log_exp_of, q_sub
 from .qdiff import (
-    DerivConfig,
     dual_qderiv_closed,
     dual_qderiv_numeric,
     primal_qderiv_closed,
@@ -59,20 +57,21 @@ __all__ = [
 _COLLAPSE = 1e-12
 
 
-@dataclass(frozen=True)
-class PrimalQLine:
+class PrimalQLine(Record):
     """k_q * ln_big_e(x) + c: straight in the primal chart.
 
     c is the value at x = 0 (the chart fixes u(0) = 0).
     """
 
-    q: Deformation
-    k_q: float
-    c: float
+    _fields = ("q", "k_q", "c")
+
+    def __init__(self, q: Deformation, k_q: float, c: float) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k_q", k_q)
+        object.__setattr__(self, "c", c)
 
 
-@dataclass(frozen=True)
-class DualQLine:
+class DualQLine(Record):
     """q_log_exp_of(k_sup_q * x) (+)_q intercept.
 
     intercept is the value at x = 0. The family is equivalently cut out by
@@ -82,9 +81,12 @@ class DualQLine:
     limit, where the family is just the ordinary lines k*x + intercept.
     """
 
-    q: Deformation
-    k_sup_q: float
-    intercept: float
+    _fields = ("q", "k_sup_q", "intercept")
+
+    def __init__(self, q: Deformation, k_sup_q: float, intercept: float) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k_sup_q", k_sup_q)
+        object.__setattr__(self, "intercept", intercept)
 
     @property
     def c(self) -> float:
@@ -178,7 +180,7 @@ def dual_qline_through(
 
 
 def primal_qtangent(
-    F: RealFunction, x0: float, d: Deformation, cfg: DerivConfig = DerivConfig()
+    F: RealFunction, x0: float, d: Deformation
 ) -> PrimalQLine:
     """Tangent primal line at x0: slope from the primal deformed derivative
     (closed form when F carries one, numeric otherwise), anchored so the
@@ -186,13 +188,13 @@ def primal_qtangent(
     if F.derivative is not None:
         k = primal_qderiv_closed(F, x0, d)
     else:
-        k = primal_qderiv_numeric(F, x0, d, cfg)
+        k = primal_qderiv_numeric(F, x0, d)
     c = F(x0) - k * ln_big_e(x0, d)
     return PrimalQLine(d, k, c)
 
 
 def dual_qtangent(
-    F: RealFunction, x0: float, d: Deformation, cfg: DerivConfig = DerivConfig()
+    F: RealFunction, x0: float, d: Deformation
 ) -> DualQLine:
     """Tangent dual line at x0, anchored at (x0, F(x0)).
 
@@ -205,7 +207,7 @@ def dual_qtangent(
     if F.derivative is not None:
         k = dual_qderiv_closed(F, x0, d)
     else:
-        k = dual_qderiv_numeric(F, x0, d, cfg)
+        k = dual_qderiv_numeric(F, x0, d)
     return DualQLine(d, k, _dual_intercept(y0, k, x0, d))
 
 
@@ -217,7 +219,6 @@ def slope_duality(
     F_inv: RealFunction,
     x0: float,
     d: Deformation,
-    cfg: DerivConfig = DerivConfig(),
 ) -> tuple[float, float]:
     """Primal slope of y = F(x) at x0 and dual slope of x = F_inv(y) there.
 
@@ -233,8 +234,8 @@ def slope_duality(
         raise InverseMismatchError(
             f"F_inv(F({x0})) = {back}; the functions are not mutual inverses here"
         )
-    k_primal = primal_qtangent(F, x0, d, cfg).k_q
-    k_dual = dual_qtangent(F_inv, y0, d, cfg).k_sup_q
+    k_primal = primal_qtangent(F, x0, d).k_q
+    k_dual = dual_qtangent(F_inv, y0, d).k_sup_q
     return k_primal, k_dual
 
 

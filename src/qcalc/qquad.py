@@ -34,14 +34,23 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 
 from . import funcexpr
 from .errors import DomainError, SingularityError
 from .funcexpr import RealFunction
-from .qcore import Deformation, ln_big_e, q_add, q_exp, q_log_exp_of, q_times_n
+from .qcore import (
+    QUAD_ABS_TOL,
+    QUAD_REL_TOL,
+    Deformation,
+    Record,
+    ln_big_e,
+    q_add,
+    q_exp,
+    q_log_exp_of,
+    q_times_n,
+)
 
 __all__ = [
     "SingularityMode",
@@ -71,24 +80,29 @@ class IntegralFlag(Enum):
     TOLERANCE_NOT_MET = "ToleranceNotMet"
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-    singularity_mode: SingularityMode = SingularityMode.ERROR
+class QuadratureConfig(Record):
+    _fields = ("abs_tol", "rel_tol", "max_subdivisions", "singularity_mode")
 
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
+    def __init__(
+        self,
+        abs_tol: float = QUAD_ABS_TOL,
+        rel_tol: float = QUAD_REL_TOL,
+        max_subdivisions: int = 2000,
+        singularity_mode: SingularityMode = SingularityMode.ERROR,
+    ) -> None:
+        if abs_tol <= 0.0 or rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
-            raise ValueError(f"tolerances must be finite, got {self.abs_tol}, {self.rel_tol}")
-        if self.max_subdivisions < 1:
+        if not (math.isfinite(abs_tol) and math.isfinite(rel_tol)):
+            raise ValueError(f"tolerances must be finite, got {abs_tol}, {rel_tol}")
+        if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "max_subdivisions", max_subdivisions)
+        object.__setattr__(self, "singularity_mode", singularity_mode)
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(Record):
     """Value, a conservative error estimate, and what happened on the way.
 
     Unless TOLERANCE_NOT_MET is flagged, error_estimate is at most
@@ -97,10 +111,17 @@ class IntegralResult:
     in equality or hashing.
     """
 
-    value: float
-    error_estimate: float
-    flags: frozenset = field(default_factory=frozenset)
-    n_panels: int = field(default=0, compare=False)
+    _fields = ("value", "error_estimate", "flags", "n_panels")
+    _compared = _fields[:3]
+
+    def __init__(
+        self, value: float, error_estimate: float, flags: frozenset = frozenset(),
+        n_panels: int = 0,
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_estimate", error_estimate)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "n_panels", n_panels)
 
     def __float__(self) -> float:
         return self.value
@@ -333,8 +354,7 @@ def _bracket_ratio(x_lo: float, x_hi: float, n: int, d: Deformation) -> float:
     return s_hi / s_lo
 
 
-@dataclass(frozen=True)
-class GeometricPartition:
+class GeometricPartition(Record):
     """n+1 nodes from x_lo to x_hi, equally spaced in u = ln_big_e(x).
 
     Node i is x_lo (+)_q (i (.)_q t) with common deformed step
@@ -343,22 +363,20 @@ class GeometricPartition:
     Requires a non-classical deformation and both bounds on the support.
     """
 
-    x_lo: float
-    x_hi: float
-    n: int
-    deformation: Deformation
-    z: float = field(init=False)
-    t: float = field(init=False)
-    nodes: tuple = field(init=False)
+    _fields = ("x_lo", "x_hi", "n", "deformation", "z", "t", "nodes")
 
-    def __post_init__(self):
-        d = self.deformation
-        z = _bracket_ratio(self.x_lo, self.x_hi, self.n, d)
-        t = math.expm1(math.log(z) / self.n) / d.delta
-        nodes = [self.x_lo]
-        for i in range(1, self.n):
-            nodes.append(q_add(self.x_lo, q_times_n(i, t, d), d))
-        nodes.append(self.x_hi)
+    def __init__(self, x_lo: float, x_hi: float, n: int, deformation: Deformation) -> None:
+        d = deformation
+        z = _bracket_ratio(x_lo, x_hi, n, d)
+        t = math.expm1(math.log(z) / n) / d.delta
+        nodes = [x_lo]
+        for i in range(1, n):
+            nodes.append(q_add(x_lo, q_times_n(i, t, d), d))
+        nodes.append(x_hi)
+        object.__setattr__(self, "x_lo", x_lo)
+        object.__setattr__(self, "x_hi", x_hi)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "deformation", deformation)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "nodes", tuple(nodes))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import funcexpr
@@ -29,6 +28,7 @@ from .qcore import (
     Deformation,
     EvalFlag,
     ExtendedValue,
+    Record,
     big_e,
     q_add,
     q_div,
@@ -80,15 +80,20 @@ _TIGHT = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
 _NOT_EXERCISED = "not exercised"
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(Record):
     """Outcome of one invariant check: worst residual vs. its tolerance."""
 
-    name: str
-    max_residual: float
-    tolerance: float
-    passed: bool
-    detail: str = ""
+    _fields = ("name", "max_residual", "tolerance", "passed", "detail")
+
+    def __init__(
+        self, name: str, max_residual: float, tolerance: float, passed: bool,
+        detail: str = "",
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _result(

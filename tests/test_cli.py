@@ -471,3 +471,36 @@ class TestOptions:
     def test_json_meta_keys(self, argv, keys, capsys):
         assert cli.main(argv + ["--format", "json"]) == 0
         assert list(json.loads(capsys.readouterr().out)["meta"]) == keys
+
+
+class TestUsageLines:
+    """Usage errors found after parsing show the subcommand's usage line."""
+
+    @pytest.mark.parametrize(
+        "argv,usage,message",
+        [
+            (["eval", "x", "--q", "1", "--from", "1", "--to", "0", "--points", "2"],
+             "usage: qcalc eval ", "--from must be strictly less than --to"),
+            (["eval", "x", "--q", "1", "--from", "-1e308", "--to", "1e308", "--points", "3"],
+             "usage: qcalc eval ", "overflows to a non-finite point"),
+            (["diff", "x", "primal", "closed", "--q", "1"],
+             "usage: qcalc diff ", "diff requires --from, --to and --points"),
+            (["qline", "x", "primal", "secant", "1", "--q", "1"],
+             "usage: qcalc qline ", "secant takes exactly 2 anchor value(s), got 1"),
+            (["qline", "x", "primal", "tangent", "1", "2", "--q", "1"],
+             "usage: qcalc qline ", "tangent takes exactly 1 anchor value(s), got 2"),
+        ],
+    )
+    def test_validation_errors_print_the_subcommand_usage(self, argv, usage, message, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(usage), err
+        assert f"qcalc {argv[0]}: error: " in err and message in err
+
+    def test_the_same_holds_for_the_entry_point(self):
+        res = run_cli("eval", "x", "--q", "1", "--from", "1", "--to", "0", "--points", "2")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("usage: qcalc eval ")
+        res = run_cli("qline", "x", "primal", "secant", "1", "--q", "1")
+        assert res.returncode == 2 and res.stderr.startswith("usage: qcalc qline ")

@@ -89,8 +89,10 @@ class TestDeformation:
         back = pickle.loads(pickle.dumps(d))
         assert back == d
         assert (back.delta, back.classical, back.inv_delta) == (0.5, False, 2.0)
-        moved = dataclasses.replace(d, q=2.0)
+        moved = Deformation(2.0)
         assert (moved.delta, moved.classical, moved.inv_delta) == (-1.0, False, -1.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(d, q=2.0)  # a plain record, not a dataclass
 
 
 class TestPointValues:
