@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import builtins
 import math
-from functools import cache, cached_property, lru_cache, partial
-from typing import Callable, NoReturn, Optional, Union
+from collections.abc import Callable
+from functools import cache, cached_property, lru_cache
 
 from .errors import EVAL_ERRORS, DomainError, ParseError, PoleError, UnknownBuiltinError
 from .qcore import (
@@ -77,7 +77,7 @@ class RealFunction(Record):
     def __init__(
         self,
         eval: Callable[[float], float],  # noqa: A002 - the field's name
-        derivative: Optional[Callable[[float], float]] = None,
+        derivative: Callable[[float], float] | None = None,
         domain: Callable[[float], bool] = lambda x: True,
         label: str = "",
     ) -> None:
@@ -134,13 +134,13 @@ class BinOp(_Node):
 class Call(_Node):
     _fields = ("func", "arg", "deformation")  # deformation: bound for qexp/qlog
 
-    def __init__(self, func: str, arg: Expr, deformation: Optional[Deformation] = None) -> None:
+    def __init__(self, func: str, arg: Expr, deformation: Deformation | None = None) -> None:
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "deformation", deformation)
 
 
-Expr = Union[Num, Var, Neg, BinOp, Call]
+Expr = Num | Var | Neg | BinOp | Call
 
 CALL_NAMES = ("ln", "exp", "sin", "cos", "sqrt", "abs", "qexp", "qlog")
 _DEFORMED_CALLS = ("qexp", "qlog")
@@ -231,14 +231,15 @@ class _Parser:
     def cur(self) -> _Token:
         return self.tokens[self.i]
 
-    def _fail(self, expected: tuple[str, ...]) -> NoReturn:
+    def _fail(self, expected: tuple[str, ...]):
+        """Raise the ParseError of an unexpected token at the cursor."""
         tok = self.cur
         what = tok.kind if tok.kind == _T_END else f"{tok.text!r}"
         raise ParseError(
             f"unexpected {what}", _byte_offset(self.text, tok.pos), expected
         )
 
-    def _accept_op(self, *ops: str) -> Optional[str]:
+    def _accept_op(self, *ops: str) -> str | None:
         if self.cur.kind == _T_OP and self.cur.text in ops:
             op = self.cur.text
             self.i += 1
@@ -267,12 +268,12 @@ class _Parser:
                 if not stack:
                     return node
 
-    def _open(self, stack: list[list], name: Optional[str], d: Optional[Deformation]):
+    def _open(self, stack: list[list], name: str | None, d: Deformation | None):
         """Push a group (the whole input, a parenthesis or a call's argument)
         and the expr and term that start it."""
         stack += ([_GROUP, name, d], [_EXPR, None, None], [_TERM, None, None])
 
-    def _primary(self, stack: list[list]) -> Optional[Expr]:
+    def _primary(self, stack: list[list]) -> Expr | None:
         """Read a primary; None when it opened a group, whose value ends it."""
         tok = self.cur
         if tok.kind == _T_NUM:
@@ -298,7 +299,7 @@ class _Parser:
             return None
         self._fail(("number", "'x'", "function name", "'('"))
 
-    def _reduce(self, stack: list[list], node: Expr) -> Optional[Expr]:
+    def _reduce(self, stack: list[list], node: Expr) -> Expr | None:
         """Close the frames that end at a primary not followed by '^'.
 
         Returns None when another factor follows; otherwise the value of the
@@ -431,7 +432,7 @@ def to_text(node: Expr) -> str:
 # parameters of a factory that returns f, so no expression text reaches the
 # source, and trees of one shape share one compiled factory.
 
-def _qexp_kernel(d: Deformation) -> Callable[[float, Optional[set]], float]:
+def _qexp_kernel(d: Deformation) -> Callable[[float, set | None], float]:
     classical, delta = d.classical, d.delta
 
     def qexp(v, flags):  # q_exp's two branches, without its ExtendedValue
@@ -455,7 +456,8 @@ def _qlog_kernel(d: Deformation) -> Callable[[float], float]:
 
 
 _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
-            "sqrt": math.sqrt, "math_pow": math.pow, "DomainError": DomainError}
+            "sqrt": math.sqrt, "math_pow": math.pow, "expm1": math.expm1,
+            "log1p": math.log1p, "DomainError": DomainError}
 # per operator or function: the expression, and the checks (condition,
 # message) that precede it, as templates over the operand names
 _TEMPLATES = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}",
@@ -530,19 +532,45 @@ def _factory(source: str) -> Callable[..., Callable[..., float]]:
 def _generate(node: Expr) -> Callable[..., float]:
     source = _Source(node)
     f = _factory(source.text())(*source.values)
-    f.tree = node  # to generate its Kronrod panels from
-    f.panels = {}  # weight template -> (rule, panel maker); see kronrod_panel
+    f.tree = node  # to generate its panels and stencils from
+    f.panels = {}  # weight or template -> (args, panel maker or stencil); see _looped
     return f
 
 
 # ---------------------------------------------------------------------------
+# Point loops run a tree's statements once per point, with no call frame per
+# point. The tree's names are x, flags, t<i> and those of _Source.bind; a
+# loop's start with an underscore, apart from delta, which templates may read.
+
+def _looped(g: Callable[[float], float], key, text: Callable[..., str], *args):
+    """What the factory of ``text(lines, result, params, *args)`` returns: over
+    the tree's statements for a generated g (compiled once per tree shape and
+    args, kept in ``g.panels[key]``), over ``t0 = g(x)`` for any other g."""
+    panels = getattr(g, "panels", None)
+    if panels is None:
+        return _point_factory(text, args)(g)
+    entry = panels.get(key)
+    if entry is None or entry[0] != args:
+        source = _Source(g.tree)
+        code = text(source.lines, source.result, source.params, *args)
+        entry = panels[key] = (args, _factory(code)(*source.values))
+    return entry[1]
+
+
+@lru_cache(maxsize=16)
+def _point_factory(text: Callable[..., str], args: tuple) -> Callable:
+    return _factory(text(["t0 = g(x)"], "t0", ["g"], *args))
+
+
+def _indented(depth: int, lines) -> list[str]:
+    return [f"{'    ' * depth}{line}\n" for line in lines]
+
+
 # Kronrod panels: panel(a, b) -> (value, estimate) is one frame that loops
 # over the nodes of a Gauss-Kronrod rule on [a, b] (the centre, then
 # c + hl*x_k and c - hl*x_k from the outermost node in), runs a tree's
 # statements once per node and applies an integrand weight in the same
-# statement, then forms both sums in the order of the looped rule. The tree's
-# own names are x, flags, t<i> and the parameters of _Source.bind; the
-# panel's start with an underscore, apart from delta, the weight's parameter.
+# statement, then forms both sums in the order of the looped rule.
 
 def _panel_text(lines: list[str], result: str, params: list[str], weight: str, rule) -> str:
     xk, wk, wk_centre, wg, wg_centre = rule
@@ -557,16 +585,11 @@ def _panel_text(lines: list[str], result: str, params: list[str], weight: str, r
             f"_sk = {sk}", f"_sg = {sg}", "_value = _sk * _hl", "_d = abs(_value - _sg * _hl)",
             "return _value, min(_d, (200.0 * _d) ** 1.5)"]
     loop = [*lines, f"_f.append({weight.format(result)})"]
-    body = "".join([*(f"        {line}\n" for line in head),
-                    *(f"            {line}\n" for line in loop),
-                    *(f"        {line}\n" for line in tail)])
-    return (f"def factory({', '.join([*params, 'delta'])}):\n"
-            f"    def panel(_a, _b):\n{body}    return panel\n")
-
-
-@lru_cache(maxsize=16)
-def _point_panel(weight: str, rule) -> Callable[..., Callable[[float, float], tuple]]:
-    return _factory(_panel_text(["t0 = g(x)"], "t0", ["g"], weight, rule))
+    body = "".join(_indented(3, head) + _indented(4, loop) + _indented(3, tail))
+    return (f"def factory({', '.join(params)}):\n"
+            f"    def panel_maker(delta):\n"
+            f"        def panel(_a, _b):\n{body}        return panel\n"
+            f"    return panel_maker\n")
 
 
 def kronrod_panel(g: Callable[[float], float], weight: str, delta: float, rule
@@ -581,15 +604,54 @@ def kronrod_panel(g: Callable[[float], float], weight: str, delta: float, rule
     code is compiled once per tree shape and weight; any other g is called
     at each node.
     """
-    tree = getattr(g, "tree", None)
-    if not isinstance(tree, _Node):
-        return _point_panel(weight, rule)(g, delta)
-    entry = g.panels.get(weight)
-    if entry is None or entry[0] is not rule:
-        source = _Source(tree)
-        text = _panel_text(source.lines, source.result, source.params, weight, rule)
-        entry = g.panels[weight] = (rule, partial(_factory(text), *source.values))
-    return entry[1](delta)
+    return _looped(g, weight, _panel_text, weight, rule)(delta)
+
+
+# Derivative stencils: a pair's check runs before the next pair is evaluated
+# (one loop per step then), and the Richardson table is straight-line code:
+# entry (j, k) is (j, k-1) + ((j, k-1) - (j-1, k-1)) / (4^k - 1).
+
+def _stencil_text(lines: list[str], result: str, params: list[str], chart: str, check: str,
+                  difference: str, levels: int) -> str:
+    steps = [f"_h{j}" for j in range(levels + 1)]
+    var = "x" if chart == "{}" else "_u"
+    point = [*([] if var == "x" else [f"x = {chart.format('_u')}"]), *lines,
+             f"_f.append({result})"]
+    if check:
+        loop = [f"for _h in ({', '.join(steps)}):", f"    for {var} in (_u0 + _h, _u0 - _h):",
+                *(f"        {line}" for line in point), f"    {check.format('_f[-2]', '_f[-1]')}"]
+    else:
+        points = ", ".join(f"_u0 {s} {h}" for h in steps for s in "+-")
+        loop = [f"for {var} in ({points}):", *(f"    {line}" for line in point)]
+    head = ["flags = None", *(f"_h{j} = _h0 / {2.0**j!r}" for j in range(1, levels + 1)), "_f = []"]
+    table = [f"{', '.join(f'_y{j}, _z{j}' for j in range(levels + 1))} = _f",
+             *(f"_r{j}_0 = {difference.format(f'_y{j}', f'_z{j}', h)}" for j, h in enumerate(steps))]
+    for j in range(1, levels + 1):
+        table += [f"_r{j}_{k} = _r{j}_{k - 1} + (_r{j}_{k - 1} - _r{j - 1}_{k - 1})"
+                  f" / {4.0**k - 1.0!r}" for k in range(1, j + 1)]
+    last, before = f"_r{levels}_{levels}", f"_r{levels - 1}_{levels - 1}"
+    table.append(f"return {last}, abs({last} - {before})")
+    body = "".join(_indented(2, head + loop + table))
+    return (f"def factory({', '.join(params)}):\n"
+            f"    def stencil(_u0, _h0, delta):\n{body}    return stencil\n")
+
+
+def derivative_stencil(g: Callable[[float], float], template: tuple[str, str, str, int]
+                       ) -> Callable[[float, float, float], tuple[float, float]]:
+    """``stencil(u0, h0, delta) -> (value, estimate)``: Richardson-extrapolated
+    central differences of g at x = chart(u0 +- h), h = h0/2^j, j = 0..levels,
+    in one frame; the estimate is the gap between the last two diagonal entries.
+
+    ``template`` is (chart over ``{}``, ``"{}"`` for x itself; a check statement
+    over the pair's values ``{0}``, ``{1}``, or ``""``; the pair's quotient over
+    ``{0}``, ``{1}`` and the step ``{2}``; levels), and may use ``delta``. A
+    generated g's statements are inlined (compiled once per tree shape and
+    template); any other g is called at each point.
+    """
+    try:  # the stencil made at an earlier point
+        return g.panels[template][1]
+    except (AttributeError, KeyError):
+        return _looped(g, template, _stencil_text, *template)
 
 
 def evaluate(node: Expr, x: float) -> float:
@@ -607,7 +669,7 @@ def evaluate_extended(node: Expr, x: float) -> ExtendedValue:
 # ---------------------------------------------------------------------------
 # Symbolic differentiation (smart constructors fold the trivial cases)
 
-def _is_num(node: Expr, value: Optional[float] = None) -> bool:
+def _is_num(node: Expr, value: float | None = None) -> bool:
     return isinstance(node, Num) and (value is None or node.value == value)
 
 
@@ -675,7 +737,7 @@ def _pow(a: Expr, b: Expr) -> Expr:
     return BinOp("^", a, b)
 
 
-def _const_value(node: Expr) -> Optional[float]:
+def _const_value(node: Expr) -> float | None:
     negations = 0
     while isinstance(node, Neg):
         node, negations = node.operand, negations + 1
@@ -690,7 +752,7 @@ def differentiate(node: Expr) -> Expr:
                        _derivative)
 
 
-def _derivative(node: Expr, du: Expr, dv: Optional[Expr] = None) -> Expr:
+def _derivative(node: Expr, du: Expr, dv: Expr | None = None) -> Expr:
     """d/dx of an operation node, given the derivatives of its operands."""
     if isinstance(node, Neg):
         return _neg(du)

@@ -15,6 +15,11 @@ so no finite stencil can straddle it. The dual one differences
 ``ln_big_e(F(x))`` in x. Both refine a central difference with Richardson
 extrapolation and carry a step-halving error estimate; if that estimate
 misses ``rel_tol`` a :class:`~qcalc.errors.ToleranceWarning` is emitted.
+
+Each try at a point is one call of a stencil that
+:func:`~qcalc.funcexpr.derivative_stencil` generates from templates (the
+chart, the dual's cutoff check, the difference quotient): one frame that runs
+a compiled expression's own statements at every stencil point.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import warnings
 
 from .errors import DomainError, MissingDerivativeError, PoleError, ToleranceWarning
-from .funcexpr import EVAL_ERRORS, RealFunction
+from .funcexpr import EVAL_ERRORS, RealFunction, derivative_stencil
 from .qcore import DERIV_REL_TOL, Deformation, Record, ln_big_e
 
 __all__ = [
@@ -39,9 +44,18 @@ __all__ = [
 BASE_STEP = math.ulp(1.0) ** (1.0 / 3.0)  # ~6.06e-6, optimal central-diff step
 RICHARDSON_LEVELS = 3  # halvings laid above BASE_STEP
 _MAX_SHRINKS = 8
-# the step divisors 2^j and the extrapolation denominators 4^k - 1
-_HALVINGS = tuple(2.0**j for j in range(RICHARDSON_LEVELS + 1))
-_DENOMINATORS = tuple(4.0**k - 1.0 for k in range(RICHARDSON_LEVELS + 1))
+
+# Stencil templates. The primal chart inverts ln_big_e on x's side of the
+# pole; the dual differences ln_big_e(F) once a pair is out of the cutoff.
+_QUOTIENT = "({0} - {1}) / (2.0 * {2})"
+_LOG_QUOTIENT = "(log1p(delta * {0}) / delta - log1p(delta * {1}) / delta) / (2.0 * {2})"
+_CUTOFF_CHECK = ("if 1.0 + delta * {0} <= 0.0 or 1.0 + delta * {1} <= 0.0: "
+                 'raise DomainError("stencil value in the cutoff region")')
+_PRIMAL_CLASSICAL = ("{}", "", _QUOTIENT, RICHARDSON_LEVELS)
+_PRIMAL_ABOVE_POLE = ("expm1(delta * {}) / delta", "", _QUOTIENT, RICHARDSON_LEVELS)
+_PRIMAL_BELOW_POLE = ("(-exp(delta * {}) - 1.0) / delta", "", _QUOTIENT, RICHARDSON_LEVELS)
+_DUAL_CLASSICAL = ("{}", _CUTOFF_CHECK, _QUOTIENT, RICHARDSON_LEVELS)
+_DUAL_DEFORMED = ("{}", _CUTOFF_CHECK, _LOG_QUOTIENT, RICHARDSON_LEVELS)
 
 
 class DerivConfig(Record):
@@ -91,20 +105,6 @@ def dual_qderiv_closed(F: RealFunction, x: float, d: Deformation) -> float:
     return F.derivative(x) / den
 
 
-def _richardson(phi, h0: float) -> tuple[float, float]:
-    """Extrapolate central differences phi(h0/2^j) to the h -> 0 limit.
-
-    Returns (value, error_estimate); the estimate is the difference of the
-    last two diagonal entries of the extrapolation table.
-    """
-    row: list[float] = []
-    for j, halving in enumerate(_HALVINGS):
-        prev_row, row = row, [phi(h0 / halving)]
-        for k in range(1, j + 1):
-            row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / _DENOMINATORS[k])
-    return row[-1], abs(row[-1] - prev_row[-1])
-
-
 def _checked(f: RealFunction):
     """f.eval, raising DomainError outside f's domain (see RealFunction)."""
     if getattr(f.domain, "by_evaluation", False):
@@ -118,14 +118,15 @@ def _checked(f: RealFunction):
     return checked
 
 
-def _refine(phi, centre: float, config: DerivConfig, where: str) -> tuple[float, float]:
-    """Run Richardson on steps scaled to the differencing coordinate's
+def _refine(stencil, centre: float, delta: float, config: DerivConfig, where: str
+            ) -> tuple[float, float]:
+    """Run the stencil on steps scaled to the differencing coordinate's
     centre, shrinking the whole stencil when it exits the domain."""
     h0 = BASE_STEP * 2.0**RICHARDSON_LEVELS * max(1.0, abs(centre))
     last_error: Exception | None = None
     for attempt in range(_MAX_SHRINKS + 1):
         try:
-            value, err = _richardson(phi, h0 / (2.0**attempt))
+            value, err = stencil(centre, h0 / (2.0**attempt), delta)
         except EVAL_ERRORS as e:
             last_error = e
             continue
@@ -160,22 +161,15 @@ def primal_qderiv_numeric_with_estimate(
     if not f.domain(x):
         raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
     if d.classical:
-        u0, x_of = x, lambda u: u
+        u0, template = x, _PRIMAL_CLASSICAL
     else:
         s = d.bracket(x)
         if s == 0.0:
             raise PoleError(f"x = {x} sits on the pole of the coordinate chart")
-        u0, delta = ln_big_e(x, d), d.delta
-        if s > 0.0:
-            x_of = lambda u: math.expm1(delta * u) / delta
-        else:
-            x_of = lambda u: (-math.exp(delta * u) - 1.0) / delta
-    f_at = _checked(f)
-
-    def phi(h: float) -> float:
-        return (f_at(x_of(u0 + h)) - f_at(x_of(u0 - h))) / (2.0 * h)
-
-    return _refine(phi, u0, config, "primal derivative")
+        u0 = ln_big_e(x, d)
+        template = _PRIMAL_ABOVE_POLE if s > 0.0 else _PRIMAL_BELOW_POLE
+    stencil = derivative_stencil(_checked(f), template)
+    return _refine(stencil, u0, d.delta, config, "primal derivative")
 
 
 def dual_qderiv_numeric(
@@ -208,16 +202,5 @@ def dual_qderiv_numeric_with_estimate(
             "the dual derivative is undefined there"
         )
 
-    classical, delta = d.classical, d.delta
-
-    def phi(h: float) -> float:
-        # ln_big_e(yp, d) - ln_big_e(ym, d) on the support the check ensures
-        yp, ym = F_at(x + h), F_at(x - h)
-        tp, tm = delta * yp, delta * ym
-        if 1.0 + tp <= 0.0 or 1.0 + tm <= 0.0:
-            raise DomainError("stencil value in the cutoff region")
-        if classical:
-            return (yp - ym) / (2.0 * h)
-        return (math.log1p(tp) / delta - math.log1p(tm) / delta) / (2.0 * h)
-
-    return _refine(phi, x, config, "dual derivative")
+    stencil = derivative_stencil(F_at, _DUAL_CLASSICAL if d.classical else _DUAL_DEFORMED)
+    return _refine(stencil, x, d.delta, config, "dual derivative")

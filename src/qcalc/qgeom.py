@@ -35,7 +35,6 @@ from .qdiff import (
     primal_qderiv_closed,
     primal_qderiv_numeric,
 )
-from .qquad import QuadratureConfig, dual_qint, primal_qint
 
 __all__ = [
     "PrimalQLine",
@@ -247,7 +246,7 @@ def integral_ratio(
     y0: float,
     y1: float,
     d: Deformation,
-    cfg: QuadratureConfig = QuadratureConfig(),
+    cfg: QuadratureConfig | None = None,
 ) -> float:
     """primal_qint(f, x0, x1) / dual_qint(g, y0, y1).
 
@@ -258,10 +257,17 @@ def integral_ratio(
     differ away from the x1 -> x0 limit. oracle: generate_frozen_values.py,
     canonical case = 1.25, u-chart secant = 1.5414396639852699.)
 
+    cfg defaults to QuadratureConfig(). The quadrature layer is imported
+    here, so the other q-line functions do not load it.
+
     Raises:
         DegenerateSecantError: if x1 (-)_q x0 = 0, or the dual integral
             vanishes.
     """
+    from .qquad import QuadratureConfig, dual_qint, primal_qint
+
+    if cfg is None:
+        cfg = QuadratureConfig()
     if q_sub(x1, x0, d) == 0.0:
         raise DegenerateSecantError(f"deformed increment of ({x0}, {x1}) is zero")
     num = primal_qint(f, x0, x1, d, cfg).value

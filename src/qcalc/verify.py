@@ -524,9 +524,9 @@ def _log2_slope(points: list[tuple[int, float]]) -> float:
     xs = [math.log2(n) for n, _ in points]
     ys = [math.log2(e) for _, e in points]
     n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    return sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / sum(
+    mx = math.fsum(xs) / n  # fsum: correctly rounded, so alike on every Python
+    my = math.fsum(ys) / n
+    return math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys)) / math.fsum(
         (a - mx) ** 2 for a in xs
     )
 

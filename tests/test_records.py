@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from typing import Callable, Optional
 
 import pytest
 
+import qcalc
 from qcalc import funcexpr, qcore, qdiff, qgeom, qquad, verify
 from qcalc.qcore import EvalFlag, q_add, q_times_n
 from qcalc.qquad import IntegralFlag, SingularityMode
@@ -559,3 +561,23 @@ def test_verify_call_loads_the_battery_but_not_dataclasses_or_json(tmp_path):
     assert code == 0 and stdout.endswith("OVERALL,,,PASS,\n")
     assert {"qcalc.verify", "qcalc.qquad", "qcalc.qgeom"} <= modules
     assert not modules & {"dataclasses", "inspect", "json"}
+
+
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_qline_tangent_call_does_not_load_the_quadrature_layer(tmp_path, mode):
+    argv = ["qline", "x^2+3*x-1", mode, "tangent", "0.5", "--q", "0.5"]
+    code, modules, stdout = _loaded(tmp_path, argv)
+    assert code == 0 and stdout.startswith("field,x,value\nslope,,")
+    assert {"qcalc.qgeom", "qcalc.qdiff"} <= modules
+    assert "qcalc.qquad" not in modules
+
+
+def test_funcexpr_imports_no_typing():
+    # -S: no site hooks, which may import typing themselves
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qcalc.funcexpr; "
+            "print('typing' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(qcalc.__file__))
+    res = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -1,0 +1,361 @@
+"""Generated derivative stencils against the looped Richardson reference, bit for bit.
+
+The reference below is what ``qdiff`` ran before its stencils were generated:
+a ``phi`` closure per derivative (with the chart ``x_of`` for the primal
+one), ``_richardson``'s looped extrapolation table, and ``_refine``'s shrink
+loop. For every call the generated form must give the same (value,
+estimate) bits, the same ``ToleranceWarning`` texts, the same steps tried
+(so the same shrinks), or an error of the same type and message, with a
+cause of the same type and message.
+
+The one exception is the sign of a NaN (see ``test_compiled_eval``): every
+NaN compares equal to every other here.
+"""
+
+import math
+import warnings
+
+import pytest
+
+from qcalc import Deformation, DomainError, PoleError, RealFunction, ToleranceWarning, builtin
+from qcalc import funcexpr, parse, qdiff
+from qcalc.errors import EVAL_ERRORS
+from qcalc.qcore import ln_big_e
+from qcalc.qdiff import DerivConfig, dual_qderiv_numeric, primal_qderiv_numeric
+from test_codegen_properties import TREES, with_deformation
+from test_compiled_eval import POINTS, Q_VALUES
+from test_quadrature_engine import bits
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# the battery's q values, and a classical q whose delta is not zero
+Q_ALL = Q_VALUES + (1.0 + 1e-13,)
+TIGHT = DerivConfig(rel_tol=1e-14)  # warns on most points
+
+
+# ---------------------------------------------------------------------------
+# The reference: qdiff's looped stencil. ``steps`` records (centre, h) per try.
+
+def _richardson(phi, h0):
+    row = []
+    for j in range(qdiff.RICHARDSON_LEVELS + 1):
+        prev_row, row = row, [phi(h0 / 2.0**j)]
+        for k in range(1, j + 1):
+            row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / (4.0**k - 1.0))
+    return row[-1], abs(row[-1] - prev_row[-1])
+
+
+def _checked(f):
+    if getattr(f.domain, "by_evaluation", False):
+        return f.eval
+
+    def checked(x):
+        if not f.domain(x):
+            raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
+        return f.eval(x)
+
+    return checked
+
+
+def _refine(phi, centre, config, where, steps):
+    h0 = qdiff.BASE_STEP * 2.0**qdiff.RICHARDSON_LEVELS * max(1.0, abs(centre))
+    last_error = None
+    for attempt in range(qdiff._MAX_SHRINKS + 1):
+        steps.append((centre, h0 / (2.0**attempt)))
+        try:
+            value, err = _richardson(phi, h0 / (2.0**attempt))
+        except EVAL_ERRORS as e:
+            last_error = e
+            continue
+        if err > config.rel_tol * max(1.0, abs(value)):
+            message = (f"{where}: error estimate {err:.3e} exceeds "
+                       f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")
+            warnings.warn(ToleranceWarning(message), stacklevel=2)
+        return value, err
+    raise DomainError(
+        f"{where}: no difference stencil fits inside the domain "
+        f"after {qdiff._MAX_SHRINKS} shrinks"
+    ) from last_error
+
+
+def reference_primal(f, x, d, config, steps):
+    if not f.domain(x):
+        raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
+    if d.classical:
+        u0, x_of = x, lambda u: u
+    else:
+        s = d.bracket(x)
+        if s == 0.0:
+            raise PoleError(f"x = {x} sits on the pole of the coordinate chart")
+        u0, delta = ln_big_e(x, d), d.delta
+        if s > 0.0:
+            x_of = lambda u: math.expm1(delta * u) / delta  # noqa: E731
+        else:
+            x_of = lambda u: (-math.exp(delta * u) - 1.0) / delta  # noqa: E731
+    f_at = _checked(f)
+
+    def phi(h):
+        return (f_at(x_of(u0 + h)) - f_at(x_of(u0 - h))) / (2.0 * h)
+
+    return _refine(phi, u0, config, "primal derivative", steps)
+
+
+def reference_dual(F, x, d, config, steps):
+    F_at = _checked(F)
+    try:
+        y = F_at(x)
+    except EVAL_ERRORS as e:
+        raise DomainError(f"x = {x} is outside the domain of {F.label or 'F'}") from e
+    if d.bracket(y) <= 0.0:
+        raise DomainError(
+            f"F(x) = {y} lies in the cutoff region at x = {x}; "
+            "the dual derivative is undefined there"
+        )
+    classical, delta = d.classical, d.delta
+
+    def phi(h):
+        yp, ym = F_at(x + h), F_at(x - h)
+        tp, tm = delta * yp, delta * ym
+        if 1.0 + tp <= 0.0 or 1.0 + tm <= 0.0:
+            raise DomainError("stencil value in the cutoff region")
+        if classical:
+            return (yp - ym) / (2.0 * h)
+        return (math.log1p(tp) / delta - math.log1p(tm) / delta) / (2.0 * h)
+
+    return _refine(phi, x, config, "dual derivative", steps)
+
+
+REFERENCE = {primal_qderiv_numeric: reference_primal, dual_qderiv_numeric: reference_dual}
+
+
+# ---------------------------------------------------------------------------
+# Outcomes
+
+def _error(exc):
+    cause = exc.__cause__
+    return (type(exc), str(exc)) + ((type(cause), str(cause)) if cause is not None else ())
+
+
+def _run(call):
+    """(result, warning texts): bits of (value, estimate), or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value, estimate = call()
+        except Exception as exc:  # the type and message are what is compared
+            result = _error(exc)
+        else:
+            result = (bits(value), bits(estimate))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class _Recording:
+    """Record (template, (u0, h0) per try) of the stencils qdiff makes."""
+
+    def __init__(self):
+        self.templates, self.steps = [], []
+
+    def __enter__(self):
+        real = self.real = qdiff.derivative_stencil
+
+        def recording(g, template):
+            self.templates.append(template)
+            stencil = real(g, template)
+
+            def recorded(u0, h0, delta):
+                self.steps.append((u0, h0))
+                return stencil(u0, h0, delta)
+
+            return recorded
+
+        qdiff.derivative_stencil = recording
+        return self
+
+    def __exit__(self, *exc):
+        qdiff.derivative_stencil = self.real
+
+
+def compare(op, f, x, d, config=DerivConfig()):
+    """Assert op(f, x, d) and its reference agree; return the recorded templates."""
+    ref_steps = []
+    want = _run(lambda: REFERENCE[op](f, x, d, config, ref_steps))
+    with_estimate = getattr(qdiff, f"{op.__name__}_with_estimate")
+    with _Recording() as rec:
+        got = _run(lambda: with_estimate(f, x, d, config))
+    assert got == want, (op.__name__, d.q, x)
+    assert rec.steps == ref_steps, (op.__name__, d.q, x)
+    return rec.templates
+
+
+OPS = (primal_qderiv_numeric, dual_qderiv_numeric)
+
+
+# ---------------------------------------------------------------------------
+# Random trees
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tree=TREES, drawn=st.lists(st.floats(-5.0, 5.0), max_size=2))
+def test_generated_stencil_matches_the_reference(tree, drawn):
+    for q in Q_ALL:
+        d = Deformation(q)
+        f = funcexpr.compile(with_deformation(tree, d))
+        for x in POINTS[::3] + drawn:
+            for op in OPS:
+                compare(op, f, x, d)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(tree=TREES, x=st.floats(-3.0, 3.0))
+def test_tolerance_warnings_match_the_reference(tree, x):
+    for q in (0.5, 1.0, 2.0):
+        d = Deformation(q)
+        f = funcexpr.compile(with_deformation(tree, d))
+        for op in OPS:
+            compare(op, f, x, d, TIGHT)
+
+
+# ---------------------------------------------------------------------------
+# The five templates, shrinking stencils, hand-built functions, deep trees
+
+@pytest.mark.parametrize("op, q, x, template", [
+    (primal_qderiv_numeric, 1.0, 0.3, qdiff._PRIMAL_CLASSICAL),
+    (primal_qderiv_numeric, 1.0 + 1e-13, 0.3, qdiff._PRIMAL_CLASSICAL),
+    (primal_qderiv_numeric, 0.5, 0.3, qdiff._PRIMAL_ABOVE_POLE),
+    (primal_qderiv_numeric, 0.5, -2.5, qdiff._PRIMAL_BELOW_POLE),
+    (primal_qderiv_numeric, 2.0, 1.7, qdiff._PRIMAL_BELOW_POLE),
+    (dual_qderiv_numeric, 1.0, 0.3, qdiff._DUAL_CLASSICAL),
+    (dual_qderiv_numeric, 0.5, 0.3, qdiff._DUAL_DEFORMED),
+    (dual_qderiv_numeric, 2.0, -0.5, qdiff._DUAL_DEFORMED),
+])
+@pytest.mark.parametrize("text", ["x*qexp(x/4)+sin(x)^2", "(x+1)^3/(x^2+1)-0.5", "x"])
+def test_each_template_matches_the_reference(op, q, x, template, text):
+    d = Deformation(q)
+    f = funcexpr.compile(parse(text, d))
+    assert compare(op, f, x, d) == [template]
+    assert compare(op, f, x, d, TIGHT) == [template]
+
+
+@pytest.mark.parametrize("text, x", [
+    ("sqrt(x)", 1e-6), ("sqrt(x)", 3e-5), ("ln(x)", 2e-6), ("sqrt(x-1)", 1.0 + 1e-5),
+    ("sqrt(x)", 1e-300), ("ln(x)", 0.0), ("sqrt(x)", 0.0), ("sqrt(-x)", -4e-7),
+    ("qlog(x)", 1e-7),
+])
+@pytest.mark.parametrize("q", [1.0, 0.5, 2.0, -1.0])
+def test_stencils_shrink_at_domain_edges_as_the_reference(text, x, q):
+    d = Deformation(q)
+    f = funcexpr.compile(parse(text, d))
+    for op in OPS:
+        compare(op, f, x, d)
+
+
+def test_shrinks_and_the_failure_after_eight_are_reproduced():
+    d = Deformation(1.0)
+    f = funcexpr.compile(parse("sqrt(x)", d))
+    ref_steps = []
+    with pytest.raises(DomainError, match="after 8 shrinks"):
+        reference_primal(f, 1e-300, d, DerivConfig(), ref_steps)
+    assert len(ref_steps) == qdiff._MAX_SHRINKS + 1
+    compare(primal_qderiv_numeric, f, 1e-300, d)
+    ref_steps.clear()
+    with pytest.warns(ToleranceWarning):
+        reference_primal(f, 1e-6, d, DerivConfig(), ref_steps)
+    assert 1 < len(ref_steps) < qdiff._MAX_SHRINKS + 1  # shrunk, then fitted
+    compare(primal_qderiv_numeric, f, 1e-6, d)
+
+
+def test_dual_stencils_that_reach_the_cutoff_region_match_the_reference():
+    # 1 + delta*F vanishes at F = 2 for q = 1.5; each F below is just under it
+    # at x = 0 and crosses it a step or a few away. In the last, every try
+    # reaches the cutoff region at its widest pair, and would fail to
+    # evaluate at its narrowest: the cause of the final error is the former.
+    d = Deformation(1.5)
+    for text in ("2-1e-9+x^2", "2-1e-12+x^2", "2-1e-15+abs(x)",
+                 "2-1e-9+1e5*x^2+0*ln(abs(abs(x)-5e-8)-3e-8)"):
+        f = funcexpr.compile(parse(text, d))
+        for x in (0.0, 1e-9, -1e-9):
+            compare(dual_qderiv_numeric, f, x, d)
+    with pytest.raises(DomainError) as info:
+        dual_qderiv_numeric(f, 0.0, d)
+    assert str(info.value.__cause__) == "stencil value in the cutoff region"
+
+
+def test_tolerance_warnings_point_at_the_caller():
+    d = Deformation(0.5)
+    f = funcexpr.compile(parse("x*qexp(x/4)+sin(x)^2", d))
+    for op in OPS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            op(f, 0.3, d, TIGHT)
+        assert [(w.category, w.filename) for w in caught] == [(ToleranceWarning, __file__)]
+
+
+def test_a_hand_built_predicate_is_checked_at_every_stencil_point():
+    d = Deformation(0.5)
+    compiled = funcexpr.compile(parse("x^2", d)).eval
+    cases = [
+        # a generated eval under a narrower predicate must not be inlined
+        RealFunction(eval=compiled, domain=lambda x: x > 0.5, label="x^2 on x > 0.5"),
+        RealFunction(eval=lambda x: x * x, domain=lambda x: x > 0.5),
+        RealFunction(eval=math.sqrt, domain=lambda x: x >= 0.0, label="sqrt"),
+    ]
+    for f in cases:
+        for x in (0.5 + 1e-9, 0.5 + 1e-6, 0.7, 0.0, 1e-7):
+            for op in OPS:
+                for q in (1.0, 0.5, 2.0):
+                    compare(op, f, x, Deformation(q))
+
+
+@pytest.mark.parametrize("name", funcexpr.BUILTIN_NAMES)
+@pytest.mark.parametrize("q", [-1.0, 0.5, 1.0, 2.0])
+def test_builtins_match_the_reference(name, q):
+    d = Deformation(q)
+    f = builtin(name, d)
+    for x in (-2.5, -0.3, 1e-7, 0.4, 1.7, 3.0):
+        for op in OPS:
+            compare(op, f, x, d)
+
+
+def test_a_ten_thousand_term_chain_matches_the_reference():
+    d = Deformation(0.5)
+    f = funcexpr.compile(parse("+".join(["x*sin(x)"] * 5000 + ["x"] * 5000), d))
+    for op in OPS:
+        compare(op, f, 0.3, d)
+    stencil = funcexpr.derivative_stencil(f.eval, qdiff._DUAL_DEFORMED)
+    # the tree's statements are written once, not once per point
+    assert len(stencil.__code__.co_code) < 2 * len(f.eval.__code__.co_code)
+
+
+# ---------------------------------------------------------------------------
+# Caching
+
+def test_one_stencil_per_tree_and_template_and_one_compile_per_shape():
+    text = "x*qexp(x/4)+sin(x)^2"
+    fs = [funcexpr.compile(parse(text, Deformation(q))) for q in (0.5, 0.9, 2.0)]
+    funcexpr._factory.cache_clear()
+    for f, q in zip(fs, (0.5, 0.9, 2.0)):
+        d = Deformation(q)
+        for x in (0.1, 0.2, 0.3):
+            primal_qderiv_numeric(f, x, d)
+            dual_qderiv_numeric(f, x, d)
+    info = funcexpr._factory.cache_info()
+    assert (info.misses, info.hits) == (2, 4)  # one per template; the other trees share them
+    assert [set(f.eval.panels) for f in fs] == [
+        {qdiff._PRIMAL_ABOVE_POLE, qdiff._DUAL_DEFORMED}] * 3
+    made = dict(fs[0].eval.panels)
+    primal_qderiv_numeric(fs[0], 0.4, Deformation(0.5))
+    assert fs[0].eval.panels == made  # the same stencil objects: nothing regenerated
+
+
+def test_a_function_without_a_tree_is_called_at_each_point():
+    d = Deformation(0.5)
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return x * x
+
+    g_domain = funcexpr.compile(parse("x", d)).domain  # marked by_evaluation
+    f = RealFunction(eval=g, domain=g_domain)
+    compare(primal_qderiv_numeric, f, 0.3, d)
+    assert len(seen) == 2 * 2 * (qdiff.RICHARDSON_LEVELS + 1)  # reference, then generated
