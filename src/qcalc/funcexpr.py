@@ -18,7 +18,9 @@ legal there.
 :func:`compile` turns a tree into a :class:`RealFunction`: an evaluator, a
 symbolically differentiated ordinary derivative, and a domain predicate.
 :func:`builtin` provides the same wrapper for a handful of named functions
-with exact analytic derivatives.
+with exact analytic derivatives. :func:`point_loop` compiles a caller's loop
+text (qquad's Kronrod panel, qdiff's Richardson stencil) over a compiled
+tree's statements, once per tree and text.
 """
 
 from __future__ import annotations
@@ -455,6 +457,7 @@ def _qlog_kernel(d: Deformation) -> Callable[[float], float]:
     return qlog
 
 
+# expm1 and log1p are read only by qdiff's stencils (its charts and quotients)
 _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
             "sqrt": math.sqrt, "math_pow": math.pow, "expm1": math.expm1,
             "log1p": math.log1p, "DomainError": DomainError}
@@ -533,28 +536,28 @@ def _generate(node: Expr) -> Callable[..., float]:
     source = _Source(node)
     f = _factory(source.text())(*source.values)
     f.tree = node  # to generate its panels and stencils from
-    f.panels = {}  # weight or template -> (args, panel maker or stencil); see _looped
+    f.panels = {}  # (text, args) -> panel maker or stencil; see point_loop
     return f
 
 
 # ---------------------------------------------------------------------------
 # Point loops run a tree's statements once per point, with no call frame per
 # point. The tree's names are x, flags, t<i> and those of _Source.bind; a
-# loop's start with an underscore, apart from delta, which templates may read.
+# loop's names start with an underscore, apart from delta, which loops may read.
 
-def _looped(g: Callable[[float], float], key, text: Callable[..., str], *args):
+def point_loop(g: Callable[[float], float], text: Callable[..., str], args: tuple):
     """What the factory of ``text(lines, result, params, *args)`` returns: over
     the tree's statements for a generated g (compiled once per tree shape and
-    args, kept in ``g.panels[key]``), over ``t0 = g(x)`` for any other g."""
+    args, kept in ``g.panels[text, args]``), over ``t0 = g(x)`` for any other g."""
     panels = getattr(g, "panels", None)
     if panels is None:
         return _point_factory(text, args)(g)
-    entry = panels.get(key)
-    if entry is None or entry[0] != args:
+    made = panels.get((text, args))
+    if made is None:
         source = _Source(g.tree)
         code = text(source.lines, source.result, source.params, *args)
-        entry = panels[key] = (args, _factory(code)(*source.values))
-    return entry[1]
+        made = panels[text, args] = _factory(code)(*source.values)
+    return made
 
 
 @lru_cache(maxsize=16)
@@ -562,96 +565,9 @@ def _point_factory(text: Callable[..., str], args: tuple) -> Callable:
     return _factory(text(["t0 = g(x)"], "t0", ["g"], *args))
 
 
-def _indented(depth: int, lines) -> list[str]:
+def indented(depth: int, lines) -> list[str]:
+    """Lines of a point loop's text, indented ``depth`` levels and ended."""
     return [f"{'    ' * depth}{line}\n" for line in lines]
-
-
-# Kronrod panels: panel(a, b) -> (value, estimate) is one frame that loops
-# over the nodes of a Gauss-Kronrod rule on [a, b] (the centre, then
-# c + hl*x_k and c - hl*x_k from the outermost node in), runs a tree's
-# statements once per node and applies an integrand weight in the same
-# statement, then forms both sums in the order of the looped rule.
-
-def _panel_text(lines: list[str], result: str, params: list[str], weight: str, rule) -> str:
-    xk, wk, wk_centre, wg, wg_centre = rule
-    n = len(xk)
-    nodes = ", ".join(["_c"] + [f"_c {s} _hl * {x!r}" for x in xk for s in "+-"])
-    names = ", ".join(["_fc"] + [f"_{s}{k}" for k in range(1, n + 1) for s in "yz"])
-    sk = " + ".join([f"{wk_centre!r} * _fc"] + [f"{w!r} * _p{k}" for k, w in enumerate(wk, 1)])
-    sg = " + ".join([f"{wg_centre!r} * _fc"] + [f"{w!r} * _p{2 * k}" for k, w in enumerate(wg, 1)])
-    head = ["flags = None", "_c = 0.5 * (_a + _b)", "_hl = 0.5 * (_b - _a)", "_f = []",
-            f"for x in ({nodes}):"]
-    tail = [f"{names} = _f", *(f"_p{k} = _y{k} + _z{k}" for k in range(1, n + 1)),
-            f"_sk = {sk}", f"_sg = {sg}", "_value = _sk * _hl", "_d = abs(_value - _sg * _hl)",
-            "return _value, min(_d, (200.0 * _d) ** 1.5)"]
-    loop = [*lines, f"_f.append({weight.format(result)})"]
-    body = "".join(_indented(3, head) + _indented(4, loop) + _indented(3, tail))
-    return (f"def factory({', '.join(params)}):\n"
-            f"    def panel_maker(delta):\n"
-            f"        def panel(_a, _b):\n{body}        return panel\n"
-            f"    return panel_maker\n")
-
-
-def kronrod_panel(g: Callable[[float], float], weight: str, delta: float, rule
-                  ) -> Callable[[float, float], tuple[float, float]]:
-    """The panel of the integrand ``weight.format(g(x))`` under a Gauss-Kronrod rule.
-
-    ``weight`` is an expression template over ``{0}``, the point value, and
-    may use ``x`` and ``delta``; ``rule`` is (Kronrod abscissae from the
-    outermost in, their weights, the centre's weight, the Gauss weights of
-    the 2nd, 4th, ... abscissae, the centre's Gauss weight). For a function
-    generated from a tree the tree's statements are inlined, and its panel
-    code is compiled once per tree shape and weight; any other g is called
-    at each node.
-    """
-    return _looped(g, weight, _panel_text, weight, rule)(delta)
-
-
-# Derivative stencils: a pair's check runs before the next pair is evaluated
-# (one loop per step then), and the Richardson table is straight-line code:
-# entry (j, k) is (j, k-1) + ((j, k-1) - (j-1, k-1)) / (4^k - 1).
-
-def _stencil_text(lines: list[str], result: str, params: list[str], chart: str, check: str,
-                  difference: str, levels: int) -> str:
-    steps = [f"_h{j}" for j in range(levels + 1)]
-    var = "x" if chart == "{}" else "_u"
-    point = [*([] if var == "x" else [f"x = {chart.format('_u')}"]), *lines,
-             f"_f.append({result})"]
-    if check:
-        loop = [f"for _h in ({', '.join(steps)}):", f"    for {var} in (_u0 + _h, _u0 - _h):",
-                *(f"        {line}" for line in point), f"    {check.format('_f[-2]', '_f[-1]')}"]
-    else:
-        points = ", ".join(f"_u0 {s} {h}" for h in steps for s in "+-")
-        loop = [f"for {var} in ({points}):", *(f"    {line}" for line in point)]
-    head = ["flags = None", *(f"_h{j} = _h0 / {2.0**j!r}" for j in range(1, levels + 1)), "_f = []"]
-    table = [f"{', '.join(f'_y{j}, _z{j}' for j in range(levels + 1))} = _f",
-             *(f"_r{j}_0 = {difference.format(f'_y{j}', f'_z{j}', h)}" for j, h in enumerate(steps))]
-    for j in range(1, levels + 1):
-        table += [f"_r{j}_{k} = _r{j}_{k - 1} + (_r{j}_{k - 1} - _r{j - 1}_{k - 1})"
-                  f" / {4.0**k - 1.0!r}" for k in range(1, j + 1)]
-    last, before = f"_r{levels}_{levels}", f"_r{levels - 1}_{levels - 1}"
-    table.append(f"return {last}, abs({last} - {before})")
-    body = "".join(_indented(2, head + loop + table))
-    return (f"def factory({', '.join(params)}):\n"
-            f"    def stencil(_u0, _h0, delta):\n{body}    return stencil\n")
-
-
-def derivative_stencil(g: Callable[[float], float], template: tuple[str, str, str, int]
-                       ) -> Callable[[float, float, float], tuple[float, float]]:
-    """``stencil(u0, h0, delta) -> (value, estimate)``: Richardson-extrapolated
-    central differences of g at x = chart(u0 +- h), h = h0/2^j, j = 0..levels,
-    in one frame; the estimate is the gap between the last two diagonal entries.
-
-    ``template`` is (chart over ``{}``, ``"{}"`` for x itself; a check statement
-    over the pair's values ``{0}``, ``{1}``, or ``""``; the pair's quotient over
-    ``{0}``, ``{1}`` and the step ``{2}``; levels), and may use ``delta``. A
-    generated g's statements are inlined (compiled once per tree shape and
-    template); any other g is called at each point.
-    """
-    try:  # the stencil made at an earlier point
-        return g.panels[template][1]
-    except (AttributeError, KeyError):
-        return _looped(g, template, _stencil_text, *template)
 
 
 def evaluate(node: Expr, x: float) -> float:

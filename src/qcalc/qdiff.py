@@ -16,10 +16,10 @@ so no finite stencil can straddle it. The dual one differences
 extrapolation and carry a step-halving error estimate; if that estimate
 misses ``rel_tol`` a :class:`~qcalc.errors.ToleranceWarning` is emitted.
 
-Each try at a point is one call of a stencil that
-:func:`~qcalc.funcexpr.derivative_stencil` generates from templates (the
-chart, the dual's cutoff check, the difference quotient): one frame that runs
-a compiled expression's own statements at every stencil point.
+Each try at a point is one call of a stencil that ``_stencil_text`` writes
+from a template (the chart, the dual's cutoff check, the difference
+quotient) and :func:`~qcalc.funcexpr.point_loop` compiles: one frame that
+runs a compiled expression's own statements at every stencil point.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 import warnings
 
 from .errors import DomainError, MissingDerivativeError, PoleError, ToleranceWarning
-from .funcexpr import EVAL_ERRORS, RealFunction, derivative_stencil
+from .funcexpr import EVAL_ERRORS, RealFunction, indented, point_loop
 from .qcore import DERIV_REL_TOL, Deformation, Record, ln_big_e
 
 __all__ = [
@@ -51,11 +51,44 @@ _QUOTIENT = "({0} - {1}) / (2.0 * {2})"
 _LOG_QUOTIENT = "(log1p(delta * {0}) / delta - log1p(delta * {1}) / delta) / (2.0 * {2})"
 _CUTOFF_CHECK = ("if 1.0 + delta * {0} <= 0.0 or 1.0 + delta * {1} <= 0.0: "
                  'raise DomainError("stencil value in the cutoff region")')
-_PRIMAL_CLASSICAL = ("{}", "", _QUOTIENT, RICHARDSON_LEVELS)
-_PRIMAL_ABOVE_POLE = ("expm1(delta * {}) / delta", "", _QUOTIENT, RICHARDSON_LEVELS)
-_PRIMAL_BELOW_POLE = ("(-exp(delta * {}) - 1.0) / delta", "", _QUOTIENT, RICHARDSON_LEVELS)
-_DUAL_CLASSICAL = ("{}", _CUTOFF_CHECK, _QUOTIENT, RICHARDSON_LEVELS)
-_DUAL_DEFORMED = ("{}", _CUTOFF_CHECK, _LOG_QUOTIENT, RICHARDSON_LEVELS)
+_PRIMAL_CLASSICAL = ("{}", "", _QUOTIENT)
+_PRIMAL_ABOVE_POLE = ("expm1(delta * {}) / delta", "", _QUOTIENT)
+_PRIMAL_BELOW_POLE = ("(-exp(delta * {}) - 1.0) / delta", "", _QUOTIENT)
+_DUAL_CLASSICAL = ("{}", _CUTOFF_CHECK, _QUOTIENT)
+_DUAL_DEFORMED = ("{}", _CUTOFF_CHECK, _LOG_QUOTIENT)
+
+
+def _stencil_text(lines: list[str], result: str, params: list[str], chart: str, check: str,
+                  quotient: str) -> str:
+    """``stencil(u0, h0, delta) -> (value, estimate)``: central differences at
+    x = chart(u0 +- h), h = h0/2^j, j = 0..RICHARDSON_LEVELS, where a pair's
+    check runs before the next pair is evaluated; then the Richardson table,
+    entry (j, k) = (j, k-1) + ((j, k-1) - (j-1, k-1)) / (4^k - 1), and the
+    gap between its last two diagonal entries as the estimate. ``chart`` is
+    over ``{}`` (``"{}"`` for x itself), ``check`` over the pair's values
+    ``{0}``, ``{1}``, and ``quotient`` over those and the step ``{2}``."""
+    levels = RICHARDSON_LEVELS
+    steps = [f"_h{j}" for j in range(levels + 1)]
+    var = "x" if chart == "{}" else "_u"
+    point = [*([] if var == "x" else [f"x = {chart.format('_u')}"]), *lines,
+             f"_f.append({result})"]
+    if check:
+        loop = [f"for _h in ({', '.join(steps)}):", f"    for {var} in (_u0 + _h, _u0 - _h):",
+                *(f"        {line}" for line in point), f"    {check.format('_f[-2]', '_f[-1]')}"]
+    else:
+        points = ", ".join(f"_u0 {s} {h}" for h in steps for s in "+-")
+        loop = [f"for {var} in ({points}):", *(f"    {line}" for line in point)]
+    head = ["flags = None", *(f"_h{j} = _h0 / {2.0**j!r}" for j in range(1, levels + 1)), "_f = []"]
+    table = [f"{', '.join(f'_y{j}, _z{j}' for j in range(levels + 1))} = _f",
+             *(f"_r{j}_0 = {quotient.format(f'_y{j}', f'_z{j}', h)}" for j, h in enumerate(steps))]
+    for j in range(1, levels + 1):
+        table += [f"_r{j}_{k} = _r{j}_{k - 1} + (_r{j}_{k - 1} - _r{j - 1}_{k - 1})"
+                  f" / {4.0**k - 1.0!r}" for k in range(1, j + 1)]
+    last, before = f"_r{levels}_{levels}", f"_r{levels - 1}_{levels - 1}"
+    table.append(f"return {last}, abs({last} - {before})")
+    return (f"def factory({', '.join(params)}):\n"
+            f"    def stencil(_u0, _h0, delta):\n{''.join(indented(2, head + loop + table))}"
+            f"    return stencil\n")
 
 
 class DerivConfig(Record):
@@ -168,7 +201,7 @@ def primal_qderiv_numeric_with_estimate(
             raise PoleError(f"x = {x} sits on the pole of the coordinate chart")
         u0 = ln_big_e(x, d)
         template = _PRIMAL_ABOVE_POLE if s > 0.0 else _PRIMAL_BELOW_POLE
-    stencil = derivative_stencil(_checked(f), template)
+    stencil = point_loop(_checked(f), _stencil_text, template)
     return _refine(stencil, u0, d.delta, config, "primal derivative")
 
 
@@ -202,5 +235,5 @@ def dual_qderiv_numeric_with_estimate(
             "the dual derivative is undefined there"
         )
 
-    stencil = derivative_stencil(F_at, _DUAL_CLASSICAL if d.classical else _DUAL_DEFORMED)
+    stencil = point_loop(F_at, _stencil_text, _DUAL_CLASSICAL if d.classical else _DUAL_DEFORMED)
     return _refine(stencil, x, d.delta, config, "dual derivative")

@@ -5,13 +5,13 @@ The primal integral is an ordinary integral against the weight
 ordinary integral of the integrand. Both ride on one adaptive
 Gauss-Kronrod engine with deterministic worst-interval-first refinement.
 
-The engine's unit of work is a generated panel function, one Python frame
-for the 15 Kronrod nodes of an interval, with the integrand weight fused
-in (funcexpr.kronrod_panel). For a compiled expression it loops over the
-nodes and runs the tree's statements at each one, so it grows with the
-tree as the tree's own function does; its code is compiled once per tree
-shape and weight (a cold cost below 1 ms for small trees). Any other
-point function is called at each node by the same template. The totals
+The engine's unit of work is a generated panel, one Python frame for the
+15 Kronrod nodes of an interval with the integrand weight fused in, whose
+text (rule, sums, error estimate) _panel_text writes. For a compiled
+expression it runs the tree's statements at each node, so it grows with
+the tree as the tree's own function does; funcexpr.point_loop compiles it
+once per tree shape and weight (a cold cost below 1 ms for small trees).
+Any other point function is called at each node by the same text. The totals
 over the heap of panels are math.fsum over the heap while it is short
 (below _SHORT_HEAP panels: cheaper than keeping sums), then exact running
 sums, which keep a long run linear in its subdivision count. Results equal
@@ -37,9 +37,8 @@ import math
 from enum import Enum
 from operator import itemgetter
 
-from . import funcexpr
 from .errors import DomainError, SingularityError
-from .funcexpr import RealFunction
+from .funcexpr import RealFunction, indented, point_loop
 from .qcore import (
     QUAD_ABS_TOL,
     QUAD_REL_TOL,
@@ -156,9 +155,7 @@ _WG = (
     0.38183005050511894495,
 )
 _WG_CENTER = 0.41795918367346938776
-_RULE = (_XK, _WK, _WK_CENTER, _WG, _WG_CENTER)
-# The integrand weights, as templates over the point value {0} (see
-# funcexpr.kronrod_panel, which generates the panels).
+# The integrand weights, as templates over the point value {0}.
 _WEIGHTS = {
     "none": "{0}",
     "primal": "{0} / (1.0 + delta * x)",  # the primal measure dx / (1 + delta*x)
@@ -166,9 +163,34 @@ _WEIGHTS = {
 }
 
 
+# A panel, panel(a, b) -> (value, estimate), is one frame that loops over
+# the rule's nodes on [a, b] (the centre, then c + hl*x_k and c - hl*x_k
+# from the outermost node in), runs a tree's statements once per node and
+# applies the weight in the same statement, then forms both sums in the
+# order of the looped rule.
+
+def _panel_text(lines: list[str], result: str, params: list[str], weight: str) -> str:
+    n = len(_XK)
+    nodes = ", ".join(["_c"] + [f"_c {s} _hl * {x!r}" for x in _XK for s in "+-"])
+    names = ", ".join(["_fc"] + [f"_{s}{k}" for k in range(1, n + 1) for s in "yz"])
+    sk = " + ".join([f"{_WK_CENTER!r} * _fc"] + [f"{w!r} * _p{k}" for k, w in enumerate(_WK, 1)])
+    sg = " + ".join([f"{_WG_CENTER!r} * _fc"] + [f"{w!r} * _p{2 * k}" for k, w in enumerate(_WG, 1)])
+    head = ["flags = None", "_c = 0.5 * (_a + _b)", "_hl = 0.5 * (_b - _a)", "_f = []",
+            f"for x in ({nodes}):"]
+    tail = [f"{names} = _f", *(f"_p{k} = _y{k} + _z{k}" for k in range(1, n + 1)),
+            f"_sk = {sk}", f"_sg = {sg}", "_value = _sk * _hl", "_d = abs(_value - _sg * _hl)",
+            "return _value, min(_d, (200.0 * _d) ** 1.5)"]
+    loop = [*lines, f"_f.append({weight.format(result)})"]
+    body = "".join(indented(3, head) + indented(4, loop) + indented(3, tail))
+    return (f"def factory({', '.join(params)}):\n"
+            f"    def panel_maker(delta):\n"
+            f"        def panel(_a, _b):\n{body}        return panel\n"
+            f"    return panel_maker\n")
+
+
 def _kronrod(g, weight: str, delta: float):
     """panel(a, b) -> (value, estimate) of point function g times the weight."""
-    return funcexpr.kronrod_panel(g, _WEIGHTS[weight], delta, _RULE)
+    return point_loop(g, _panel_text, (_WEIGHTS[weight],))(delta)
 
 
 # Past this, a partial sum of the heap's values or estimates, in the order

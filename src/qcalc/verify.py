@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import funcexpr
 from .errors import DomainError, ParseError, PoleError

@@ -489,6 +489,16 @@ class TestUsageLines:
              "usage: qcalc qline ", "secant takes exactly 2 anchor value(s), got 1"),
             (["qline", "x", "primal", "tangent", "1", "2", "--q", "1"],
              "usage: qcalc qline ", "tangent takes exactly 1 anchor value(s), got 2"),
+            # rejected before the grid is built: no memory is spent on it
+            (["eval", "x", "--q", "1", "--from", "0", "--to", "1",
+              "--points", str(cli.MAX_POINTS + 1)],
+             "usage: qcalc eval ", f"--points must be at most {cli.MAX_POINTS}"),
+            (["diff", "x", "dual", "numeric", "--q", "0.5", "--from", "0", "--to", "1",
+              "--points", str(10**20)],
+             "usage: qcalc diff ", f"--points must be at most {cli.MAX_POINTS}"),
+            (["qline", "x", "primal", "tangent", "1", "--q", "1", "--from", "0", "--to", "1",
+              "--points", str(10**20)],
+             "usage: qcalc qline ", f"--points must be at most {cli.MAX_POINTS}"),
         ],
     )
     def test_validation_errors_print_the_subcommand_usage(self, argv, usage, message, capsys):

@@ -572,12 +572,20 @@ def test_qline_tangent_call_does_not_load_the_quadrature_layer(tmp_path, mode):
     assert "qcalc.qquad" not in modules
 
 
-def test_funcexpr_imports_no_typing():
+def _loads_typing(module):
     # -S: no site hooks, which may import typing themselves
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qcalc.funcexpr; "
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
             "print('typing' in sys.modules)")
     src = os.path.dirname(os.path.dirname(qcalc.__file__))
     res = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    return res.stdout.strip() == "True"
+
+
+def test_funcexpr_imports_no_typing():
+    assert not _loads_typing("qcalc.funcexpr")
+
+
+def test_verify_imports_no_typing():
+    assert not _loads_typing("qcalc.verify")

@@ -157,11 +157,11 @@ class _Recording:
         self.templates, self.steps = [], []
 
     def __enter__(self):
-        real = self.real = qdiff.derivative_stencil
+        real = self.real = qdiff.point_loop
 
-        def recording(g, template):
+        def recording(g, text, template):
             self.templates.append(template)
-            stencil = real(g, template)
+            stencil = real(g, text, template)
 
             def recorded(u0, h0, delta):
                 self.steps.append((u0, h0))
@@ -169,11 +169,11 @@ class _Recording:
 
             return recorded
 
-        qdiff.derivative_stencil = recording
+        qdiff.point_loop = recording
         return self
 
     def __exit__(self, *exc):
-        qdiff.derivative_stencil = self.real
+        qdiff.point_loop = self.real
 
 
 def compare(op, f, x, d, config=DerivConfig()):
@@ -321,7 +321,7 @@ def test_a_ten_thousand_term_chain_matches_the_reference():
     f = funcexpr.compile(parse("+".join(["x*sin(x)"] * 5000 + ["x"] * 5000), d))
     for op in OPS:
         compare(op, f, 0.3, d)
-    stencil = funcexpr.derivative_stencil(f.eval, qdiff._DUAL_DEFORMED)
+    stencil = funcexpr.point_loop(f.eval, qdiff._stencil_text, qdiff._DUAL_DEFORMED)
     # the tree's statements are written once, not once per point
     assert len(stencil.__code__.co_code) < 2 * len(f.eval.__code__.co_code)
 
@@ -341,7 +341,8 @@ def test_one_stencil_per_tree_and_template_and_one_compile_per_shape():
     info = funcexpr._factory.cache_info()
     assert (info.misses, info.hits) == (2, 4)  # one per template; the other trees share them
     assert [set(f.eval.panels) for f in fs] == [
-        {qdiff._PRIMAL_ABOVE_POLE, qdiff._DUAL_DEFORMED}] * 3
+        {(qdiff._stencil_text, qdiff._PRIMAL_ABOVE_POLE),
+         (qdiff._stencil_text, qdiff._DUAL_DEFORMED)}] * 3
     made = dict(fs[0].eval.panels)
     primal_qderiv_numeric(fs[0], 0.4, Deformation(0.5))
     assert fs[0].eval.panels == made  # the same stencil objects: nothing regenerated
