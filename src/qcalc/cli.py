@@ -127,16 +127,17 @@ def _render(meta: dict, header: list[str], rows: list[tuple], fmt: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads every negative decimal literal as a value.
+    """ArgumentParser that reads every negative number float() takes as a value.
 
     argparse's own rule takes ``-1e-05`` for an option name, since it only
-    recognizes negative numbers without an exponent.
+    recognizes negative numbers without an exponent; ``-inf`` and ``-nan``
+    are read as values too, so that ``_finite`` rejects them by name.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
         )
 
 

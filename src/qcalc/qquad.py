@@ -274,11 +274,6 @@ def _totals(heap, values, errors, bound) -> tuple[float, float]:
     return total, total_err
 
 
-def _adaptive(g, a: float, b: float, config: QuadratureConfig) -> tuple[float, float, bool]:
-    """Value, estimate and convergence of point function g on [a, b]."""
-    return _refine(_kronrod(g, "none", 0.0), a, b, config)[:3]
-
-
 def _integrate(g, a: float, b: float, config: QuadratureConfig, weight: str = "none",
                delta: float = 0.0) -> tuple[float, float, bool, int]:
     """_refine of g times the weight from a to b: swapped bounds negate the

@@ -10,9 +10,11 @@ the reflection symmetry at q = 1) reports residual 0.0 with detail
 The battery is deterministic: all sampling uses fixed seeds, so repeated
 runs produce identical results bit for bit.
 
-``fault_sign`` exists for testing the harness itself: setting it to -1.0
-flips the sign of one operand inside the q-algebra identity table, which
-must drive that property (and only that property) far outside tolerance.
+Each property maps the swept deformations to its worst residual and a
+detail; one that raises becomes a failing row.  ``fault_sign`` tests the
+harness itself (``--inject-fault``, ``perfbench/selftest.py``): the driver
+hands it to the identity table alone, where -1.0 flips one operand's sign
+and must fail that property, and only that one, far outside tolerance.
 """
 
 from __future__ import annotations
@@ -96,13 +98,6 @@ class PropertyResult(Record):
         object.__setattr__(self, "detail", detail)
 
 
-def _result(
-    name: str, residual: float, tolerance: float, detail: str = ""
-) -> PropertyResult:
-    passed = residual <= tolerance
-    return PropertyResult(name, residual, tolerance, passed, detail)
-
-
 def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
@@ -154,7 +149,7 @@ def _worst(
 # ---------------------------------------------------------------------------
 
 
-def _prop_roundtrip_log_exp(ds, fault_sign):
+def _prop_roundtrip_log_exp(ds):
     out = []
     for d in ds:
         for x in _grid(0.1, 10.0, 30):
@@ -219,7 +214,7 @@ def _prop_identity_table(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_fold_equivalence(ds, fault_sign):
+def _prop_fold_equivalence(ds):
     rng = random.Random(733)
     xs = [rng.uniform(0.3, 2.0) for _ in range(8)]
     out = []
@@ -240,7 +235,7 @@ def _prop_fold_equivalence(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_add_sub_inverse(ds, fault_sign):
+def _prop_add_sub_inverse(ds):
     rng = random.Random(907)
     pairs = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(60)]
     out = []
@@ -252,7 +247,7 @@ def _prop_add_sub_inverse(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_reflection_symmetry(ds, fault_sign):
+def _prop_reflection_symmetry(ds):
     rng = random.Random(211)
     out = []
     for d in ds:
@@ -269,7 +264,7 @@ def _prop_reflection_symmetry(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_classical_continuity(ds, fault_sign):
+def _prop_classical_continuity(ds):
     out = []
     exp_fn = RealFunction(math.exp, derivative=math.exp)
     log_fn = RealFunction(
@@ -328,7 +323,7 @@ def _gen_expr(rng: random.Random, depth: int) -> str:
     return f"({_gen_expr(rng, depth - 1)})^{rng.choice(('2', '3', '0.5'))}"
 
 
-def _prop_print_parse_roundtrip(ds, fault_sign):
+def _prop_print_parse_roundtrip(ds):
     rng = random.Random(5417)
     d = ds[0]
     bad = 0.0
@@ -354,7 +349,7 @@ _SMOOTH_POOL = (
 )
 
 
-def _prop_derivative_vs_difference(ds, fault_sign):
+def _prop_derivative_vs_difference(ds):
     out = []
     for d in ds:
         for text in _SMOOTH_POOL:
@@ -371,7 +366,7 @@ def _prop_derivative_vs_difference(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_error_byte_offset(ds, fault_sign):
+def _prop_error_byte_offset(ds):
     rng = random.Random(6091)
     d = ds[0]
     bad = 0.0
@@ -394,7 +389,7 @@ def _prop_error_byte_offset(ds, fault_sign):
 # ---------------------------------------------------------------------------
 
 
-def _prop_primal_eigenfunction(ds, fault_sign):
+def _prop_primal_eigenfunction(ds):
     out = []
     for d in ds:
         f = builtin("qexp", d)
@@ -406,7 +401,7 @@ def _prop_primal_eigenfunction(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_dual_log_reciprocal(ds, fault_sign):
+def _prop_dual_log_reciprocal(ds):
     out = []
     for d in ds:
         f = builtin("qlog", d)
@@ -415,7 +410,7 @@ def _prop_dual_log_reciprocal(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_closed_vs_numeric(ds, fault_sign):
+def _prop_closed_vs_numeric(ds):
     out = []
     for d in ds:
         primal_set = [
@@ -444,7 +439,7 @@ def _prop_closed_vs_numeric(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_translation_kernels(ds, fault_sign):
+def _prop_translation_kernels(ds):
     out = []
     for d in ds:
         base = funcexpr.compile(parse("sin(x)+2", d))
@@ -500,7 +495,7 @@ def _upper_bound(d: Deformation) -> float:
     return 1.0
 
 
-def _prop_primal_closed_form(ds, fault_sign):
+def _prop_primal_closed_form(ds):
     out = []
     for d in ds:
         hi = _upper_bound(d)
@@ -531,7 +526,7 @@ def _log2_slope(points: list[tuple[int, float]]) -> float:
     )
 
 
-def _prop_partition_slope(ds, fault_sign):
+def _prop_partition_slope(ds):
     out = []
     for d in ds:
         if d.classical:
@@ -546,7 +541,7 @@ def _prop_partition_slope(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_partition_final_error(ds, fault_sign):
+def _prop_partition_final_error(ds):
     out = []
     for d in ds:
         if d.classical:
@@ -555,7 +550,7 @@ def _prop_partition_final_error(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_riemann_agreement(ds, fault_sign):
+def _prop_riemann_agreement(ds):
     out = []
     for d in ds:
         hi = _upper_bound(d)
@@ -566,7 +561,7 @@ def _prop_riemann_agreement(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_dual_recovers_log(ds, fault_sign):
+def _prop_dual_recovers_log(ds):
     out = []
     for d in ds:
         recip = builtin("recip", d)
@@ -576,7 +571,7 @@ def _prop_dual_recovers_log(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_dual_additivity(ds, fault_sign):
+def _prop_dual_additivity(ds):
     rng = random.Random(3511)
     out = []
     for d in ds:
@@ -592,7 +587,7 @@ def _prop_dual_additivity(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_ftc_primal(ds, fault_sign):
+def _prop_ftc_primal(ds):
     out = []
     for d in ds:
         f = builtin("qexp", d)
@@ -610,7 +605,7 @@ def _prop_ftc_primal(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_ftc_dual(ds, fault_sign):
+def _prop_ftc_dual(ds):
     out = []
     for d in ds:
         recip = builtin("recip", d)
@@ -624,7 +619,7 @@ def _prop_ftc_dual(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_dual_definite_form(ds, fault_sign):
+def _prop_dual_definite_form(ds):
     out = []
     for d in ds:
         F = builtin("qlog", d)
@@ -639,7 +634,7 @@ def _prop_dual_definite_form(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_flawed_dual_value(ds, fault_sign):
+def _prop_flawed_dual_value(ds):
     for d in ds:
         if abs(d.q - 0.5) < 1e-12:
             recip = builtin("recip", d)
@@ -648,7 +643,7 @@ def _prop_flawed_dual_value(ds, fault_sign):
     return 0.0, _NOT_EXERCISED
 
 
-def _prop_flawed_dual_gap(ds, fault_sign):
+def _prop_flawed_dual_gap(ds):
     for d in ds:
         if abs(d.q - 0.5) < 1e-12:
             recip = builtin("recip", d)
@@ -672,7 +667,7 @@ def _line_fn(line: PrimalQLine) -> RealFunction:
     )
 
 
-def _prop_constant_slope(ds, fault_sign):
+def _prop_constant_slope(ds):
     rng = random.Random(8117)
     out = []
     for d in ds:
@@ -694,35 +689,29 @@ def _prop_constant_slope(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_secant_tangent_order(ds, fault_sign):
+def _prop_secant_tangent_order(ds):
     out = []
     steps = [10.0**-k for k in range(1, 7)]
+
+    def fit_order(secant, k_tan, q):
+        errs = [(h, abs(secant(h) - k_tan)) for h in steps]
+        errs = [(h, e) for h, e in errs if e > 0.0]
+        if len(errs) >= 3:
+            order = _log2_slope([(int(1 / h), e) for h, e in errs])
+            out.append((max(0.0, 0.9 - (-order)), q))
+
     for d in ds:
         f = builtin("qexp", d)
         x0 = 0.2 if d.classical or d.delta > -1.5 else 0.1
         k_tan = primal_qtangent(f, x0, d).k_q
-        errs = [
-            (h, abs(primal_secant_slope(f, x0, x0 + h, d) - k_tan))
-            for h in steps
-        ]
-        errs = [(h, e) for h, e in errs if e > 0.0]
-        if len(errs) >= 3:
-            order = _log2_slope([(int(1 / h), e) for h, e in errs])
-            out.append((max(0.0, 0.9 - (-order)), d.q))
+        fit_order(lambda h: primal_secant_slope(f, x0, x0 + h, d), k_tan, d.q)
         g = builtin("qlog", d)
         k_tan = dual_qtangent(g, 2.0, d).k_sup_q
-        errs = [
-            (h, abs(dual_secant_slope(g, 2.0, 2.0 + h, d) - k_tan))
-            for h in steps
-        ]
-        errs = [(h, e) for h, e in errs if e > 0.0]
-        if len(errs) >= 3:
-            order = _log2_slope([(int(1 / h), e) for h, e in errs])
-            out.append((max(0.0, 0.9 - (-order)), d.q))
+        fit_order(lambda h: dual_secant_slope(g, 2.0, 2.0 + h, d), k_tan, d.q)
     return _worst(out)
 
 
-def _prop_same_curve_identity(ds, fault_sign):
+def _prop_same_curve_identity(ds):
     out = []
     for d in ds:
         f = builtin("qexp", d)
@@ -742,7 +731,7 @@ def _prop_same_curve_identity(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_slope_duality(ds, fault_sign):
+def _prop_slope_duality(ds):
     out = []
     for d in ds:
         f = builtin("qexp", d)
@@ -756,7 +745,7 @@ def _prop_slope_duality(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_translation_family(ds, fault_sign):
+def _prop_translation_family(ds):
     out = []
     for d in ds:
         l1 = DualQLine(d, 0.8, 0.3)
@@ -776,7 +765,7 @@ def _prop_translation_family(ds, fault_sign):
     return _worst(out)
 
 
-def _prop_integral_ratio(ds, fault_sign):
+def _prop_integral_ratio(ds):
     out = []
     for d in ds:
         hi = _upper_bound(d)
@@ -794,7 +783,7 @@ def _prop_integral_ratio(ds, fault_sign):
 # ---------------------------------------------------------------------------
 
 
-def _prop_format_roundtrip(ds, fault_sign):
+def _prop_format_roundtrip(ds):
     from .cli import format_float  # deferred: cli imports this module
 
     samples = [
@@ -818,7 +807,7 @@ def _prop_format_roundtrip(ds, fault_sign):
 # Battery driver
 # ---------------------------------------------------------------------------
 
-_PropFn = Callable[[list[Deformation], float], tuple[float, str]]
+_PropFn = Callable[[list[Deformation]], tuple[float, str]]
 
 _BATTERY: tuple[tuple[str, float, _PropFn], ...] = (
     ("roundtrip/log-exp", 1e-12, _prop_roundtrip_log_exp),
@@ -863,11 +852,12 @@ def run_battery(
     Args:
         q_values: deformation values to sweep; defaults to DEFAULT_Q_SWEEP.
             Duplicates are dropped, order is preserved.
-        fault_sign: 1.0 for a normal run; -1.0 corrupts the identity-table
-            property on purpose (harness self-test).
+        fault_sign: 1.0 for a normal run; -1.0 corrupts the identity table,
+            the one property that receives it (harness self-test).
 
     Returns:
-        One PropertyResult per battery property, in battery order.
+        One PropertyResult per property, in battery order; one that raises
+        fails with residual inf and detail ``"error: <message>"``.
     """
     if q_values is None:
         q_values = DEFAULT_Q_SWEEP
@@ -881,11 +871,12 @@ def run_battery(
     results: list[PropertyResult] = []
     for name, tolerance, prop in _BATTERY:
         try:
-            residual, detail = prop(ds, fault_sign)
-        except Exception as exc:  # surface as a failing row, never a crash
-            results.append(
-                PropertyResult(name, math.inf, tolerance, False, f"error: {exc}")
+            residual, detail = (
+                prop(ds, fault_sign) if prop is _prop_identity_table else prop(ds)
             )
-            continue
-        results.append(_result(name, residual, tolerance, detail))
+        except Exception as exc:  # surface as a failing row, never a crash
+            residual, detail = math.inf, f"error: {exc}"
+        results.append(
+            PropertyResult(name, residual, tolerance, residual <= tolerance, detail)
+        )
     return results

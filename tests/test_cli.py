@@ -342,6 +342,27 @@ class TestNumberArguments:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[1].startswith("-1.0000000000000001e-05,")
 
+    @pytest.mark.parametrize(
+        "argv,where,text",
+        [
+            (("integrate", "x", "primal", "-inf", "1", "--q", "0.5"), "x_lo", "-inf"),
+            (("integrate", "x", "dual", "1", "-Infinity", "--q", "0.5"), "x_hi", "-Infinity"),
+            (("eval", "x", "--q", "0.5", "--from", "-inf", "--to", "1", "--points", "2"),
+             "--from", "-inf"),
+            (("diff", "x", "primal", "closed", "--q", "0.5", "--from", "-NaN", "--to", "1",
+              "--points", "2"), "--from", "-NaN"),
+            (("eval", "x", "--q", "-inf", "--from", "0", "--to", "1", "--points", "2"),
+             "--q", "-inf"),
+            (("verify", "--q", "-nan"), "--q", "-nan"),
+        ],
+    )
+    def test_negative_non_finite_number_is_read_as_a_value(self, argv, where, text, capsys):
+        # argparse would take it for an option name and report a missing argument
+        assert cli.main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {where}: must be a finite number, got '{text}'" in err
+
 
 class TestEvaluationErrors:
     def test_overflow_names_the_command_and_the_expression(self):

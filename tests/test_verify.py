@@ -71,12 +71,34 @@ class TestNonFiniteResiduals:
     def test_nan_after_finite_residuals_fails_the_row(self, monkeypatch):
         # max() over (residual, q) tuples passes over a NaN that is not first
         residuals = [(1e-16, 0.5), (math.nan, 2.0), (1e-15, 1.0)]
-        probe = ("probe/nan-residual", 1e-12, lambda ds, fault_sign: verify._worst(residuals))
+        probe = ("probe/nan-residual", 1e-12, lambda ds: verify._worst(residuals))
         monkeypatch.setattr(verify, "_BATTERY", [probe])
         (row,) = run_battery([0.5])
         assert math.isnan(row.max_residual)
         assert not row.passed
         assert row.detail == "worst at q=2"
+
+
+class TestRaisingProperty:
+    def test_a_property_that_raises_is_a_failing_row_and_the_rest_still_run(
+        self, monkeypatch
+    ):
+        def raises(ds):
+            raise ZeroDivisionError("probe division")
+
+        swept = []
+
+        def later(ds):
+            swept.append([d.q for d in ds])
+            return 0.0, "ran"
+
+        monkeypatch.setattr(verify, "_BATTERY", [
+            ("probe/raises", 1e-12, raises), ("probe/later", 0.0, later)])
+        failed, after = run_battery([0.5])
+        assert failed == PropertyResult(
+            "probe/raises", math.inf, 1e-12, False, "error: probe division")
+        assert after == PropertyResult("probe/later", 0.0, 0.0, True, "ran")
+        assert swept == [[0.5]]
 
 
 def test_partition_slope_residual_is_the_same_on_every_python():
