@@ -457,7 +457,7 @@ def _qlog_kernel(d: Deformation) -> Callable[[float], float]:
     return qlog
 
 
-# expm1 and log1p are read only by qdiff's stencils (its charts and quotients)
+# expm1 and log1p are read only by point loops (the primal chart, the dual quotient)
 _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
             "sqrt": math.sqrt, "math_pow": math.pow, "expm1": math.expm1,
             "log1p": math.log1p, "DomainError": DomainError}
@@ -563,6 +563,25 @@ def point_loop(g: Callable[[float], float], text: Callable[..., str], args: tupl
 @lru_cache(maxsize=16)
 def _point_factory(text: Callable[..., str], args: tuple) -> Callable:
     return _factory(text(["t0 = g(x)"], "t0", ["g"], *args))
+
+
+def chart(x: float, d: Deformation) -> tuple[float, str]:
+    """u = ln_big_e(x), where the primal operators are classical and the pole is
+    at u = +-inf, and the text mapping u ({}) back to x on x's side of it."""
+    if d.classical:
+        return x, "{}"
+    s = d.bracket(x)
+    if s == 0.0:
+        raise PoleError(f"x = {x} sits on the pole of the coordinate chart")
+    return ln_big_e(x, d), ("expm1(delta * {}) / delta" if s > 0.0
+                            else "(-exp(delta * {}) - 1.0) / delta")
+
+
+def chart_point(x_of: str, lines: list[str], value: str) -> tuple[str, list[str]]:
+    """A point loop's variable and one point's statements: x = x_of(_u) (none
+    for x itself, "{}"), the tree's lines, then the append of value to _f."""
+    point = [*lines, f"_f.append({value})"]
+    return ("x", point) if x_of == "{}" else ("_u", [f"x = {x_of.format('_u')}", *point])
 
 
 def indented(depth: int, lines) -> list[str]:

@@ -10,7 +10,7 @@ derivative as q -> 1 (delta = 1-q -> 0):
 
 The numeric variants never touch ``f.derivative``. The primal one
 differences in the transformed coordinate ``u = ln_big_e(x)``, where the
-primal derivative is an ordinary d/du; the chart maps the pole to u = -inf,
+primal derivative is an ordinary d/du; the chart maps the pole to u = +-inf,
 so no finite stencil can straddle it. The dual one differences
 ``ln_big_e(F(x))`` in x. Both refine a central difference with Richardson
 extrapolation and carry a step-halving error estimate; if that estimate
@@ -28,8 +28,8 @@ import math
 import warnings
 
 from .errors import DomainError, MissingDerivativeError, PoleError, ToleranceWarning
-from .funcexpr import EVAL_ERRORS, RealFunction, indented, point_loop
-from .qcore import DERIV_REL_TOL, Deformation, Record, ln_big_e
+from .funcexpr import EVAL_ERRORS, RealFunction, chart, chart_point, indented, point_loop
+from .qcore import DERIV_REL_TOL, Deformation, Record
 
 __all__ = [
     "DerivConfig",
@@ -45,33 +45,28 @@ BASE_STEP = math.ulp(1.0) ** (1.0 / 3.0)  # ~6.06e-6, optimal central-diff step
 RICHARDSON_LEVELS = 3  # halvings laid above BASE_STEP
 _MAX_SHRINKS = 8
 
-# Stencil templates. The primal chart inverts ln_big_e on x's side of the
-# pole; the dual differences ln_big_e(F) once a pair is out of the cutoff.
+# Stencil templates (the chart, the check, the quotient). The primal chart is
+# funcexpr.chart's; the dual differences ln_big_e(F) once a pair is out of the cutoff.
 _QUOTIENT = "({0} - {1}) / (2.0 * {2})"
 _LOG_QUOTIENT = "(log1p(delta * {0}) / delta - log1p(delta * {1}) / delta) / (2.0 * {2})"
 _CUTOFF_CHECK = ("if 1.0 + delta * {0} <= 0.0 or 1.0 + delta * {1} <= 0.0: "
                  'raise DomainError("stencil value in the cutoff region")')
-_PRIMAL_CLASSICAL = ("{}", "", _QUOTIENT)
-_PRIMAL_ABOVE_POLE = ("expm1(delta * {}) / delta", "", _QUOTIENT)
-_PRIMAL_BELOW_POLE = ("(-exp(delta * {}) - 1.0) / delta", "", _QUOTIENT)
 _DUAL_CLASSICAL = ("{}", _CUTOFF_CHECK, _QUOTIENT)
 _DUAL_DEFORMED = ("{}", _CUTOFF_CHECK, _LOG_QUOTIENT)
 
 
-def _stencil_text(lines: list[str], result: str, params: list[str], chart: str, check: str,
+def _stencil_text(lines: list[str], result: str, params: list[str], x_of: str, check: str,
                   quotient: str) -> str:
     """``stencil(u0, h0, delta) -> (value, estimate)``: central differences at
-    x = chart(u0 +- h), h = h0/2^j, j = 0..RICHARDSON_LEVELS, where a pair's
+    x = x_of(u0 +- h), h = h0/2^j, j = 0..RICHARDSON_LEVELS, where a pair's
     check runs before the next pair is evaluated; then the Richardson table,
     entry (j, k) = (j, k-1) + ((j, k-1) - (j-1, k-1)) / (4^k - 1), and the
-    gap between its last two diagonal entries as the estimate. ``chart`` is
+    gap between its last two diagonal entries as the estimate. ``x_of`` is
     over ``{}`` (``"{}"`` for x itself), ``check`` over the pair's values
     ``{0}``, ``{1}``, and ``quotient`` over those and the step ``{2}``."""
     levels = RICHARDSON_LEVELS
     steps = [f"_h{j}" for j in range(levels + 1)]
-    var = "x" if chart == "{}" else "_u"
-    point = [*([] if var == "x" else [f"x = {chart.format('_u')}"]), *lines,
-             f"_f.append({result})"]
+    var, point = chart_point(x_of, lines, result)
     if check:
         loop = [f"for _h in ({', '.join(steps)}):", f"    for {var} in (_u0 + _h, _u0 - _h):",
                 *(f"        {line}" for line in point), f"    {check.format('_f[-2]', '_f[-1]')}"]
@@ -193,15 +188,8 @@ def primal_qderiv_numeric_with_estimate(
     """primal_qderiv_numeric plus its extrapolation-table error estimate."""
     if not f.domain(x):
         raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
-    if d.classical:
-        u0, template = x, _PRIMAL_CLASSICAL
-    else:
-        s = d.bracket(x)
-        if s == 0.0:
-            raise PoleError(f"x = {x} sits on the pole of the coordinate chart")
-        u0 = ln_big_e(x, d)
-        template = _PRIMAL_ABOVE_POLE if s > 0.0 else _PRIMAL_BELOW_POLE
-    stencil = point_loop(_checked(f), _stencil_text, template)
+    u0, x_of = chart(x, d)
+    stencil = point_loop(_checked(f), _stencil_text, (x_of, "", _QUOTIENT))
     return _refine(stencil, u0, d.delta, config, "primal derivative")
 
 

@@ -1,16 +1,16 @@
 """Deformed integrals: adaptive quadrature plus independent cross-checks.
 
-The primal integral is an ordinary integral against the weight
-``1/(1 + delta*x)``; the dual integral applies ``ln_q . exp`` once to the
-ordinary integral of the integrand. Both ride on one adaptive
+The primal integral is the ordinary integral of f(x(u)) du in the chart
+u = ln_big_e(x) (funcexpr.chart); the dual integral applies ``ln_q . exp``
+once to the ordinary integral of the integrand. Both ride on one adaptive
 Gauss-Kronrod engine with deterministic worst-interval-first refinement.
 
 The engine's unit of work is a generated panel, one Python frame for the
-15 Kronrod nodes of an interval with the integrand weight fused in, whose
+15 Kronrod nodes of an interval with the chart and weight fused in, whose
 text (rule, sums, error estimate) _panel_text writes. For a compiled
 expression it runs the tree's statements at each node, so it grows with
 the tree as the tree's own function does; funcexpr.point_loop compiles it
-once per tree shape and weight (a cold cost below 1 ms for small trees).
+once per tree shape, weight and chart (a cold cost below 1 ms).
 Any other point function is called at each node by the same text. The totals
 over the heap of panels are math.fsum over the heap while it is short
 (below _SHORT_HEAP panels: cheaper than keeping sums), then exact running
@@ -38,13 +38,12 @@ from enum import Enum
 from operator import itemgetter
 
 from .errors import DomainError, SingularityError
-from .funcexpr import RealFunction, indented, point_loop
+from .funcexpr import RealFunction, chart, chart_point, indented, point_loop
 from .qcore import (
     QUAD_ABS_TOL,
     QUAD_REL_TOL,
     Deformation,
     Record,
-    ln_big_e,
     q_add,
     q_exp,
     q_log_exp_of,
@@ -67,7 +66,7 @@ __all__ = [
 
 
 class SingularityMode(Enum):
-    """What to do when the integration interval crosses the weight's pole."""
+    """What to do when a primal integration interval crosses the pole."""
 
     ERROR = "error"
     REFLECT = "reflect"
@@ -158,39 +157,39 @@ _WG_CENTER = 0.41795918367346938776
 # The integrand weights, as templates over the point value {0}.
 _WEIGHTS = {
     "none": "{0}",
-    "primal": "{0} / (1.0 + delta * x)",  # the primal measure dx / (1 + delta*x)
     "borges": "(1.0 + delta * {0}) * {0}",  # borges_dual_qint's value-side integrand
 }
 
 
 # A panel, panel(a, b) -> (value, estimate), is one frame that loops over
 # the rule's nodes on [a, b] (the centre, then c + hl*x_k and c - hl*x_k
-# from the outermost node in), runs a tree's statements once per node and
+# from the outermost node in; c and hl halve each bound first, so they stay
+# finite), runs a tree's statements once per node at x = x_of(node) and
 # applies the weight in the same statement, then forms both sums in the
 # order of the looped rule.
 
-def _panel_text(lines: list[str], result: str, params: list[str], weight: str) -> str:
+def _panel_text(lines: list[str], result: str, params: list[str], weight: str, x_of: str) -> str:
     n = len(_XK)
     nodes = ", ".join(["_c"] + [f"_c {s} _hl * {x!r}" for x in _XK for s in "+-"])
     names = ", ".join(["_fc"] + [f"_{s}{k}" for k in range(1, n + 1) for s in "yz"])
     sk = " + ".join([f"{_WK_CENTER!r} * _fc"] + [f"{w!r} * _p{k}" for k, w in enumerate(_WK, 1)])
     sg = " + ".join([f"{_WG_CENTER!r} * _fc"] + [f"{w!r} * _p{2 * k}" for k, w in enumerate(_WG, 1)])
-    head = ["flags = None", "_c = 0.5 * (_a + _b)", "_hl = 0.5 * (_b - _a)", "_f = []",
-            f"for x in ({nodes}):"]
+    var, point = chart_point(x_of, lines, weight.format(result))
+    head = ["flags = None", "_c = 0.5 * _a + 0.5 * _b", "_hl = 0.5 * _b - 0.5 * _a", "_f = []",
+            f"for {var} in ({nodes}):"]
     tail = [f"{names} = _f", *(f"_p{k} = _y{k} + _z{k}" for k in range(1, n + 1)),
             f"_sk = {sk}", f"_sg = {sg}", "_value = _sk * _hl", "_d = abs(_value - _sg * _hl)",
             "return _value, min(_d, (200.0 * _d) ** 1.5)"]
-    loop = [*lines, f"_f.append({weight.format(result)})"]
-    body = "".join(indented(3, head) + indented(4, loop) + indented(3, tail))
+    body = "".join(indented(3, head) + indented(4, point) + indented(3, tail))
     return (f"def factory({', '.join(params)}):\n"
             f"    def panel_maker(delta):\n"
             f"        def panel(_a, _b):\n{body}        return panel\n"
             f"    return panel_maker\n")
 
 
-def _kronrod(g, weight: str, delta: float):
-    """panel(a, b) -> (value, estimate) of point function g times the weight."""
-    return point_loop(g, _panel_text, (_WEIGHTS[weight],))(delta)
+def _kronrod(g, weight: str, delta: float, x_of: str = "{}"):
+    """panel(a, b) -> (value, estimate) of g(x_of(u)) times the weight."""
+    return point_loop(g, _panel_text, (_WEIGHTS[weight], x_of))(delta)
 
 
 # Past this, a partial sum of the heap's values or estimates, in the order
@@ -247,7 +246,7 @@ def _refine(panel, a: float, b: float, config: QuadratureConfig):
         if running and bound < _EXACT_SUM_LIMIT:
             _grow(values, -value)
             _grow(errors, -err)
-        mid = 0.5 * (wa + wb)
+        mid = 0.5 * wa + 0.5 * wb
         for lo, hi in ((wa, mid), (mid, wb)):
             v, e = panel(lo, hi)
             heapq.heappush(heap, (-e, order, lo, hi, v, e))
@@ -267,20 +266,35 @@ def _refine(panel, a: float, b: float, config: QuadratureConfig):
 
 
 def _totals(heap, values, errors, bound) -> tuple[float, float]:
-    """math.fsum of the heap's values and of its error estimates."""
+    """math.fsum of the heap's values and of its error estimates. Values of
+    opposite infinite sign total NaN, as a NaN value does."""
     exact = values is not None and bound < _EXACT_SUM_LIMIT
-    total = math.fsum(values) if exact and values else math.fsum(map(_value_of, heap))
+    try:
+        total = math.fsum(values) if exact and values else math.fsum(map(_value_of, heap))
+    except ValueError:  # -inf + inf
+        total = math.nan
     total_err = math.fsum(errors) if exact and errors else math.fsum(map(_error_of, heap))
     return total, total_err
 
 
 def _integrate(g, a: float, b: float, config: QuadratureConfig, weight: str = "none",
-               delta: float = 0.0) -> tuple[float, float, bool, int]:
+               delta: float = 0.0, d: Deformation | None = None
+               ) -> tuple[float, float, bool, int]:
     """_refine of g times the weight from a to b: swapped bounds negate the
-    value, and a == b gives 0 from no panels."""
+    value, a == b gives 0 from no panels, and a bound that is not finite
+    raises DomainError. Given d, g runs in its primal chart from
+    ln_big_e(a) to ln_big_e(b), on the lower bound's side of the pole."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
+    x_of = "{}"
+    if d is not None:
+        (u_a, a_of), (u_b, b_of) = chart(a, d), chart(b, d)
+        if math.isinf(u_a) or math.isinf(u_b):  # 1 + delta*x overflowed
+            raise OverflowError(f"ln_big_e of a bound of [{a}, {b}] is not finite")
+        delta, x_of, a, b = d.delta, a_of if a < b else b_of, u_a, u_b
     if a == b:
         return 0.0, 0.0, True, 0
-    panel = _kronrod(g, weight, delta)
+    panel = _kronrod(g, weight, delta, x_of)
     if a < b:
         return _refine(panel, a, b, config)
     value, err, ok, n_panels = _refine(panel, b, a, config)
@@ -299,38 +313,24 @@ def primal_qint(
 ) -> IntegralResult:
     """Integral of f against the measure dx / (1 + delta*x).
 
-    Inverts the primal derivative on its support. Swapped bounds negate the
-    value exactly. If the weight's pole -1/delta lies strictly inside the
-    interval, behaviour follows config.singularity_mode: ERROR raises
-    SingularityError; REFLECT instead integrates over the equal-value
-    mirror interval [x_lo, -2/delta - x_hi], which never re-crosses the
-    pole, and flags what it did. A pole exactly on a bound always raises.
+    Inverts the primal derivative on its support by integrating f(x(u)) du in
+    u = ln_big_e(x), on the lower bound's side of the pole. Swapped bounds
+    negate the value exactly. If the pole lies strictly inside the interval,
+    config.singularity_mode decides: ERROR raises SingularityError; REFLECT
+    keeps that side's chart, so it integrates up to x_hi's mirror image
+    -2/delta - x_hi (of equal u), and flags it. A pole on a bound raises.
     """
-    if x_lo > x_hi:
-        inner = primal_qint(f, x_hi, x_lo, d, config)
-        return IntegralResult(-inner.value, inner.error_estimate, inner.flags,
-                              inner.n_panels)
-    if x_lo == x_hi:
-        return IntegralResult(0.0, 0.0)
-
     flags = set()
-    hi = x_hi
     if not d.classical:
         if d.bracket(x_lo) == 0.0 or d.bracket(x_hi) == 0.0:
-            raise SingularityError(
-                f"integration bound sits on the pole at {d.pole}"
-            )
-        if x_lo < d.pole < x_hi:
+            raise SingularityError(f"integration bound sits on the pole at {d.pole}")
+        lo, hi = sorted((x_lo, x_hi))
+        if lo < d.pole < hi:
             if config.singularity_mode is SingularityMode.ERROR:
-                raise SingularityError(
-                    f"interval [{x_lo}, {x_hi}] crosses the pole at {d.pole}"
-                )
-            hi = -2.0 / d.delta - x_hi  # mirror image of x_hi across the pole
-            flags.add(IntegralFlag.SINGULARITY_CROSSED)
-            flags.add(IntegralFlag.REFLECTION_APPLIED)
+                raise SingularityError(f"interval [{lo}, {hi}] crosses the pole at {d.pole}")
+            flags |= {IntegralFlag.SINGULARITY_CROSSED, IntegralFlag.REFLECTION_APPLIED}
 
-    weight = ("none", 0.0) if d.classical else ("primal", d.delta)
-    value, err, converged, n_panels = _integrate(f.eval, x_lo, hi, config, *weight)
+    value, err, converged, n_panels = _integrate(f.eval, x_lo, x_hi, config, d=d)
     if not converged:
         flags.add(IntegralFlag.TOLERANCE_NOT_MET)
     return IntegralResult(value, err, frozenset(flags), n_panels)

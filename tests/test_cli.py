@@ -372,6 +372,29 @@ class TestEvaluationErrors:
         assert res.stdout == ""
         assert res.stderr == 'qcalc: eval "exp(x)": numeric overflow (math range error)\n'
 
+    def test_infinities_of_both_signs_are_flagged_not_a_traceback(self, capsys):
+        # qexp(x)-qexp(-x) at q = 2 is +inf past x = 1 and -inf before x = -1
+        argv = ["integrate", "qexp(x)-qexp(-x)", "dual", "-3", "3", "--q", "2"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == "value,error_estimate,flags\nnan,nan,ToleranceNotMet\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["integrate", "sin(x)", "dual", "0.5", "1.7e308", "--q", "1"], 1),
+        (["integrate", "sin(x)*cos(x)", "primal", "1e308", "0.5", "--q", "0"], 0),
+        (["integrate", "x", "primal", "-1e308", "1e308", "--q", "1"], 0),
+        # 1 + delta*x overflows, so the primal chart has no finite u for 1e308
+        (["integrate", "sin(x)*cos(x)", "primal", "1e308", "0.5", "--q", "-1"], 1),
+    ])
+    def test_bounds_near_the_float_limit_give_a_value_or_an_overflow(self, argv, code, capsys):
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and "numeric overflow" in err
+        else:
+            assert out.startswith("value,error_estimate,flags\n") and err == ""
+
     @pytest.mark.parametrize("expr", ["\u00b2", "x+\u0661"])  # '²', Arabic-Indic one
     def test_non_ascii_digits_are_parse_errors(self, expr):
         res = run_cli("eval", expr, "--q", "1", "--from", "0", "--to", "1", "--points", "2")

@@ -17,11 +17,12 @@ from qcalc import cli
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-EXPRESSIONS = (  # the benchmark's tables and integrals pools
+EXPRESSIONS = (  # the benchmark's tables and integrals pools, and one more
     "x^2+3*x-1", "sin(x)*cos(x)", "exp(x/2)-1.2", "1/(x+3)", "sqrt(x+1.5)-1",
     "qexp(x/3)-1", "qlog(x+2)", "x*qexp(x/4)+sin(x)^2", "ln(x+2)*cos(x)",
     "(x+1)^3/(x^2+1)-0.5", "qexp(x)", "qexp(x)+qexp(-x)", "exp(-x)*sin(3*x)+1",
     "qexp(x/2)", "1/(x+2)", "x^2*cos(x)-x", "sqrt(x)*exp(x)", "ln(x)+2", "x*ln(x)",
+    "qexp(x)-qexp(-x)",  # +inf and -inf on one interval at q = 2: a non-finite sum
 )
 MALFORMED = ("", "x+", "sin(", "x^^2", "qexp(x", "foo(x)", "1e", "x x", "²", ")")
 EDGES = ("nan", "inf", "-inf", "-1e-05", "1e308", "-1e308", "1e-300", "x")

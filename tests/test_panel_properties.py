@@ -1,11 +1,13 @@
 """Property tests: generated Kronrod panels against the looped reference
 panel of ``test_quadrature_engine``, bit for bit.
 
-A panel fuses a tree's statements and the integrand weight (none, the
-primal measure, or the Borges value-side integrand) into one function of
-(a, b). Over random trees at the 7 battery q values and each weight, its
-(value, estimate), or the type and message of its error, must equal the
-reference panel applied to the weighted point function.
+A panel fuses a tree's statements, the chart that maps a node u to x (x
+itself, or the primal chart on either side of the pole) and the integrand
+weight (none, or the Borges value-side integrand) into one function of
+(a, b). Over random trees at the 7 battery q values and each (weight,
+chart) pair the integrators use, its (value, estimate), or the type and
+message of its error, must equal the reference panel applied to the
+weighted point function of u.
 """
 
 import math
@@ -21,21 +23,24 @@ from test_quadrature_engine import bits, reference_panel
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-WEIGHTS = ("none", "primal", "borges")
+# the shared primal chart above and below the pole
+ABOVE, BELOW = (funcexpr.chart(x, Deformation(0.5))[1] for x in (0.3, -2.5))
+PANELS = (("none", "{}"), ("borges", "{}"), ("none", ABOVE), ("none", BELOW))
 INTERVALS = [(0.0, 1.0), (-0.15, 0.75), (-2.0, 3.0), (0.0, 0.0), (1.0, -1.0), (-1e300, 1e300),
-             (-0.0, -0.0), (-1.5e308, 1.5e308)]  # a centre of -0.0; an infinite half-length
+             (-0.0, -0.0), (-1.5e308, 1.5e308)]  # a centre of -0.0; a half-length near the limit
 
 
-def weighted(f, weight, delta):
-    """The point function the integrators built before panels were generated."""
-    if weight == "primal":
-        return lambda x: f(x) / (1.0 + delta * x)
+def weighted(f, weight, delta, x_of):
+    """The point function of u that the integrators' panels compute."""
+    chart = {"{}": lambda u: u,
+             ABOVE: lambda u: math.expm1(delta * u) / delta,
+             BELOW: lambda u: (-math.exp(delta * u) - 1.0) / delta}[x_of]
     if weight == "borges":
-        def g(x):
-            y = f(x)
+        def g(u):
+            y = f(chart(u))
             return (1.0 + delta * y) * y
         return g
-    return f
+    return lambda u: f(chart(u))
 
 
 def panel_outcome(panel, *args):
@@ -52,52 +57,54 @@ def test_generated_panel_matches_the_reference_panel(tree, drawn):
     for q in Q_VALUES:
         d = Deformation(q)
         f = funcexpr.compile(with_deformation(tree, d)).eval
-        for weight in WEIGHTS:
-            panel = qquad._kronrod(f, weight, d.delta)
-            g = weighted(f, weight, d.delta)
+        for weight, x_of in PANELS:
+            panel = qquad._kronrod(f, weight, d.delta, x_of)
+            g = weighted(f, weight, d.delta, x_of)
             for a, b in INTERVALS + drawn:
                 want = panel_outcome(reference_panel, g, a, b)
-                assert panel_outcome(panel, a, b) == want, (q, weight, a, b)
+                assert panel_outcome(panel, a, b) == want, (q, weight, x_of, a, b)
 
 
-@pytest.mark.parametrize("weight", WEIGHTS)
-def test_hand_built_and_large_integrands_match_the_reference(weight):
+@pytest.mark.parametrize("weight, x_of", PANELS, ids=["none", "borges", "primal", "primal-below"])
+def test_hand_built_and_large_integrands_match_the_reference(weight, x_of):
     d = Deformation(0.5)
     big = funcexpr.compile(parse("+".join(["sin(x)*x"] * 200), d)).eval
     for f in (math.exp, lambda x: 1.0 / x, big):
-        panel = qquad._kronrod(f, weight, d.delta)
+        panel = qquad._kronrod(f, weight, d.delta, x_of)
         for a, b in INTERVALS:
-            want = panel_outcome(reference_panel, weighted(f, weight, d.delta), a, b)
+            want = panel_outcome(reference_panel, weighted(f, weight, d.delta, x_of), a, b)
             assert panel_outcome(panel, a, b) == want
 
 
 def test_trees_of_one_shape_share_one_panel_factory():
     text = "x*qexp(x/4)+sin(x)^2"
-    fs = [funcexpr.compile(parse(text, Deformation(q))).eval for q in Q_VALUES]
+    qs = [q for q in Q_VALUES if q != 1.0]  # the chart's delta is not zero
+    fs = [funcexpr.compile(parse(text, Deformation(q))).eval for q in qs]
     funcexpr._factory.cache_clear()
-    panels = [qquad._kronrod(f, "primal", 1.0 - q) for f, q in zip(fs, Q_VALUES)]
+    panels = [qquad._kronrod(f, "none", 1.0 - q, ABOVE) for f, q in zip(fs, qs)]
     info = funcexpr._factory.cache_info()
-    assert (info.misses, info.hits) == (1, len(Q_VALUES) - 1)
+    assert (info.misses, info.hits) == (1, len(qs) - 1)
     assert len({p.__code__ for p in panels}) == 1
-    assert len({p(0.1, 0.6) for p in panels}) == len(Q_VALUES)
+    assert len({p(0.1, 0.6) for p in panels}) == len(qs)
 
 
 def test_a_tree_keeps_one_panel_maker_per_weight():
     f = funcexpr.compile(parse("exp(-x)*sin(3*x)+1", Deformation(0.5))).eval
     assert f.panels == {}  # nothing is kept for a tree that is never integrated
     for delta in (0.5, -1.0, 2.0, 0.25):
-        qquad._kronrod(f, "primal", delta)
+        qquad._kronrod(f, "none", delta, ABOVE)
+    qquad._kronrod(f, "none", -1.0, BELOW)  # and one per chart
     qquad._kronrod(f, "borges", 0.5)
-    assert len(f.panels) == 2
+    assert len(f.panels) == 3
     makers = dict(f.panels)
-    qquad._kronrod(f, "primal", 3.0)
+    qquad._kronrod(f, "none", 3.0, ABOVE)
     assert f.panels == makers  # the same maker objects: nothing regenerated
 
 
 def test_a_panel_holds_the_statements_of_its_tree_once():
     d = Deformation(0.5)
     fs = [funcexpr.compile(parse("+".join(["sin(x)*x"] * n), d)).eval for n in (1, 100)]
-    panels = [qquad._kronrod(f, "primal", d.delta) for f in fs]
+    panels = [qquad._kronrod(f, "none", d.delta, ABOVE) for f in fs]
     size = [[len(g.__code__.co_code) for g in pair] for pair in (fs, panels)]
     # written out at each of the 15 nodes, the statements would grow it about 15-fold
     assert size[1][1] - size[1][0] < 2 * (size[0][1] - size[0][0])

@@ -99,6 +99,23 @@ class TestBoundHandling:
         with pytest.raises(DomainError):
             primal_qint(f, -1.0, 1.0, d)
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 0.5)])
+    def test_non_finite_bounds_are_domain_errors(self, q, bounds):
+        d = Deformation(q)
+        f = funcexpr.compile(parse("x", d))
+        want = f"integration bounds must be finite, got [{bounds[0]}, {bounds[1]}]"
+        for integral in (primal_qint, dual_qint, borges_dual_qint):
+            with pytest.raises(DomainError) as info:
+                integral(f, *bounds, d, REFLECT)
+            assert str(info.value) == want
+
+    def test_a_bound_whose_chart_overflows_is_an_overflow(self):
+        d = Deformation(-1.0)  # delta = 2: 1 + delta*1e308 is inf
+        f = funcexpr.compile(parse("x", d))
+        with pytest.raises(OverflowError, match=r"\[1e\+308, 0.5\] is not finite"):
+            primal_qint(f, 1e308, 0.5, d)
+
 
 # ---------------------------------------------------------------------------
 # Pole crossing and the reflection identity
@@ -152,6 +169,55 @@ class TestSingularityHandling:
             math.log(abs(d.bracket(mirrored_hi))) - math.log(abs(d.bracket(lo)))
         ) / d.delta
         assert scaled_err(res.value, want) <= 1e-9, (q, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# Near the pole: the primal chart puts the pole at u = +-inf
+
+
+class TestNearThePole:
+    """Integrals with one bound at a gap of 1e-3 to 1e-12 from the pole, on
+    either side of it, over intervals 0.9 long (the width of the benchmark's
+    smooth band), against an mpmath oracle.
+
+    Near the pole the integral is about ln|1 + delta*x| / delta, so its
+    condition number in x is of order 1/|1 + delta*x|: a bound's rounding
+    error is amplified up to 1e12-fold, and no float algorithm does better.
+    The oracle therefore integrates from the points whose brackets equal the
+    float 1 + delta*x of each bound, each within an ulp of that bound, and
+    in u = ln|1 + delta*x| / delta, where its integrand is smooth.
+    """
+
+    TEXTS = ("1", "exp(-x)*sin(3*x)+1", "x^2*cos(x)-x")
+
+    @staticmethod
+    def oracle(text, bounds, d, side):
+        mp = pytest.importorskip("mpmath")
+        f = {"1": lambda x: mp.mpf(1),
+             "exp(-x)*sin(3*x)+1": lambda x: mp.exp(-x) * mp.sin(3 * x) + 1,
+             "x^2*cos(x)-x": lambda x: x**2 * mp.cos(x) - x}[text]
+        with mp.workdps(40):
+            delta = mp.mpf(d.delta)
+            us = []
+            for x in bounds:
+                bracket = mp.mpf(d.bracket(x))
+                assert abs((bracket - 1) / delta - x) <= math.ulp(x)
+                us.append(mp.log(abs(bracket)) / delta)
+            return float(mp.quad(lambda u: f((side * mp.exp(delta * u) - 1) / delta), us))
+
+    @pytest.mark.parametrize("q", [-1.0, 0.0, 0.5, 0.9, 1.1, 2.0])
+    @pytest.mark.parametrize("side", [1, -1])  # the sign of 1 + delta*x
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_near_pole_integrals_take_few_panels_and_meet_the_tolerance(self, q, side, gap):
+        d = Deformation(q)
+        away = side if d.delta > 0.0 else -side  # from the pole into that side
+        bounds = (d.pole + away * gap, d.pole + away * (gap + 0.9))
+        cfg = QuadratureConfig()
+        for text in self.TEXTS:
+            res = primal_qint(funcexpr.compile(parse(text, d)), *bounds, d, cfg)
+            ref = self.oracle(text, bounds, d, side)
+            assert res.flags == frozenset() and res.n_panels <= 10, (text, res.n_panels)
+            assert abs(res.value - ref) <= max(cfg.abs_tol, cfg.rel_tol * abs(ref)), text
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,15 @@ import pytest
 
 from qcalc import Deformation, parse
 from qcalc import funcexpr
+from qcalc.qcore import ln_big_e
 from qcalc.qquad import (
     QuadratureConfig, _XK, _WK, _WK_CENTER, _WG, _WG_CENTER, _kronrod, _refine,
 )
 
 
 def reference_panel(g, a, b):
-    c = 0.5 * (a + b)
-    hl = 0.5 * (b - a)
+    c = 0.5 * a + 0.5 * b  # halved first, so finite bounds give a finite c and hl
+    hl = 0.5 * b - 0.5 * a
     fc = g(c)
     sk = _WK_CENTER * fc
     sg = _WG_CENTER * fc
@@ -37,22 +38,31 @@ def reference_panel(g, a, b):
     return value, min(d, (200.0 * d) ** 1.5)
 
 
+def fsum_or_nan(values):
+    """math.fsum, but NaN where it meets infinities of both signs, as it
+    gives where it meets a NaN."""
+    try:
+        return math.fsum(values)
+    except ValueError:
+        return math.nan
+
+
 def reference_adaptive(g, a, b, config):
     value, err = reference_panel(g, a, b)
     heap = [(-err, 0, a, b, value, err)]
     order = 1
     for _ in range(config.max_subdivisions):
-        total = math.fsum(e[4] for e in heap)
+        total = fsum_or_nan(e[4] for e in heap)
         total_err = math.fsum(e[5] for e in heap)
         if total_err <= max(config.abs_tol, config.rel_tol * abs(total)):
             return total, total_err, True
         _, _, wa, wb, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (wa + wb)
+        mid = 0.5 * wa + 0.5 * wb
         for lo, hi in ((wa, mid), (mid, wb)):
             v, e = reference_panel(g, lo, hi)
             heapq.heappush(heap, (-e, order, lo, hi, v, e))
             order += 1
-    total = math.fsum(e[4] for e in heap)
+    total = fsum_or_nan(e[4] for e in heap)
     total_err = math.fsum(e[5] for e in heap)
     converged = total_err <= max(config.abs_tol, config.rel_tol * abs(total))
     return total, total_err, converged
@@ -130,6 +140,32 @@ def test_non_finite_and_zero_sums_match_the_reference(g):
     same_outcome(g, 0.0, 1.0, QuadratureConfig())
 
 
+def _both_infinities(x):
+    """+inf to the right of 0.6 and -inf to the left of 0.4, as
+    qexp(x)-qexp(-x) is past x = 1 and before x = -1 at q = 2."""
+    return math.inf if x > 0.6 else -math.inf if x < 0.4 else math.sin(40.0 * x)
+
+
+@pytest.mark.parametrize("config", [QuadratureConfig(), QuadratureConfig(1e-300, 1e-300, 60)])
+def test_infinities_of_both_signs_total_nan_and_are_flagged(config):
+    assert same_outcome(_both_infinities, 0.0, 1.0, config) == ("nan", "nan", False)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 1.7e308), (-1e308, 1e308), (-1.7e308, 1.7e308)])
+def test_finite_bounds_give_finite_nodes(a, b):
+    nodes = []
+
+    def g(x):
+        nodes.append(x)
+        return math.sin(x)
+
+    try:
+        engine(g, a, b, QuadratureConfig(max_subdivisions=5))
+    except OverflowError:  # (200 * d) ** 1.5 of an estimate near the float limit
+        pass
+    assert len(nodes) >= 15 and all(map(math.isfinite, nodes))
+
+
 # Runs past the switch from sums over a short heap to running sums. Each
 # window below is first hit by a panel on the side of the switch named with
 # it, which `test_windows_are_hit_on_their_side_of_the_switch` checks.
@@ -150,7 +186,7 @@ def _heap_size_at_first_hit(g):
         if not math.isfinite(bound):
             return len(heap)
         _, _, wa, wb, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (wa + wb)
+        mid = 0.5 * wa + 0.5 * wb
         for lo, hi in ((wa, mid), (mid, wb)):
             try:
                 v, e = reference_panel(g, lo, hi)
@@ -224,6 +260,13 @@ def counted_reference(g, a, b, config):
     return len(calls) // 15
 
 
+def in_the_chart(f, d):
+    """f at x = chart(u), the primal integrand in u = ln_big_e(x) above the pole."""
+    if d.classical:
+        return f
+    return lambda u: f(math.expm1(d.delta * u) / d.delta)
+
+
 @pytest.mark.parametrize("q", Q_VALUES)
 @pytest.mark.parametrize("text", ["exp(-x)*sin(3*x)+1", "sqrt(x)*exp(x)", "x*ln(x)"])
 def test_n_panels_counts_the_panels(text, q):
@@ -231,13 +274,11 @@ def test_n_panels_counts_the_panels(text, q):
 
     d = Deformation(q)
     f = funcexpr.compile(parse(text, d))
-
-    def weighted(x):
-        return f.eval(x) / (1.0 + d.delta * x)
-
-    primal_g = f.eval if d.classical else weighted
+    primal_g = in_the_chart(f.eval, d)
     for a, b in ((0.0, 0.75), (0.75, 0.0), (0.5, 0.5)):
-        assert primal_qint(f, a, b, d).n_panels == counted_reference(primal_g, a, b, CONFIGS[0])
+        u_a, u_b = ln_big_e(a, d), ln_big_e(b, d)
+        assert primal_qint(f, a, b, d).n_panels == counted_reference(primal_g, u_a, u_b,
+                                                                     CONFIGS[0])
         want = counted_reference(f.eval, a, b, CONFIGS[0])
         assert dual_qint(f, a, b, d).n_panels == want
         assert dual_qint_from(f, a, b, 0.25, d).n_panels == want
@@ -246,13 +287,14 @@ def test_n_panels_counts_the_panels(text, q):
 def test_n_panels_of_a_reflected_integral():
     from qcalc.qquad import IntegralFlag, SingularityMode, primal_qint
 
-    d = Deformation(2.0)  # the pole of the weight is at 1
+    d = Deformation(2.0)  # the pole is at 1
     f = funcexpr.compile(parse("sin(30*x)+1", d))
     config = QuadratureConfig(singularity_mode=SingularityMode.REFLECT)
     res = primal_qint(f, 0.5, 1.25, d, config)
     assert IntegralFlag.REFLECTION_APPLIED in res.flags
-    mirror = -2.0 / d.delta - 1.25
-    want = counted_reference(lambda x: f.eval(x) / (1.0 + d.delta * x), 0.5, mirror, config)
+    # in the chart of 0.5's side, up to the u of 1.25 (that of its mirror 0.75)
+    u_lo, u_hi = ln_big_e(0.5, d), ln_big_e(1.25, d)
+    want = counted_reference(in_the_chart(f.eval, d), u_lo, u_hi, config)
     assert res.n_panels == want > 1
     assert primal_qint(f, 1.25, 0.5, d, config).n_panels == want
 

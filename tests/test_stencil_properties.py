@@ -32,6 +32,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 # the battery's q values, and a classical q whose delta is not zero
 Q_ALL = Q_VALUES + (1.0 + 1e-13,)
 TIGHT = DerivConfig(rel_tol=1e-14)  # warns on most points
+# the primal stencil's templates: the shared chart of each side of the pole
+PRIMAL_CLASSICAL, PRIMAL_ABOVE_POLE, PRIMAL_BELOW_POLE = (
+    (funcexpr.chart(x, Deformation(q))[1], "", qdiff._QUOTIENT)
+    for q, x in ((1.0, 0.3), (0.5, 0.3), (0.5, -2.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +223,11 @@ def test_tolerance_warnings_match_the_reference(tree, x):
 # The five templates, shrinking stencils, hand-built functions, deep trees
 
 @pytest.mark.parametrize("op, q, x, template", [
-    (primal_qderiv_numeric, 1.0, 0.3, qdiff._PRIMAL_CLASSICAL),
-    (primal_qderiv_numeric, 1.0 + 1e-13, 0.3, qdiff._PRIMAL_CLASSICAL),
-    (primal_qderiv_numeric, 0.5, 0.3, qdiff._PRIMAL_ABOVE_POLE),
-    (primal_qderiv_numeric, 0.5, -2.5, qdiff._PRIMAL_BELOW_POLE),
-    (primal_qderiv_numeric, 2.0, 1.7, qdiff._PRIMAL_BELOW_POLE),
+    (primal_qderiv_numeric, 1.0, 0.3, PRIMAL_CLASSICAL),
+    (primal_qderiv_numeric, 1.0 + 1e-13, 0.3, PRIMAL_CLASSICAL),
+    (primal_qderiv_numeric, 0.5, 0.3, PRIMAL_ABOVE_POLE),
+    (primal_qderiv_numeric, 0.5, -2.5, PRIMAL_BELOW_POLE),
+    (primal_qderiv_numeric, 2.0, 1.7, PRIMAL_BELOW_POLE),
     (dual_qderiv_numeric, 1.0, 0.3, qdiff._DUAL_CLASSICAL),
     (dual_qderiv_numeric, 0.5, 0.3, qdiff._DUAL_DEFORMED),
     (dual_qderiv_numeric, 2.0, -0.5, qdiff._DUAL_DEFORMED),
@@ -341,7 +345,7 @@ def test_one_stencil_per_tree_and_template_and_one_compile_per_shape():
     info = funcexpr._factory.cache_info()
     assert (info.misses, info.hits) == (2, 4)  # one per template; the other trees share them
     assert [set(f.eval.panels) for f in fs] == [
-        {(qdiff._stencil_text, qdiff._PRIMAL_ABOVE_POLE),
+        {(qdiff._stencil_text, PRIMAL_ABOVE_POLE),
          (qdiff._stencil_text, qdiff._DUAL_DEFORMED)}] * 3
     made = dict(fs[0].eval.panels)
     primal_qderiv_numeric(fs[0], 0.4, Deformation(0.5))
