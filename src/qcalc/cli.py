@@ -479,13 +479,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"qcalc: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
-        # exc.args[-1] drops the errno of "(34, 'Numerical result out of range')"
-        where = f'{args.command} "{args.expr}"' if hasattr(args, "expr") else args.command
-        print(f"qcalc: {where}: numeric overflow ({exc.args[-1]})", file=sys.stderr)
-        return 1
     except (QcalcError, ZeroDivisionError) as exc:
         print(f"qcalc: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, ValueError) as exc:  # math's own errors, which name no input
+        where = f'{args.command} "{args.expr}"' if hasattr(args, "expr") else args.command
+        # exc.args[-1] drops the errno of "(34, 'Numerical result out of range')"
+        detail = f"numeric overflow ({exc.args[-1]})" if isinstance(exc, OverflowError) else exc
+        print(f"qcalc: {where}: {detail}", file=sys.stderr)
         return 1
 
     if args.out is None:

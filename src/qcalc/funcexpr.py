@@ -19,8 +19,8 @@ legal there.
 symbolically differentiated ordinary derivative, and a domain predicate.
 :func:`builtin` provides the same wrapper for a handful of named functions
 with exact analytic derivatives. :func:`point_loop` compiles a caller's loop
-text (qquad's Kronrod panel, qdiff's Richardson stencil) over a compiled
-tree's statements, once per tree and text.
+text (qquad's Kronrod panel, qdiff's numeric-derivative point) over a
+compiled tree's statements, once per tree and text.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .qcore import (
     EvalFlag,
     ExtendedValue,
     Record,
+    _Q1,
     _cutoff_power,
     _exp_q1,
     big_e,
@@ -72,6 +73,9 @@ class RealFunction(Record):
         domain: predicate, True on the open set where eval is defined; if its
             ``by_evaluation`` is true, exactly where eval raises no EVAL_ERRORS.
         label: human-readable description (expression text for parsed input).
+
+    ``stencils`` keeps qdiff's numeric-derivative point functions of f, by
+    operator and q, made on first use; it takes no part in equality.
     """
 
     _fields = ("eval", "derivative", "domain", "label")
@@ -87,6 +91,7 @@ class RealFunction(Record):
         object.__setattr__(self, "derivative", derivative)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "stencils", {})
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -428,11 +433,15 @@ def to_text(node: Expr) -> str:
 # Evaluation: a tree is compiled once into one straight-line function
 # f(x, flags=None); qexp nodes add their diagnostics to flags when it is a
 # set. Each operation node gets a local t<i>, assigned in post-order with
-# operands left to right, and the check of ln, sqrt, / and ^ is a statement
-# just before its operation; a node object that occurs twice (as in
-# derivative trees) is computed once. Constants and the qexp/qlog kernels are
-# parameters of a factory that returns f, so no expression text reaches the
-# source, and trees of one shape share one compiled factory.
+# operands left to right, and the check of ln, sqrt, qlog, / and ^ is a
+# statement just before its operation, left out when a constant operand
+# settles it as false (x/4, x^2; not x/0, x^-1, x^0.5). A node object that
+# occurs twice (as in derivative trees) is computed once. qexp is the bracket
+# power (exp on the classical branch) and calls its kernel only on the cutoff,
+# pole and overflow branches; qlog is expm1(delta*log(v))/delta. Constants and
+# kernels are parameters of a factory that returns f, so no expression text
+# reaches the source, and trees of one shape share one compiled factory unless
+# a classical qexp or qlog, or a settled check, makes their statements differ.
 
 def _qexp_kernel(d: Deformation) -> Callable[[float, set | None], float]:
     classical, delta = d.classical, d.delta
@@ -446,26 +455,18 @@ def _qexp_kernel(d: Deformation) -> Callable[[float, set | None], float]:
     return qexp
 
 
-def _qlog_kernel(d: Deformation) -> Callable[[float], float]:
-    classical, delta = d.classical, d.delta
-
-    def qlog(v):  # q_log with delta bound
-        if v <= 0.0:
-            raise DomainError(f"q_log requires x > 0, got {v}")
-        return math.log(v) if classical else math.expm1(delta * math.log(v)) / delta
-
-    return qlog
-
-
-# expm1 and log1p are read only by point loops (the primal chart, the dual quotient)
+# expm1 and log1p are read by qlog, by the primal chart and the dual quotient
 _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
             "sqrt": math.sqrt, "math_pow": math.pow, "expm1": math.expm1,
-            "log1p": math.log1p, "DomainError": DomainError}
+            "log1p": math.log1p, "DomainError": DomainError, "PoleError": PoleError,
+            "EVAL_ERRORS": EVAL_ERRORS, "Q1_BRANCH": _Q1}
 # per operator or function: the expression, and the checks (condition,
-# message) that precede it, as templates over the operand names
+# message) that precede it, as templates over the operand names; a deformed
+# qlog ("qlog_q") has its delta as a second operand
 _TEMPLATES = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}",
               "^": "math_pow({}, {})", "ln": "log({})", "exp": "exp({})",
-              "sin": "sin({})", "cos": "cos({})", "sqrt": "sqrt({})", "abs": "abs({})"}
+              "sin": "sin({})", "cos": "cos({})", "sqrt": "sqrt({})", "abs": "abs({})",
+              "qlog": "log({})", "qlog_q": "expm1({1} * log({0})) / {1}"}
 _CHECKS = {
     "/": (("{1} == 0.0", '"division by zero"'),),
     "^": (("{0} == 0.0 and {1} < 0.0", '"0 raised to a negative power"'),
@@ -473,7 +474,14 @@ _CHECKS = {
            'f"negative base {{{0}}} with non-integer exponent {{{1}}}"')),
     "ln": (("{0} <= 0.0", 'f"ln of non-positive value {{{0}}}"'),),
     "sqrt": (("{0} < 0.0", 'f"sqrt of negative value {{{0}}}"'),),
+    "qlog": (("{0} <= 0.0", 'f"q_log requires x > 0, got {{{0}}}"'),),
 }
+_CHECKS["qlog_q"] = _CHECKS["qlog"]
+# each clause of the checks: the one operand it reads, and its truth for a value
+_SETTLE = {"{0} == 0.0": (0, lambda v: v == 0.0), "{1} == 0.0": (1, lambda v: v == 0.0),
+           "{0} < 0.0": (0, lambda v: v < 0.0), "{1} < 0.0": (1, lambda v: v < 0.0),
+           "{0} <= 0.0": (0, lambda v: v <= 0.0),
+           "not {1}.is_integer()": (1, lambda v: not v.is_integer())}
 
 
 class _Source:
@@ -481,14 +489,13 @@ class _Source:
 
     def __init__(self, root: Expr):
         self.lines: list[str] = []
-        self.params: list[str] = []
-        self.values: list[object] = []
+        self.bound: dict[str, object] = {}  # the factory's parameters: constants, kernels
         self.result = _post_order(root, self.leaf, self.operation)
 
     def bind(self, prefix: str, value: object) -> str:
-        self.params.append(f"{prefix}{len(self.params)}")
-        self.values.append(value)
-        return self.params[-1]
+        name = f"{prefix}{len(self.bound)}"
+        self.bound[name] = value
+        return name
 
     def assign(self, expression: str) -> str:
         name = f"t{len(self.lines)}"
@@ -500,27 +507,43 @@ class _Source:
 
     def operation(self, node: Expr, *operands: str) -> str:
         """Append the statements of one operation node; return its value's name."""
-        if isinstance(node, Neg):
-            return self.assign(f"-{operands[0]}")
-        if isinstance(node, BinOp):
-            key = node.op
-        else:
-            key = node.func
-            if key == "qexp":
-                return self.assign(f"{self.bind('k', _qexp_kernel(node.deformation))}"
-                                   f"({operands[0]}, flags)")
-            if key == "qlog":
-                return self.assign(f"{self.bind('k', _qlog_kernel(node.deformation))}"
-                                   f"({operands[0]})")
-        template = _TEMPLATES[key]
+        if isinstance(node, Neg):  # a negated constant is a constant
+            a = operands[0]
+            return self.bind("c", -self.bound[a]) if a in self.bound else self.assign(f"-{a}")
+        key = node.op if isinstance(node, BinOp) else node.func
+        if key == "qexp":
+            return self.qexp(operands[0], node.deformation)
+        if key == "qlog" and not node.deformation.classical:
+            key, operands = "qlog_q", (*operands, self.bind("c", node.deformation.delta))
         for condition, message in _CHECKS.get(key, ()):
-            self.lines.append(f"if {condition.format(*operands)}: "
-                              f"raise DomainError({message.format(*operands)})")
-        return self.assign(template.format(*operands))
+            if not self.never(condition, operands):
+                self.lines.append(f"if {condition.format(*operands)}: "
+                                  f"raise DomainError({message.format(*operands)})")
+        return self.assign(_TEMPLATES[key].format(*operands))
+
+    def never(self, condition: str, operands: tuple[str, ...]) -> bool:
+        """True when a clause of the condition reads a constant operand and is false."""
+        for clause in condition.split(" and "):
+            i, holds = _SETTLE[clause]
+            if operands[i] in self.bound and not holds(self.bound[operands[i]]):
+                return True
+        return False
+
+    def qexp(self, v: str, d: Deformation) -> str:
+        """The statements of qexp(v); the kernel runs only off the normal branch."""
+        kernel = f"{self.bind('k', _qexp_kernel(d))}({v}, flags)"
+        if d.classical:
+            value, flagged = f"exp({v})", ["if flags is not None: flags.update(Q1_BRANCH)"]
+        else:
+            b = self.assign(f"1.0 + {self.bind('c', d.delta)} * {v}")
+            value, flagged = f"{b} ** {self.bind('c', d.inv_delta)} if {b} > 0.0 else {kernel}", []
+        name = f"t{len(self.lines)}"
+        self.lines += [f"try: {name} = {value}", f"except OverflowError: {name} = {kernel}", *flagged]
+        return name
 
     def text(self) -> str:
         body = "".join(f"        {line}\n" for line in self.lines)
-        return (f"def factory({', '.join(self.params)}):\n"
+        return (f"def factory({', '.join(self.bound)}):\n"
                 f"    def f(x, flags=None):\n{body}        return {self.result}\n"
                 f"    return f\n")
 
@@ -534,7 +557,7 @@ def _factory(source: str) -> Callable[..., Callable[..., float]]:
 
 def _generate(node: Expr) -> Callable[..., float]:
     source = _Source(node)
-    f = _factory(source.text())(*source.values)
+    f = _factory(source.text())(*source.bound.values())
     f.tree = node  # to generate its panels and stencils from
     f.panels = {}  # (text, args) -> panel maker or stencil; see point_loop
     return f
@@ -555,8 +578,8 @@ def point_loop(g: Callable[[float], float], text: Callable[..., str], args: tupl
     made = panels.get((text, args))
     if made is None:
         source = _Source(g.tree)
-        code = text(source.lines, source.result, source.params, *args)
-        made = panels[text, args] = _factory(code)(*source.values)
+        code = text(source.lines, source.result, list(source.bound), *args)
+        made = panels[text, args] = _factory(code)(*source.bound.values())
     return made
 
 
@@ -565,16 +588,19 @@ def _point_factory(text: Callable[..., str], args: tuple) -> Callable:
     return _factory(text(["t0 = g(x)"], "t0", ["g"], *args))
 
 
+# the texts that map u ({0}) back to x above and below the pole of the primal chart
+CHART_ABOVE, CHART_BELOW = "expm1(delta * {0}) / delta", "(-exp(delta * {0}) - 1.0) / delta"
+
+
 def chart(x: float, d: Deformation) -> tuple[float, str]:
     """u = ln_big_e(x), where the primal operators are classical and the pole is
-    at u = +-inf, and the text mapping u ({}) back to x on x's side of it."""
+    at u = +-inf, and the text mapping u ({0}) back to x on x's side of it."""
     if d.classical:
         return x, "{}"
     s = d.bracket(x)
     if s == 0.0:
         raise PoleError(f"x = {x} sits on the pole of the coordinate chart")
-    return ln_big_e(x, d), ("expm1(delta * {}) / delta" if s > 0.0
-                            else "(-exp(delta * {}) - 1.0) / delta")
+    return ln_big_e(x, d), CHART_ABOVE if s > 0.0 else CHART_BELOW
 
 
 def chart_point(x_of: str, lines: list[str], value: str) -> tuple[str, list[str]]:
@@ -745,7 +771,7 @@ def compile(ast: Expr) -> RealFunction:  # noqa: A001 - mirrors re.compile
     The domain predicate reports True exactly where evaluation succeeds
     (``by_evaluation``); the derivative is derived on its first call.
     """
-    fn, dast = ast._compiled, cache(lambda: differentiate(ast))
+    fn, dast = ast._compiled, cache(lambda: differentiate(ast)._compiled)
 
     def domain(x: float) -> bool:
         try:
@@ -756,7 +782,7 @@ def compile(ast: Expr) -> RealFunction:  # noqa: A001 - mirrors re.compile
 
     domain.by_evaluation = True
     return RealFunction(
-        eval=fn, derivative=lambda x: evaluate(dast(), x), domain=domain, label=to_text(ast)
+        eval=fn, derivative=lambda x: dast()(x), domain=domain, label=to_text(ast)
     )
 
 

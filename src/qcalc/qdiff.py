@@ -16,19 +16,23 @@ so no finite stencil can straddle it. The dual one differences
 extrapolation and carry a step-halving error estimate; if that estimate
 misses ``rel_tol`` a :class:`~qcalc.errors.ToleranceWarning` is emitted.
 
-Each try at a point is one call of a stencil that ``_stencil_text`` writes
-from a template (the chart, the dual's cutoff check, the difference
-quotient) and :func:`~qcalc.funcexpr.point_loop` compiles: one frame that
-runs a compiled expression's own statements at every stencil point.
+A numeric derivative at a point is one call of a function made once per
+function, operator and q (kept in ``f.stencils``) from the text that
+``_point_text`` writes and :func:`~qcalc.funcexpr.point_loop` compiles once
+per tree shape: it checks x, finds the centre (u0 = ln_big_e(x) on x's side
+of the pole, or x), and runs the shrinking stencils and their Richardson
+tables, with a compiled expression's own statements at every point. Python
+keeps only the lookup of that function and the ToleranceWarning.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
-from .errors import DomainError, MissingDerivativeError, PoleError, ToleranceWarning
-from .funcexpr import EVAL_ERRORS, RealFunction, chart, chart_point, indented, point_loop
+from .errors import MissingDerivativeError, PoleError, ToleranceWarning
+from .funcexpr import CHART_ABOVE, CHART_BELOW, RealFunction, chart_point, indented, point_loop
 from .qcore import DERIV_REL_TOL, Deformation, Record
 
 __all__ = [
@@ -45,35 +49,57 @@ BASE_STEP = math.ulp(1.0) ** (1.0 / 3.0)  # ~6.06e-6, optimal central-diff step
 RICHARDSON_LEVELS = 3  # halvings laid above BASE_STEP
 _MAX_SHRINKS = 8
 
-# Stencil templates (the chart, the check, the quotient). The primal chart is
-# funcexpr.chart's; the dual differences ln_big_e(F) once a pair is out of the cutoff.
+# Stencil templates (the dual's check and the quotients) over the pair's values
+# {0}, {1} and the step {2}; the primal chart is funcexpr's.
 _QUOTIENT = "({0} - {1}) / (2.0 * {2})"
 _LOG_QUOTIENT = "(log1p(delta * {0}) / delta - log1p(delta * {1}) / delta) / (2.0 * {2})"
 _CUTOFF_CHECK = ("if 1.0 + delta * {0} <= 0.0 or 1.0 + delta * {1} <= 0.0: "
                  'raise DomainError("stencil value in the cutoff region")')
-_DUAL_CLASSICAL = ("{}", _CUTOFF_CHECK, _QUOTIENT)
-_DUAL_DEFORMED = ("{}", _CUTOFF_CHECK, _LOG_QUOTIENT)
+_OUTSIDE = 'raise DomainError(f"x = {{x}} is outside the domain of {{_label or {!r}}}")'
 
 
-def _stencil_text(lines: list[str], result: str, params: list[str], x_of: str, check: str,
-                  quotient: str) -> str:
-    """``stencil(u0, h0, delta) -> (value, estimate)``: central differences at
-    x = x_of(u0 +- h), h = h0/2^j, j = 0..RICHARDSON_LEVELS, where a pair's
-    check runs before the next pair is evaluated; then the Richardson table,
-    entry (j, k) = (j, k-1) + ((j, k-1) - (j-1, k-1)) / (4^k - 1), and the
-    gap between its last two diagonal entries as the estimate. ``x_of`` is
-    over ``{}`` (``"{}"`` for x itself), ``check`` over the pair's values
-    ``{0}``, ``{1}``, and ``quotient`` over those and the step ``{2}``."""
-    levels = RICHARDSON_LEVELS
+def _point_text(lines: list[str], result: str, params: list[str], op: str, classical: bool,
+                domain: str) -> str:
+    """``maker(delta, _domain, _label) -> point``, where ``point(x) -> (value,
+    estimate)`` is the ``op`` ("primal" or "dual") derivative at x.
+
+    It checks x as f's domain does: by the tree's statements ("inline"), or
+    by calling _domain at the primal centre ("called", where f.eval raising
+    is the check elsewhere) and also before every point ("checked"). Then it
+    tries central differences at x = x_of(c +- h), c the centre, h = h0/2^j,
+    j = 0..RICHARDSON_LEVELS, where a dual pair's cutoff check runs before
+    the next pair is evaluated; h0 halves after each try that raises, up to
+    _MAX_SHRINKS times. A try that fits returns the last diagonal entry of its
+    Richardson table, entry (j, k) = (j, k-1) + ((j, k-1) - (j-1, k-1)) /
+    (4^k - 1), and the gap to the one before as the estimate."""
+    levels, where = RICHARDSON_LEVELS, f"{op} derivative"
     steps = [f"_h{j}" for j in range(levels + 1)]
+    if domain == "checked":
+        lines = [f"if not _domain(x): {_OUTSIDE.format('f')}", *lines]
+    x_of, check, quotient = "{}", "", _QUOTIENT
+    centre = ["try:", *(f"    {line}" for line in lines or ["pass"])]
+    if op == "dual":
+        head = [*centre,
+                f"except EVAL_ERRORS as _e: {_OUTSIDE.format('F')} from _e",
+                f'if 1.0 + delta * {result} <= 0.0: raise DomainError(f"F(x) = {{{result}}} lies in '
+                'the cutoff region at x = {x}; the dual derivative is undefined there")', "_c = x"]
+        check, quotient = _CUTOFF_CHECK, _QUOTIENT if classical else _LOG_QUOTIENT
+    else:
+        head = ([*centre, f"except EVAL_ERRORS: {_OUTSIDE.format('f')} from None"]
+                if domain == "inline"
+                else [f"if not _domain(x): {_OUTSIDE.format('f')}"])
+        head += ["_c = x"] if classical else [
+            "_s = 1.0 + delta * x",
+            'if _s == 0.0: raise PoleError(f"x = {x} sits on the pole of the coordinate chart")',
+            "_above = _s > 0.0", "_c = log1p(delta * x) / delta if _above else log(-_s) / delta"]
+        x_of = "{}" if classical else f"{CHART_ABOVE} if _above else {CHART_BELOW}"
     var, point = chart_point(x_of, lines, result)
     if check:
-        loop = [f"for _h in ({', '.join(steps)}):", f"    for {var} in (_u0 + _h, _u0 - _h):",
+        loop = [f"for _h in ({', '.join(steps)}):", f"    for {var} in (_c + _h, _c - _h):",
                 *(f"        {line}" for line in point), f"    {check.format('_f[-2]', '_f[-1]')}"]
     else:
-        points = ", ".join(f"_u0 {s} {h}" for h in steps for s in "+-")
+        points = ", ".join(f"_c {s} {h}" for h in steps for s in "+-")
         loop = [f"for {var} in ({points}):", *(f"    {line}" for line in point)]
-    head = ["flags = None", *(f"_h{j} = _h0 / {2.0**j!r}" for j in range(1, levels + 1)), "_f = []"]
     table = [f"{', '.join(f'_y{j}, _z{j}' for j in range(levels + 1))} = _f",
              *(f"_r{j}_0 = {quotient.format(f'_y{j}', f'_z{j}', h)}" for j, h in enumerate(steps))]
     for j in range(1, levels + 1):
@@ -81,9 +107,19 @@ def _stencil_text(lines: list[str], result: str, params: list[str], x_of: str, c
                   f" / {4.0**k - 1.0!r}" for k in range(1, j + 1)]
     last, before = f"_r{levels}_{levels}", f"_r{levels - 1}_{levels - 1}"
     table.append(f"return {last}, abs({last} - {before})")
+    shrinks = ", ".join(repr(2.0**a) for a in range(_MAX_SHRINKS + 1))
+    body = ["flags = None", *head, f"_H = {BASE_STEP * 2.0**levels!r} * max(1.0, abs(_c))",
+            "_error = None", f"for _a in ({shrinks}):", "    _h0 = _H / _a",
+            *(f"    _h{j} = _h0 / {2.0**j!r}" for j in range(1, levels + 1)), "    _f = []",
+            "    try:", *(f"        {line}" for line in loop + table),
+            "    except EVAL_ERRORS as _e:", "        _error = _e",
+            f'raise DomainError("{where}: no difference stencil fits inside the domain '
+            f'after {_MAX_SHRINKS} shrinks") from _error']
     return (f"def factory({', '.join(params)}):\n"
-            f"    def stencil(_u0, _h0, delta):\n{''.join(indented(2, head + loop + table))}"
-            f"    return stencil\n")
+            f"    def maker(delta, _domain, _label):\n"
+            f"        def point(x):\n{''.join(indented(3, body))}"
+            f"        return point\n"
+            f"    return maker\n")
 
 
 class DerivConfig(Record):
@@ -113,7 +149,7 @@ def primal_qderiv_closed(f: RealFunction, x: float, d: Deformation) -> float:
         raise MissingDerivativeError(
             f"closed-form deformed derivative needs f.derivative ({f.label or 'unlabeled'})"
         )
-    return d.bracket(x) * f.derivative(x)
+    return (1.0 + d.delta * x) * f.derivative(x)
 
 
 def dual_qderiv_closed(F: RealFunction, x: float, d: Deformation) -> float:
@@ -127,46 +163,31 @@ def dual_qderiv_closed(F: RealFunction, x: float, d: Deformation) -> float:
         raise MissingDerivativeError(
             f"closed-form deformed derivative needs F.derivative ({F.label or 'unlabeled'})"
         )
-    den = d.bracket(F(x))
+    den = 1.0 + d.delta * F.eval(x)
     if den == 0.0:
         raise PoleError(f"1 + delta*F(x) vanishes at x = {x}")
     return F.derivative(x) / den
 
 
-def _checked(f: RealFunction):
-    """f.eval, raising DomainError outside f's domain (see RealFunction)."""
-    if getattr(f.domain, "by_evaluation", False):
-        return f.eval
-
-    def checked(x: float) -> float:
-        if not f.domain(x):
-            raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
-        return f.eval(x)
-
-    return checked
+def _point(f: RealFunction, op: str, d: Deformation):
+    """f's point function of op at d (see _point_text), made once and kept in
+    f.stencils[op, d.q]."""
+    by_evaluation = getattr(f.domain, "by_evaluation", False)
+    domain = ("inline" if hasattr(f.eval, "tree") else "called") if by_evaluation else "checked"
+    maker = point_loop(f.eval, _point_text, (op, d.classical, domain))
+    point = f.stencils[op, d.q] = maker(d.delta, f.domain, f.label)
+    return point
 
 
-def _refine(stencil, centre: float, delta: float, config: DerivConfig, where: str
-            ) -> tuple[float, float]:
-    """Run the stencil on steps scaled to the differencing coordinate's
-    centre, shrinking the whole stencil when it exits the domain."""
-    h0 = BASE_STEP * 2.0**RICHARDSON_LEVELS * max(1.0, abs(centre))
-    last_error: Exception | None = None
-    for attempt in range(_MAX_SHRINKS + 1):
-        try:
-            value, err = stencil(centre, h0 / (2.0**attempt), delta)
-        except EVAL_ERRORS as e:
-            last_error = e
-            continue
-        if err > config.rel_tol * max(1.0, abs(value)):
-            message = (f"{where}: error estimate {err:.3e} exceeds "
-                       f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")
-            warnings.warn(ToleranceWarning(message), stacklevel=4)
-        return value, err
-    raise DomainError(
-        f"{where}: no difference stencil fits inside the domain "
-        f"after {_MAX_SHRINKS} shrinks"
-    ) from last_error
+def _warn(where: str, value: float, err: float, config: DerivConfig) -> None:
+    """The ToleranceWarning of a missed rel_tol, attributed to the first caller
+    outside this module."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    message = (f"{where}: error estimate {err:.3e} exceeds "
+               f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")
+    warnings.warn(ToleranceWarning(message), stacklevel=level)
 
 
 def primal_qderiv_numeric(
@@ -186,11 +207,10 @@ def primal_qderiv_numeric_with_estimate(
     f: RealFunction, x: float, d: Deformation, config: DerivConfig = DerivConfig()
 ) -> tuple[float, float]:
     """primal_qderiv_numeric plus its extrapolation-table error estimate."""
-    if not f.domain(x):
-        raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
-    u0, x_of = chart(x, d)
-    stencil = point_loop(_checked(f), _stencil_text, (x_of, "", _QUOTIENT))
-    return _refine(stencil, u0, d.delta, config, "primal derivative")
+    value, err = (f.stencils.get(("primal", d.q)) or _point(f, "primal", d))(x)
+    if err > config.rel_tol * max(1.0, abs(value)):
+        _warn("primal derivative", value, err, config)
+    return value, err
 
 
 def dual_qderiv_numeric(
@@ -212,16 +232,7 @@ def dual_qderiv_numeric_with_estimate(
     F: RealFunction, x: float, d: Deformation, config: DerivConfig = DerivConfig()
 ) -> tuple[float, float]:
     """dual_qderiv_numeric plus its extrapolation-table error estimate."""
-    F_at = _checked(F)
-    try:
-        y = F_at(x)
-    except EVAL_ERRORS as e:
-        raise DomainError(f"x = {x} is outside the domain of {F.label or 'F'}") from e
-    if d.bracket(y) <= 0.0:
-        raise DomainError(
-            f"F(x) = {y} lies in the cutoff region at x = {x}; "
-            "the dual derivative is undefined there"
-        )
-
-    stencil = point_loop(F_at, _stencil_text, _DUAL_CLASSICAL if d.classical else _DUAL_DEFORMED)
-    return _refine(stencil, x, d.delta, config, "dual derivative")
+    value, err = (F.stencils.get(("dual", d.q)) or _point(F, "dual", d))(x)
+    if err > config.rel_tol * max(1.0, abs(value)):
+        _warn("dual derivative", value, err, config)
+    return value, err

@@ -29,12 +29,7 @@ from .errors import (
 )
 from .funcexpr import RealFunction
 from .qcore import Deformation, Record, ln_big_e, q_add, q_log_exp_of, q_sub
-from .qdiff import (
-    dual_qderiv_closed,
-    dual_qderiv_numeric,
-    primal_qderiv_closed,
-    primal_qderiv_numeric,
-)
+from .qdiff import dual_qderiv_numeric, primal_qderiv_closed, primal_qderiv_numeric
 
 __all__ = [
     "PrimalQLine",
@@ -188,8 +183,7 @@ def primal_qtangent(
         k = primal_qderiv_closed(F, x0, d)
     else:
         k = primal_qderiv_numeric(F, x0, d)
-    c = F(x0) - k * ln_big_e(x0, d)
-    return PrimalQLine(d, k, c)
+    return PrimalQLine(d, k, F.eval(x0) - k * ln_big_e(x0, d))
 
 
 def dual_qtangent(
@@ -200,11 +194,12 @@ def dual_qtangent(
     Raises:
         DomainError: if F(x0) lies in the cutoff region.
     """
-    y0 = F(x0)
-    if d.bracket(y0) <= 0.0:
+    y0 = F.eval(x0)
+    den = 1.0 + d.delta * y0
+    if den <= 0.0:
         raise DomainError("tangent point value lies in the cutoff region")
-    if F.derivative is not None:
-        k = dual_qderiv_closed(F, x0, d)
+    if F.derivative is not None:  # dual_qderiv_closed, with F(x0) known
+        k = F.derivative(x0) / den
     else:
         k = dual_qderiv_numeric(F, x0, d)
     return DualQLine(d, k, _dual_intercept(y0, k, x0, d))

@@ -372,6 +372,13 @@ class TestEvaluationErrors:
         assert res.stdout == ""
         assert res.stderr == 'qcalc: eval "exp(x)": numeric overflow (math range error)\n'
 
+    def test_a_math_domain_error_names_the_command_and_the_expression(self, capsys):
+        # 10*x overflows to inf, and sin(inf) is math's ValueError
+        argv = ["eval", "sin(x*10)", "--q", "0.5", "--from", "1e308", "--to", "1.7e308",
+                "--points", "2"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", 'qcalc: eval "sin(x*10)": math domain error\n')
+
     def test_infinities_of_both_signs_are_flagged_not_a_traceback(self, capsys):
         # qexp(x)-qexp(-x) at q = 2 is +inf past x = 1 and -inf before x = -1
         argv = ["integrate", "qexp(x)-qexp(-x)", "dual", "-3", "3", "--q", "2"]

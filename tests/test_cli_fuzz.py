@@ -15,7 +15,7 @@ import pytest
 from qcalc import cli
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 EXPRESSIONS = (  # the benchmark's tables and integrals pools, and one more
     "x^2+3*x-1", "sin(x)*cos(x)", "exp(x/2)-1.2", "1/(x+3)", "sqrt(x+1.5)-1",
@@ -67,6 +67,11 @@ def argv(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(args=argv())
+# sin of an argument that overflowed to inf: math's "math domain error"
+@example(args=["eval", "sin(x*10)", "--q", "0.5", "--from", "1e308", "--to", "1.7e308",
+               "--points", "2"])
+@example(args=["integrate", "exp(-x)*sin(3*x)+1", "dual", "1e308", "0.5", "--q", "-1"])
+@example(args=["qline", "exp(-x)*sin(3*x)+1", "primal", "tangent", "1e308", "--q", "-1"])
 def test_main_returns_a_documented_exit_code(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

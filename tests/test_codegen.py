@@ -53,11 +53,12 @@ def test_fourth_derivative_matches_the_reference_walker(q):
 def test_trees_of_one_shape_share_one_compiled_function():
     text = "x*qexp(x/4)+sin(x)^2"
     funcexpr._factory.cache_clear()
-    codes = {parse(text, Deformation(q))._compiled.__code__ for q in Q_VALUES}
-    assert len(codes) == 1
+    codes = {q: parse(text, Deformation(q))._compiled.__code__ for q in Q_VALUES}
+    # one function for every deformed q (the bracket power), one for q = 1 (exp)
+    assert len({codes[q] for q in Q_VALUES if q != 1.0} - {codes[1.0]}) == 1
     info = funcexpr._factory.cache_info()
-    assert (info.misses, info.hits) == (1, len(Q_VALUES) - 1)
-    assert parse("x*qexp(x/4)-sin(x)^2", D)._compiled.__code__ not in codes
+    assert (info.misses, info.hits) == (2, len(Q_VALUES) - 2)
+    assert parse("x*qexp(x/4)-sin(x)^2", D)._compiled.__code__ not in codes.values()
     values = {evaluate(parse(text, Deformation(q)), 1.5) for q in Q_VALUES}
     assert len(values) == len(Q_VALUES)
 
@@ -67,6 +68,26 @@ def test_constants_are_bound_not_written_into_the_source():
     assert a._compiled.__code__ is b._compiled.__code__
     assert (evaluate(a, 1.0), evaluate(b, 1.0)) == (1.1, 1.2)
     assert "0.125" not in funcexpr._Source(parse("x*0.125", D)).text()
+
+
+@pytest.mark.parametrize("text, checked", [
+    ("x/4", False), ("x^2", False), ("sin(x)^2", False), ("2^x", False), ("ln(2)*x", False),
+    ("x/0", True), ("x^-1", True), ("x^0.5", True), ("sqrt(-2)*x", True), ("x/x", True),
+])
+def test_checks_that_constants_settle_as_false_are_left_out(text, checked):
+    source = funcexpr._Source(parse(text, D)).text()
+    assert ("raise DomainError" in source) is checked, source
+
+
+def test_each_clause_is_settled_as_its_text_reads():
+    clauses = {clause for checks in funcexpr._CHECKS.values() for condition, _ in checks
+               for clause in condition.split(" and ")}
+    assert set(funcexpr._SETTLE) == clauses
+    for clause, (i, holds) in funcexpr._SETTLE.items():
+        for v in (0.0, -0.0, 2.0, -2.0, 0.5, -0.5, math.inf, -math.inf, math.nan):
+            names = ["other", "other"]
+            names[i] = "v"
+            assert holds(v) is eval(clause.format(*names), {}, {"v": v}), (clause, v)
 
 
 def test_non_finite_constants_need_no_special_case():

@@ -13,6 +13,7 @@ multiplication yet, so every NaN compares equal to every other here.
 import math
 import pickle
 import struct
+import sys
 
 import pytest
 
@@ -35,8 +36,12 @@ TABLE_POOL = (
     "ln(x+2)*cos(x)",
     "(x+1)^3/(x^2+1)-0.5",
 )
+# qexp(x) takes every branch of its kernel over POINTS: the cutoff (q < 1), the
+# pole (q > 1), bracket-power overflow (1e308 at q = 0.5) and exp overflow
+# (1500 at q = 1). qlog(x) meets 0; the rest have checks a constant settles.
 EXTRA = ("qexp(x)", "qexp(x)+qexp(-x)", "ln(abs(x))", "x^0.5", "0^x", "(-2)^x",
-         "2^-x", "-x^2", "1/x")
+         "2^-x", "-x^2", "1/x", "qlog(x)", "x/0", "x^-1", "sqrt(-2)+x", "ln(0)*x",
+         "x/4+ln(2)")
 Q_VALUES = (-1.0, 0.0, 0.5, 0.9, 1.0, 1.1, 2.0)
 
 # the domain edges of the pool (-3, -2, -1.5, 0), qexp cutoffs and poles
@@ -105,6 +110,19 @@ def reference(node, x, flags):
     return q_log(v, node.deformation)
 
 
+def calls(fn, *args):
+    """The code objects of the frames one call of fn(*args) enters, fn's own
+    included, after a first call has warmed every cache."""
+    fn(*args)
+    codes = []
+    sys.setprofile(lambda frame, event, arg: codes.append(frame.f_code) if event == "call" else None)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return codes
+
+
 def bits(value):
     return "nan" if math.isnan(value) else struct.pack("<d", value)
 
@@ -151,6 +169,14 @@ def test_flags_cover_cutoff_pole_and_classical_branch():
         for x in POINTS[:-1]:
             seen |= evaluate_extended(tree, x).flags
     assert {flag.value for flag in seen} == {"CutoffApplied", "PoleReached", "Q1Branch"}
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@pytest.mark.parametrize("text", ["qexp(x/3)", "qlog(x+2)", "x*qexp(x/4)+sin(x)^2"])
+def test_qexp_and_qlog_on_their_normal_branch_enter_no_other_frame(text, q):
+    f = parse(text, Deformation(q))._compiled
+    for flags in (None, set()):
+        assert [code.co_filename for code in calls(f, 0.3, flags)] == ["<qcalc expression>"]
 
 
 def test_a_tree_is_compiled_once():

@@ -17,7 +17,7 @@ import pytest
 
 from qcalc import Deformation, evaluate, funcexpr, parse, primal_qint, qquad
 from test_codegen_properties import TREES, with_deformation
-from test_compiled_eval import Q_VALUES
+from test_compiled_eval import Q_VALUES, reference
 from test_quadrature_engine import bits, reference_panel
 
 pytest.importorskip("hypothesis")
@@ -69,10 +69,17 @@ def test_generated_panel_matches_the_reference_panel(tree, drawn):
 def test_hand_built_and_large_integrands_match_the_reference(weight, x_of):
     d = Deformation(0.5)
     big = funcexpr.compile(parse("+".join(["sin(x)*x"] * 200), d)).eval
-    for f in (math.exp, lambda x: 1.0 / x, big):
+    cases = [(f, f) for f in (math.exp, lambda x: 1.0 / x, big)]
+    # qexp's kernel branches (the cutoff, the pole, bracket-power and exp
+    # overflow), qlog outside its domain and settled checks, against the
+    # reference walker's q_exp and q_log
+    cases += [(tree._compiled, lambda x, tree=tree: reference(tree, x, None))
+              for q in (0.5, 1.0, 2.0) for tree in (parse(text, Deformation(q))
+                                                    for text in ("qexp(x)", "qlog(x)+x/4", "x^-1"))]
+    for f, f_reference in cases:
         panel = qquad._kronrod(f, weight, d.delta, x_of)
         for a, b in INTERVALS:
-            want = panel_outcome(reference_panel, weighted(f, weight, d.delta, x_of), a, b)
+            want = panel_outcome(reference_panel, weighted(f_reference, weight, d.delta, x_of), a, b)
             assert panel_outcome(panel, a, b) == want
 
 

@@ -19,6 +19,7 @@ from qcalc import (
     q_sub,
 )
 from qcalc import funcexpr
+from test_compiled_eval import calls
 from qcalc.qgeom import (
     DualQLine,
     PrimalQLine,
@@ -248,6 +249,16 @@ class TestTangents:
         got = primal_qtangent(wrapped, 0.8, d)
         assert abs(got.k_q - 1.7) <= 1e-8
         assert abs(got.c - 0.4) <= 1e-8
+
+    @pytest.mark.parametrize("text", ["x^2+3*x-1", "x*qexp(x/4)+sin(x)^2", "qlog(x+2)"])
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_a_warm_tangent_costs_at_most_eight_calls(self, text, q):
+        d = Deformation(q)
+        F = funcexpr.compile(parse(text, d))
+        numeric = RealFunction(eval=F.eval, domain=F.domain)  # no derivative
+        for op in (primal_qtangent, dual_qtangent):
+            for f in (F, numeric):
+                assert len(calls(op, f, 0.3, d)) <= 8
 
     def test_dual_tangent_rejects_cutoff_point(self):
         d = Deformation(2.0)

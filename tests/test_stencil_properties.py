@@ -13,6 +13,7 @@ NaN compares equal to every other here.
 """
 
 import math
+import re
 import warnings
 
 import pytest
@@ -23,7 +24,7 @@ from qcalc.errors import EVAL_ERRORS
 from qcalc.qcore import ln_big_e
 from qcalc.qdiff import DerivConfig, dual_qderiv_numeric, primal_qderiv_numeric
 from test_codegen_properties import TREES, with_deformation
-from test_compiled_eval import POINTS, Q_VALUES
+from test_compiled_eval import POINTS, Q_VALUES, calls
 from test_quadrature_engine import bits
 
 pytest.importorskip("hypothesis")
@@ -32,10 +33,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 # the battery's q values, and a classical q whose delta is not zero
 Q_ALL = Q_VALUES + (1.0 + 1e-13,)
 TIGHT = DerivConfig(rel_tol=1e-14)  # warns on most points
-# the primal stencil's templates: the shared chart of each side of the pole
-PRIMAL_CLASSICAL, PRIMAL_ABOVE_POLE, PRIMAL_BELOW_POLE = (
-    (funcexpr.chart(x, Deformation(q))[1], "", qdiff._QUOTIENT)
-    for q, x in ((1.0, 0.3), (0.5, 0.3), (0.5, -2.5)))
+# the arguments of qdiff's point text for a compiled expression: operator,
+# classical, and how the domain is met; both sides of the pole share one text
+PRIMAL_CLASSICAL, PRIMAL_DEFORMED = ("primal", True, "inline"), ("primal", False, "inline")
+DUAL_CLASSICAL, DUAL_DEFORMED = ("dual", True, "inline"), ("dual", False, "inline")
 
 
 # ---------------------------------------------------------------------------
@@ -154,30 +155,38 @@ def _run(call):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-class _Recording:
-    """Record (template, (u0, h0) per try) of the stencils qdiff makes."""
+def _recording_text(lines, result, params, *args):
+    """qdiff's point text, whose maker takes one more argument, a list that
+    each try appends its (centre, h0) to."""
+    code = qdiff._point_text(lines, result, params, *args)
+    code = code.replace("def maker(delta, _domain, _label):",
+                        "def maker(delta, _domain, _label, _steps):")
+    return re.sub(r"^( *)_h0 = _H / _a$", r"\g<0>\n\1_steps.append((_c, _h0))", code,
+                  flags=re.M)
 
-    def __init__(self):
-        self.templates, self.steps = [], []
+
+class _Recording:
+    """Record the point-text arguments and the (centre, h0) per try of the
+    point functions qdiff makes for f (none are kept in f.stencils)."""
+
+    def __init__(self, f):
+        self.f, self.templates, self.steps = f, [], []
 
     def __enter__(self):
         real = self.real = qdiff.point_loop
 
-        def recording(g, text, template):
-            self.templates.append(template)
-            stencil = real(g, text, template)
-
-            def recorded(u0, h0, delta):
-                self.steps.append((u0, h0))
-                return stencil(u0, h0, delta)
-
-            return recorded
+        def recording(g, text, args):
+            self.templates.append(args)
+            maker = real(g, _recording_text, args)
+            return lambda delta, domain, label: maker(delta, domain, label, self.steps)
 
         qdiff.point_loop = recording
+        self.f.stencils.clear()
         return self
 
     def __exit__(self, *exc):
         qdiff.point_loop = self.real
+        self.f.stencils.clear()
 
 
 def compare(op, f, x, d, config=DerivConfig()):
@@ -185,7 +194,7 @@ def compare(op, f, x, d, config=DerivConfig()):
     ref_steps = []
     want = _run(lambda: REFERENCE[op](f, x, d, config, ref_steps))
     with_estimate = getattr(qdiff, f"{op.__name__}_with_estimate")
-    with _Recording() as rec:
+    with _Recording(f) as rec:
         got = _run(lambda: with_estimate(f, x, d, config))
     assert got == want, (op.__name__, d.q, x)
     assert rec.steps == ref_steps, (op.__name__, d.q, x)
@@ -220,17 +229,17 @@ def test_tolerance_warnings_match_the_reference(tree, x):
 
 
 # ---------------------------------------------------------------------------
-# The five templates, shrinking stencils, hand-built functions, deep trees
+# The four texts, shrinking stencils, hand-built functions, deep trees
 
 @pytest.mark.parametrize("op, q, x, template", [
     (primal_qderiv_numeric, 1.0, 0.3, PRIMAL_CLASSICAL),
     (primal_qderiv_numeric, 1.0 + 1e-13, 0.3, PRIMAL_CLASSICAL),
-    (primal_qderiv_numeric, 0.5, 0.3, PRIMAL_ABOVE_POLE),
-    (primal_qderiv_numeric, 0.5, -2.5, PRIMAL_BELOW_POLE),
-    (primal_qderiv_numeric, 2.0, 1.7, PRIMAL_BELOW_POLE),
-    (dual_qderiv_numeric, 1.0, 0.3, qdiff._DUAL_CLASSICAL),
-    (dual_qderiv_numeric, 0.5, 0.3, qdiff._DUAL_DEFORMED),
-    (dual_qderiv_numeric, 2.0, -0.5, qdiff._DUAL_DEFORMED),
+    (primal_qderiv_numeric, 0.5, 0.3, PRIMAL_DEFORMED),
+    (primal_qderiv_numeric, 0.5, -2.5, PRIMAL_DEFORMED),
+    (primal_qderiv_numeric, 2.0, 1.7, PRIMAL_DEFORMED),
+    (dual_qderiv_numeric, 1.0, 0.3, DUAL_CLASSICAL),
+    (dual_qderiv_numeric, 0.5, 0.3, DUAL_DEFORMED),
+    (dual_qderiv_numeric, 2.0, -0.5, DUAL_DEFORMED),
 ])
 @pytest.mark.parametrize("text", ["x*qexp(x/4)+sin(x)^2", "(x+1)^3/(x^2+1)-0.5", "x"])
 def test_each_template_matches_the_reference(op, q, x, template, text):
@@ -244,6 +253,11 @@ def test_each_template_matches_the_reference(op, q, x, template, text):
     ("sqrt(x)", 1e-6), ("sqrt(x)", 3e-5), ("ln(x)", 2e-6), ("sqrt(x-1)", 1.0 + 1e-5),
     ("sqrt(x)", 1e-300), ("ln(x)", 0.0), ("sqrt(x)", 0.0), ("sqrt(-x)", -4e-7),
     ("qlog(x)", 1e-7),
+    # qexp's kernel branches: the cutoff at q = 0.5 and -1, the pole at q = 2,
+    # bracket-power overflow at q = 0.5, exp overflow at q = 1; qlog(0); checks
+    # that a constant operand settles
+    ("qexp(x)", -2.0), ("qexp(x)", 1.0), ("qexp(x)", 1e308), ("qexp(x)", 709.75),
+    ("qlog(x)", 0.0), ("x/0", 0.3), ("x^-1", 1e-7), ("x^0.5", -1e-7),
 ])
 @pytest.mark.parametrize("q", [1.0, 0.5, 2.0, -1.0])
 def test_stencils_shrink_at_domain_edges_as_the_reference(text, x, q):
@@ -251,6 +265,15 @@ def test_stencils_shrink_at_domain_edges_as_the_reference(text, x, q):
     f = funcexpr.compile(parse(text, d))
     for op in OPS:
         compare(op, f, x, d)
+
+
+@pytest.mark.parametrize("text", ["x^2+3*x-1", "x*qexp(x/4)+sin(x)^2", "qlog(x+2)"])
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_a_warm_point_is_one_call_into_generated_code(text, q):
+    d = Deformation(q)
+    f = funcexpr.compile(parse(text, d))
+    for op in (qdiff.primal_qderiv_numeric_with_estimate, qdiff.dual_qderiv_numeric_with_estimate):
+        assert len(calls(op, f, 0.3, d)) <= 2
 
 
 def test_shrinks_and_the_failure_after_eight_are_reproduced():
@@ -287,7 +310,9 @@ def test_dual_stencils_that_reach_the_cutoff_region_match_the_reference():
 def test_tolerance_warnings_point_at_the_caller():
     d = Deformation(0.5)
     f = funcexpr.compile(parse("x*qexp(x/4)+sin(x)^2", d))
-    for op in OPS:
+    with_estimate = (qdiff.primal_qderiv_numeric_with_estimate,
+                     qdiff.dual_qderiv_numeric_with_estimate)
+    for op in OPS + with_estimate:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             op(f, 0.3, d, TIGHT)
@@ -325,9 +350,11 @@ def test_a_ten_thousand_term_chain_matches_the_reference():
     f = funcexpr.compile(parse("+".join(["x*sin(x)"] * 5000 + ["x"] * 5000), d))
     for op in OPS:
         compare(op, f, 0.3, d)
-    stencil = funcexpr.point_loop(f.eval, qdiff._stencil_text, qdiff._DUAL_DEFORMED)
-    # the tree's statements are written once, not once per point
-    assert len(stencil.__code__.co_code) < 2 * len(f.eval.__code__.co_code)
+    dual_qderiv_numeric(f, 0.3, d)
+    point = f.stencils["dual", d.q]
+    # the tree's statements are written twice (the check at x, then the loop),
+    # not once per stencil point
+    assert len(point.__code__.co_code) < 3 * len(f.eval.__code__.co_code)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +370,14 @@ def test_one_stencil_per_tree_and_template_and_one_compile_per_shape():
             primal_qderiv_numeric(f, x, d)
             dual_qderiv_numeric(f, x, d)
     info = funcexpr._factory.cache_info()
-    assert (info.misses, info.hits) == (2, 4)  # one per template; the other trees share them
+    assert (info.misses, info.hits) == (2, 4)  # one per text; the other trees share them
     assert [set(f.eval.panels) for f in fs] == [
-        {(qdiff._stencil_text, PRIMAL_ABOVE_POLE),
-         (qdiff._stencil_text, qdiff._DUAL_DEFORMED)}] * 3
-    made = dict(fs[0].eval.panels)
+        {(qdiff._point_text, PRIMAL_DEFORMED), (qdiff._point_text, DUAL_DEFORMED)}] * 3
+    assert [set(f.stencils) for f in fs] == [{("primal", q), ("dual", q)} for q in (0.5, 0.9, 2.0)]
+    made = dict(fs[0].stencils)
     primal_qderiv_numeric(fs[0], 0.4, Deformation(0.5))
-    assert fs[0].eval.panels == made  # the same stencil objects: nothing regenerated
+    primal_qderiv_numeric(fs[0], -2.5, Deformation(0.5))  # below the pole
+    assert fs[0].stencils == made  # the same point functions: nothing regenerated
 
 
 def test_a_function_without_a_tree_is_called_at_each_point():
