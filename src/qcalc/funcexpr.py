@@ -161,9 +161,8 @@ _T_IDENT = "identifier"
 _T_OP = "operator"
 _T_END = "end of input"
 
-# parser frames: [_GROUP, call name or None, deformation], [_EXPR, node, op],
-# [_TERM, node, op], [_FACTOR, negated, base]
-_GROUP, _EXPR, _TERM, _FACTOR = range(4)
+# binding powers of the operators, read by the parser and the printer
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 class _Token:
@@ -258,86 +257,61 @@ class _Parser:
             self._fail((f"'{op}'",))
 
     def parse(self) -> Expr:
-        """The recursive descent of the grammar, run on an explicit stack of
-        frames so that nesting depth is not bounded by the interpreter's
-        recursion limit. Tokens are read, and errors raised, in the same
-        order as by the recursive form."""
-        stack: list[list] = []
-        self._open(stack, None, None)
+        """An operator-precedence parse (shunting-yard) over two stacks: one
+        of operands, and one of operators with a marker per open parenthesis
+        or call. An operator first applies the stacked ones that bind at
+        least as tightly (only tighter ones for '^', which groups to the
+        right); a ')' or the end of input applies the rest of its group. The
+        trees, and the order in which tokens are read and errors raised, are
+        those of the grammar's recursive descent, and nesting depth is not
+        bounded by the interpreter's recursion limit."""
+        operands: list[Expr] = []
+        ops: list = []  # _PREC keys, and (call name or None, deformation) markers
         while True:
-            stack.append([_FACTOR, self._accept_op("-") is not None, None])
-            node = self._primary(stack)
-            while node is not None:  # a primary has ended
-                if self._accept_op("^"):
-                    stack[-1][2] = node  # a base: its exponent is the next factor
-                    break
-                node = self._reduce(stack, node)
-                if not stack:
-                    return node
-
-    def _open(self, stack: list[list], name: str | None, d: Deformation | None):
-        """Push a group (the whole input, a parenthesis or a call's argument)
-        and the expr and term that start it."""
-        stack += ([_GROUP, name, d], [_EXPR, None, None], [_TERM, None, None])
-
-    def _primary(self, stack: list[list]) -> Expr | None:
-        """Read a primary; None when it opened a group, whose value ends it."""
-        tok = self.cur
-        if tok.kind == _T_NUM:
-            self.i += 1
-            return Num(float(tok.text))
-        if tok.kind == _T_IDENT:
-            if tok.text == "x":
+            if self._accept_op("-"):
+                ops.append("neg")
+            tok = self.cur
+            if tok.kind == _T_IDENT and tok.text != "x":  # a call opens a group
+                if tok.text not in CALL_NAMES:
+                    raise ParseError(
+                        f"unknown function {tok.text!r}",
+                        _byte_offset(self.text, tok.pos),
+                        tuple(CALL_NAMES) + ("'x'",),
+                    )
                 self.i += 1
-                return Var()
-            if tok.text not in CALL_NAMES:
-                raise ParseError(
-                    f"unknown function {tok.text!r}",
-                    _byte_offset(self.text, tok.pos),
-                    tuple(CALL_NAMES) + ("'x'",),
-                )
-            name = tok.text
+                self._expect_op("(")
+                ops.append((tok.text, self.d if tok.text in _DEFORMED_CALLS else None))
+                continue
+            if self._accept_op("("):
+                ops.append((None, None))
+                continue
+            if tok.kind not in (_T_NUM, _T_IDENT):
+                self._fail(("number", "'x'", "function name", "'('"))
             self.i += 1
-            self._expect_op("(")
-            self._open(stack, name, self.d if name in _DEFORMED_CALLS else None)
-            return None
-        if self._accept_op("("):
-            self._open(stack, None, None)
-            return None
-        self._fail(("number", "'x'", "function name", "'('"))
-
-    def _reduce(self, stack: list[list], node: Expr) -> Expr | None:
-        """Close the frames that end at a primary not followed by '^'.
-
-        Returns None when another factor follows; otherwise the value of the
-        group that closed: a primary, or the whole tree once the stack is empty.
-        """
-        _, negated, _ = stack.pop()
-        node = Neg(node) if negated else node
-        while stack[-1][0] == _FACTOR:  # factors whose exponent this was
-            _, negated, base = stack.pop()
-            node = BinOp("^", base, node)
-            node = Neg(node) if negated else node
-        term = stack[-1]
-        term[1] = node if term[1] is None else BinOp(term[2], term[1], node)
-        if (op := self._accept_op("*", "/")) is not None:
-            term[2] = op
-            return None
-        stack.pop()
-        expr = stack[-1]
-        expr[1] = term[1] if expr[1] is None else BinOp(expr[2], expr[1], term[1])
-        if (op := self._accept_op("+", "-")) is not None:
-            expr[2] = op
-            stack.append([_TERM, None, None])
-            return None
-        stack.pop()
-        _, name, d = stack.pop()
-        if not stack:
-            if self.cur.kind != _T_END:
-                self._fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
-            return expr[1]
-        self._expect_op(")")
-        return expr[1] if name is None else Call(name, expr[1], d)
+            operands.append(Var() if tok.kind == _T_IDENT else Num(float(tok.text)))
+            while True:  # an operand ended: apply what binds at least as tightly as what follows
+                tok = self.cur
+                op = tok.text if tok.kind == _T_OP and tok.text in _PREC else None
+                least = 0 if op is None else _PREC[op] + (op == "^")  # '^' groups right
+                while ops and type(ops[-1]) is str and _PREC[ops[-1]] >= least:
+                    top = ops.pop()
+                    if top == "neg":
+                        operands[-1] = Neg(operands[-1])
+                    else:
+                        right = operands.pop()
+                        operands[-1] = BinOp(top, operands[-1], right)
+                if op is not None:
+                    self.i += 1
+                    ops.append(op)
+                    break
+                if not ops:
+                    if tok.kind != _T_END:
+                        self._fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
+                    return operands[0]
+                self._expect_op(")")
+                name, d = ops.pop()
+                if name is not None:
+                    operands[-1] = Call(name, operands[-1], d)
 
 
 def parse(text: str, d: Deformation) -> Expr:
@@ -391,13 +365,13 @@ def _post_order(root: Expr, leaf: Callable, combine: Callable):
 # ---------------------------------------------------------------------------
 # Pretty printer (minimal parentheses; print -> parse is the identity)
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_ATOM = 5  # a number, x or a call: binds tighter than any operator in _PREC
 
 
 def to_text(node: Expr) -> str:
     """Render a tree to expression text that re-parses to the same tree."""
     out: list[str] = []
-    todo: list = [(node, _PREC_ADD)]  # (node, least precedence it may show), or text
+    todo: list = [(node, 0)]  # (node, least precedence it may show), or text
     while todo:
         item = todo.pop()
         if type(item) is str:
@@ -410,17 +384,14 @@ def to_text(node: Expr) -> str:
             out.append("x")
         elif isinstance(node, Call):
             out.append(f"{node.func}(")
-            todo += (")", (node.arg, _PREC_ADD))
+            todo += (")", (node.arg, 0))
         elif isinstance(node, Neg):
-            wrap = _PREC_NEG < min_prec
+            wrap = _PREC["neg"] < min_prec
             out.append("(-" if wrap else "-")
-            todo += (")", (node.operand, _PREC_POW)) if wrap else ((node.operand, _PREC_POW),)
+            todo += (")", (node.operand, _PREC["^"])) if wrap else ((node.operand, _PREC["^"]),)
         else:
-            if node.op == "^":
-                prec, left, right = _PREC_POW, _PREC_ATOM, _PREC_NEG
-            else:
-                prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
-                left, right = prec, prec + 1
+            prec = _PREC[node.op]
+            left, right = (_ATOM, _PREC["neg"]) if node.op == "^" else (prec, prec + 1)
             wrap = prec < min_prec
             if wrap:
                 out.append("(")
@@ -455,10 +426,12 @@ def _qexp_kernel(d: Deformation) -> Callable[[float, set | None], float]:
     return qexp
 
 
-# expm1 and log1p are read by qlog, by the primal chart and the dual quotient
+# expm1 and log1p are read by qlog, by the primal chart and the dual quotient,
+# isinf by the primal centre
 _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
             "sqrt": math.sqrt, "math_pow": math.pow, "expm1": math.expm1,
-            "log1p": math.log1p, "DomainError": DomainError, "PoleError": PoleError,
+            "log1p": math.log1p, "isinf": math.isinf,
+            "DomainError": DomainError, "PoleError": PoleError,
             "EVAL_ERRORS": EVAL_ERRORS, "Q1_BRANCH": _Q1}
 # per operator or function: the expression, and the checks (condition,
 # message) that precede it, as templates over the operand names; a deformed

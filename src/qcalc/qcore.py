@@ -272,6 +272,8 @@ def ln_big_e(x: float, d: Deformation) -> float:
     if d.classical:
         return x
     t = d.delta * x
+    if math.isinf(t):  # past the float range ln|1 + t| is ln|delta| + ln|x|
+        return (math.log(abs(d.delta)) + math.log(abs(x))) / d.delta
     s = 1.0 + t
     if s == 0.0:
         raise PoleError(f"ln_big_e undefined at the pole x = {-1.0 / d.delta}")

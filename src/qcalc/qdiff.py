@@ -91,7 +91,8 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, class
         head += ["_c = x"] if classical else [
             "_s = 1.0 + delta * x",
             'if _s == 0.0: raise PoleError(f"x = {x} sits on the pole of the coordinate chart")',
-            "_above = _s > 0.0", "_c = log1p(delta * x) / delta if _above else log(-_s) / delta"]
+            "_above = _s > 0.0", "_c = log1p(delta * x) / delta if _above else log(-_s) / delta",
+            "if isinf(_s): _c = (log(abs(delta)) + log(abs(x))) / delta"]  # as ln_big_e
         x_of = "{}" if classical else f"{CHART_ABOVE} if _above else {CHART_BELOW}"
     var, point = chart_point(x_of, lines, result)
     if check:
@@ -208,7 +209,7 @@ def primal_qderiv_numeric_with_estimate(
 ) -> tuple[float, float]:
     """primal_qderiv_numeric plus its extrapolation-table error estimate."""
     value, err = (f.stencils.get(("primal", d.q)) or _point(f, "primal", d))(x)
-    if err > config.rel_tol * max(1.0, abs(value)):
+    if not err <= config.rel_tol * max(1.0, abs(value)):  # a NaN estimate warns
         _warn("primal derivative", value, err, config)
     return value, err
 
@@ -233,6 +234,6 @@ def dual_qderiv_numeric_with_estimate(
 ) -> tuple[float, float]:
     """dual_qderiv_numeric plus its extrapolation-table error estimate."""
     value, err = (F.stencils.get(("dual", d.q)) or _point(F, "dual", d))(x)
-    if err > config.rel_tol * max(1.0, abs(value)):
+    if not err <= config.rel_tol * max(1.0, abs(value)):  # a NaN estimate warns
         _warn("dual derivative", value, err, config)
     return value, err

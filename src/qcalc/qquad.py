@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from enum import Enum
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import DomainError, SingularityError
 from .funcexpr import RealFunction, chart, chart_point, indented, point_loop
@@ -78,6 +78,23 @@ class IntegralFlag(Enum):
     TOLERANCE_NOT_MET = "ToleranceNotMet"
 
 
+def _is_integer(n) -> bool:
+    """Whether n is a count: an int, or anything else operator.index takes."""
+    try:
+        index(n)
+    except TypeError:
+        return False
+    return True
+
+
+def _check_steps(n) -> None:
+    """Raise DomainError unless n, a number of steps, is an integer of at least 1."""
+    if not _is_integer(n):
+        raise DomainError(f"the number of steps must be an integer, got n = {n!r}")
+    if n < 1:
+        raise DomainError(f"need at least one step, got n = {n}")
+
+
 class QuadratureConfig(Record):
     _fields = ("abs_tol", "rel_tol", "max_subdivisions", "singularity_mode")
 
@@ -92,6 +109,8 @@ class QuadratureConfig(Record):
             raise ValueError("tolerances must be positive")
         if not (math.isfinite(abs_tol) and math.isfinite(rel_tol)):
             raise ValueError(f"tolerances must be finite, got {abs_tol}, {rel_tol}")
+        if not _is_integer(max_subdivisions):
+            raise ValueError(f"max_subdivisions must be an integer, got {max_subdivisions!r}")
         if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
         object.__setattr__(self, "abs_tol", abs_tol)
@@ -288,9 +307,9 @@ def _integrate(g, a: float, b: float, config: QuadratureConfig, weight: str = "n
         raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
     x_of = "{}"
     if d is not None:
+        if math.isinf(d.bracket(a)) or math.isinf(d.bracket(b)):  # x(u) cannot reach it
+            raise OverflowError(f"1 + delta*x at a bound of [{a}, {b}] is not finite")
         (u_a, a_of), (u_b, b_of) = chart(a, d), chart(b, d)
-        if math.isinf(u_a) or math.isinf(u_b):  # 1 + delta*x overflowed
-            raise OverflowError(f"ln_big_e of a bound of [{a}, {b}] is not finite")
         delta, x_of, a, b = d.delta, a_of if a < b else b_of, u_a, u_b
     if a == b:
         return 0.0, 0.0, True, 0
@@ -344,8 +363,7 @@ def primal_qint_riemann(
     Shares no code with the adaptive engine; O(h^2), so large n is the
     point. No pole handling: the caller keeps the pole outside.
     """
-    if n < 1:
-        raise DomainError(f"need at least one step, got n = {n}")
+    _check_steps(n)
     h = (x_hi - x_lo) / n
     midpoints = (x_lo + (i + 0.5) * h for i in range(n))
     if d.classical:
@@ -361,8 +379,7 @@ def _bracket_ratio(x_lo: float, x_hi: float, n: int, d: Deformation) -> float:
     after checking that one can be laid over [x_lo, x_hi] in n steps."""
     if d.classical:
         raise DomainError("geometric partition needs q != 1")
-    if n < 1:
-        raise DomainError(f"need at least one step, got n = {n}")
+    _check_steps(n)
     if not x_lo < x_hi:
         raise DomainError("need x_lo < x_hi")
     s_lo, s_hi = d.bracket(x_lo), d.bracket(x_hi)

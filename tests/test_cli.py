@@ -171,6 +171,15 @@ class TestQline:
         assert res.returncode == 1
         assert res.stdout == ""
 
+    def test_a_huge_anchor_does_not_collapse_in_the_chart(self):
+        # delta*x overflows at x = 1e308, q = -1, but ln_big_e(1e308) ~ 354.94
+        res = run_cli("qline", "x", "primal", "secant", "0.5", "1e308", "--q", "-1",
+                      "--from", "0", "--to", "1", "--points", "2")
+        assert res.returncode == 0 and res.stderr == ""
+        slope = float(res.stdout.splitlines()[1].split(",")[2])
+        assert math.isclose(slope, (1e308 - 0.5) / (354.944677911363 - math.log(2.0) / 2.0),
+                            rel_tol=1e-14)
+
     def test_anchor_count_is_validated(self):
         res = run_cli("qline", "x", "primal", "secant", "1", "--q", "1")
         assert res.returncode == 2
@@ -436,6 +445,15 @@ class TestWarnings:
             "qcalc: warning: primal derivative: error estimate 1.100e-06 exceeds "
             "rel_tol=1.0e-08 (value 1.066055e-06)\n"
         )
+
+    @pytest.mark.parametrize("op", ["primal", "dual"])
+    def test_a_nan_error_estimate_warns(self, op):
+        res = run_cli("diff", "x*x", op, "numeric", "--q", "1", "--from", "1e153",
+                      "--to", "1.4e154", "--points", "3")
+        assert res.returncode == 0
+        assert res.stdout.splitlines()[-1] == "1.4000000000000000e+154,nan,nan"
+        assert res.stderr == (f"qcalc: warning: {op} derivative: error estimate nan exceeds "
+                              "rel_tol=1.0e-08 (value nan)\n")
 
 
 EVAL = ["eval", "x", "--q", "1", "--from", "0", "--to", "1", "--points", "2"]

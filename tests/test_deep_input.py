@@ -160,3 +160,42 @@ def test_to_text_matches_on_negated_and_nested_trees():
     assert to_text(tree) == "(-x)^2.0^-3.0"
     assert parse(to_text(tree), D) == tree
     assert math.isclose(evaluate(tree, -1.5), (1.5) ** (2.0 ** -3.0))
+
+
+def grammar_texts():
+    """Texts built from the grammar: numbers and x, calls and parentheses
+    nested in each other, '-' before any operand (so also after every binary
+    operator), '^' chains, and a fifth with one token spliced in or one
+    character cut out, to reach the errors of near-valid input."""
+    from hypothesis import strategies as st
+
+    def nested(inner):
+        return st.one_of(
+            st.builds("{}({})".format, st.sampled_from(funcexpr.CALL_NAMES), inner),
+            inner.map("({})".format),
+            inner.map(lambda t: f"-({t})" if t.startswith("-") else f"-{t}"),
+            st.builds("{}{}{}".format, inner, st.sampled_from("+-*/^"), inner),
+            st.lists(inner, min_size=2, max_size=5).map("^".join),
+        )
+
+    atoms = st.sampled_from(["x", "2", "0.5", "1e3", ".5", "3.25e-2"])
+    texts = st.recursive(atoms, nested, max_leaves=24)
+
+    def mutate(text, how, i, token):
+        i %= len(text) + 1
+        return {"splice": text[:i] + token + text[i:], "cut": text[:i] + text[i + 1:]}.get(how, text)
+
+    return st.builds(mutate, texts, st.sampled_from(["keep"] * 8 + ["splice", "cut"]),
+                     st.integers(0, 99), st.sampled_from(TOKENS))
+
+
+def test_parser_matches_the_recursive_reference_on_grammar_built_input():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(grammar_texts())
+    def check(text):
+        assert parsed(funcexpr._Parser, text) == parsed(RecursiveParser, text)
+
+    check()

@@ -165,6 +165,19 @@ class TestPointValues:
         with pytest.raises(PoleError):
             ln_big_e(1.0, Deformation(2.0))
 
+    # delta = 2, 4, -2, -4: x = +-1e308 lie on both sides of the pole, and
+    # delta*x overflows for all but 4.5e307 at |delta| = 2
+    @pytest.mark.parametrize("q", [-1.0, -3.0, 3.0, 5.0])
+    @pytest.mark.parametrize("x", [1e308, -1e308, 1.7976931348623157e308, 9e307, -4.5e307])
+    def test_ln_big_e_stays_finite_where_delta_x_overflows(self, q, x):
+        mp = pytest.importorskip("mpmath")
+        d = Deformation(q)
+        with mp.workdps(50):
+            delta = mp.mpf(1) - mp.mpf(q)
+            want = float(mp.log(abs(1 + delta * mp.mpf(x))) / delta)
+        assert math.isfinite(ln_big_e(x, d))
+        assert rel_err(ln_big_e(x, d), want) <= 4e-16
+
     def test_arithmetic_frozen(self):
         d0 = Deformation(0.0)
         assert q_add(2.0, 3.0, d0) == 11.0

@@ -260,6 +260,15 @@ class TestFailureModes:
             value = primal_qderiv_numeric(kink, 0.3, d)
         assert math.isfinite(value)
 
+    @pytest.mark.parametrize("numeric", [primal_qderiv_numeric, dual_qderiv_numeric])
+    def test_a_nan_estimate_warns(self, numeric):
+        # x*x overflows on the stencil around 1.4e154: value and estimate are NaN
+        d = Deformation(1.0)
+        f = funcexpr.compile(parse("x*x", d))
+        with pytest.warns(ToleranceWarning, match="error estimate nan"):
+            value = numeric(f, 1.4e154, d)
+        assert math.isnan(value)
+
     def test_smooth_functions_do_not_warn(self):
         d = Deformation(0.5)
         f = builtin("qexp", d)

@@ -250,6 +250,11 @@ class TestToleranceContract:
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
 
+    @pytest.mark.parametrize("n", [2.5, math.inf, math.nan, 2.0, "3"])
+    def test_a_subdivision_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="max_subdivisions must be an integer"):
+            QuadratureConfig(max_subdivisions=n)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerances_are_rejected(self, tol):
         with pytest.raises(ValueError, match="finite"):
@@ -279,6 +284,12 @@ class TestRiemannCrossCheck:
         with pytest.raises(DomainError):
             primal_qint_riemann(builtin("qexp", d), 0.0, 1.0, 0, d)
 
+    @pytest.mark.parametrize("n", [2.5, math.inf, 2.0])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, n):
+        d = Deformation(0.5)
+        with pytest.raises(DomainError, match="must be an integer"):
+            primal_qint_riemann(builtin("qexp", d), 0.0, 1.0, n, d)
+
 
 class TestGeometricPartition:
     @pytest.mark.parametrize("q,lo,hi", [(-1.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 0.0, 0.5)])
@@ -306,6 +317,13 @@ class TestGeometricPartition:
             GeometricPartition(1.0, 0.0, 4, Deformation(0.5))
         with pytest.raises(DomainError):
             GeometricPartition(0.0, 1.0, 0, Deformation(0.5))
+
+    @pytest.mark.parametrize("n", [2.5, math.inf, 2.0])
+    @pytest.mark.parametrize("use", [GeometricPartition, partition_sum_oracle])
+    def test_a_step_count_must_be_an_integer(self, use, n):
+        with pytest.raises(DomainError, match="must be an integer"):
+            use(0.0, 1.0, n, Deformation(0.5))
+        assert use(0.0, 1.0, True, Deformation(0.5)) == use(0.0, 1.0, 1, Deformation(0.5))
 
 
 class TestPartitionSum:

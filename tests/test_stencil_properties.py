@@ -73,7 +73,7 @@ def _refine(phi, centre, config, where, steps):
         except EVAL_ERRORS as e:
             last_error = e
             continue
-        if err > config.rel_tol * max(1.0, abs(value)):
+        if not err <= config.rel_tol * max(1.0, abs(value)):
             message = (f"{where}: error estimate {err:.3e} exceeds "
                        f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")
             warnings.warn(ToleranceWarning(message), stacklevel=2)
