@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Five commands — eval, diff, integrate, qline, verify — share one output
-pipeline: every command materializes its full row list first, then renders
-it as CSV (default) or JSON. Nothing is written until the computation has
-succeeded, so a failing run never leaves a partial table behind.
+pipeline. Each subparser names its runner and its JSON ``meta`` keys beside
+its options; the runner materializes the full row list, and ``main`` renders
+it once as CSV (default) or JSON. Nothing is written until the computation
+has succeeded, so a failing run never leaves a partial table behind.
 
 Numbers are printed in fixed 17-significant-digit scientific notation,
 which round-trips every binary64 value and is byte-identical across
@@ -178,6 +179,9 @@ def _add_common(p: argparse.ArgumentParser, *, need_q: bool) -> None:
     p.set_defaults(command_parser=p)
 
 
+_GRID = ("x_from", "x_to", "points")  # the meta keys of a grid
+
+
 def _add_grid(p: argparse.ArgumentParser) -> None:
     p.add_argument("--from", dest="x_from", type=_finite, default=None,
                    metavar="X0", help="grid start")
@@ -199,10 +203,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
+    # Each command names its runner and its JSON meta keys, in order, beside
+    # its options: the keys are the namespace's own attributes.
     p = sub.add_parser("eval", help="evaluate an expression over a grid")
     p.add_argument("expr", help="expression (see grammar in 'qcalc --help')")
     _add_common(p, need_q=True)
     _add_grid(p)
+    p.set_defaults(run=_cmd_eval, meta=("command", "q", "format", "expr", *_GRID))
 
     p = sub.add_parser("diff", help="q-derivative of an expression over a grid")
     p.add_argument("expr")
@@ -213,6 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-tol", type=_positive, default=DERIV_REL_TOL,
                    metavar="TOL",
                    help="numeric derivative relative tolerance (default %(default)s)")
+    p.set_defaults(run=_cmd_diff, meta=("command", "q", "rel_tol", "format", "expr", "mode",
+                                        "method", *_GRID))
 
     p = sub.add_parser("integrate", help="q-integral of an expression")
     p.add_argument("expr")
@@ -232,6 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--singularity", choices=("error", "reflect"), default="error",
         help="pole crossing policy for primal integrals (default error)",
     )
+    p.set_defaults(run=_cmd_integrate, meta=("command", "q", "abs_tol", "rel_tol", "singularity",
+                                             "format", "expr", "mode", "x_lo", "x_hi"))
 
     p = sub.add_parser(
         "qline", help="q-line parameters (secant/tangent), optionally sampled"
@@ -245,11 +256,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, need_q=True)
     _add_grid(p)
+    p.set_defaults(run=_cmd_qline, meta=("command", "q", "format", "expr", "mode", "kind",
+                                         "anchors", *_GRID))
 
     p = sub.add_parser("verify", help="run the invariant battery")
     _add_common(p, need_q=False)
-    p.add_argument("--inject-fault", action="store_true",
+    p.add_argument("--inject-fault", dest="fault_injected", action="store_true",
                    help=argparse.SUPPRESS)
+    # q_values is set by the run: the sweep, or the one --q
+    p.set_defaults(run=_cmd_verify, meta=("command", "q_values", "fault_injected", "format"))
 
     return parser
 
@@ -292,155 +307,95 @@ def _grid_points(args: argparse.Namespace) -> list[float]:
     return xs
 
 
-def _base_meta(args: argparse.Namespace, **settings) -> dict:
-    """The meta leading keys: command, q, the settings the command read, format."""
-    return {"command": args.command, "q": args.q, **settings, "format": args.format}
-
-
 def _flags_cell(flags) -> str:
     return "|".join(sorted(flag.value for flag in flags))
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its table's header and rows, and the exit code
 # ---------------------------------------------------------------------------
 
+_Table = tuple[list[str], list[tuple], int]
 
-def _cmd_eval(args: argparse.Namespace) -> str:
+
+def _function(args: argparse.Namespace):
+    """The deformation of --q and the command's expression compiled at it."""
     from . import funcexpr
 
     d = Deformation(args.q)
-    ast = funcexpr.parse(args.expr, d)
+    return d, funcexpr.compile(funcexpr.parse(args.expr, d))
+
+
+def _cmd_eval(args: argparse.Namespace) -> _Table:
+    from . import funcexpr
+
+    ast = funcexpr.parse(args.expr, Deformation(args.q))
     rows = []
     for x in args.grid:
         ev = funcexpr.evaluate_extended(ast, x)
         rows.append((x, ev.value, _flags_cell(ev.flags)))
-    meta = _base_meta(args)
-    meta.update(expr=args.expr, x_from=args.x_from, x_to=args.x_to,
-                points=args.points)
-    return _render(meta, ["x", "value", "flags"], rows, args.format)
+    return ["x", "value", "flags"], rows, 0
 
 
-def _cmd_diff(args: argparse.Namespace) -> str:
-    from . import funcexpr
-    from .qdiff import (
-        DerivConfig,
-        dual_qderiv_closed,
-        dual_qderiv_numeric_with_estimate,
-        primal_qderiv_closed,
-        primal_qderiv_numeric_with_estimate,
-    )
+def _cmd_diff(args: argparse.Namespace) -> _Table:
+    from . import qdiff
 
-    d = Deformation(args.q)
-    fn = funcexpr.compile(funcexpr.parse(args.expr, d))
-    dcfg = DerivConfig(rel_tol=args.rel_tol)
-    rows = []
-    for x in args.grid:
-        if args.method == "closed":
-            if args.mode == "primal":
-                value = primal_qderiv_closed(fn, x, d)
-            else:
-                value = dual_qderiv_closed(fn, x, d)
-            err = 0.0
-        elif args.mode == "primal":
-            value, err = primal_qderiv_numeric_with_estimate(fn, x, d, dcfg)
-        else:
-            value, err = dual_qderiv_numeric_with_estimate(fn, x, d, dcfg)
-        rows.append((x, value, err))
-    meta = _base_meta(args, rel_tol=dcfg.rel_tol)
-    meta.update(expr=args.expr, mode=args.mode, method=args.method,
-                x_from=args.x_from, x_to=args.x_to, points=args.points)
-    return _render(meta, ["x", "derivative", "error_estimate"], rows,
-                   args.format)
-
-
-def _cmd_integrate(args: argparse.Namespace) -> str:
-    from . import funcexpr
-    from .qquad import QuadratureConfig, SingularityMode, borges_dual_qint, dual_qint, primal_qint
-
-    d = Deformation(args.q)
-    fn = funcexpr.compile(funcexpr.parse(args.expr, d))
-    qcfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                            singularity_mode=SingularityMode(args.singularity))
-    if args.mode == "primal":
-        res = primal_qint(fn, args.x_lo, args.x_hi, d, qcfg)
-        row = (res.value, res.error_estimate, _flags_cell(res.flags))
-    elif args.mode == "dual":
-        res = dual_qint(fn, args.x_lo, args.x_hi, d, qcfg)
-        row = (res.value, res.error_estimate, _flags_cell(res.flags))
+    d, fn = _function(args)
+    if args.method == "closed":
+        closed = getattr(qdiff, f"{args.mode}_qderiv_closed")
+        rows = [(x, closed(fn, x, d), 0.0) for x in args.grid]
     else:
-        value = borges_dual_qint(fn, args.x_lo, args.x_hi, d, qcfg)
-        row = (value, 0.0, "")
-    meta = _base_meta(args, abs_tol=qcfg.abs_tol, rel_tol=qcfg.rel_tol,
-                      singularity=qcfg.singularity_mode.value)
-    meta.update(expr=args.expr, mode=args.mode, x_lo=args.x_lo,
-                x_hi=args.x_hi)
-    return _render(meta, ["value", "error_estimate", "flags"], [row],
-                   args.format)
+        numeric = getattr(qdiff, f"{args.mode}_qderiv_numeric_with_estimate")
+        config = qdiff.DerivConfig(rel_tol=args.rel_tol)
+        rows = [(x, *numeric(fn, x, d, config)) for x in args.grid]
+    return ["x", "derivative", "error_estimate"], rows, 0
 
 
-def _cmd_qline(args: argparse.Namespace) -> str:
-    from . import funcexpr
-    from .qgeom import (
-        dual_qline_eval,
-        dual_qline_through,
-        dual_qtangent,
-        primal_qline_eval,
-        primal_qline_through,
-        primal_qtangent,
-    )
+def _cmd_integrate(args: argparse.Namespace) -> _Table:
+    from . import qquad
 
-    d = Deformation(args.q)
-    fn = funcexpr.compile(funcexpr.parse(args.expr, d))
-    if args.mode == "primal":
-        if args.kind == "secant":
-            line = primal_qline_through(fn, args.anchors[0], args.anchors[1], d)
-        else:
-            line = primal_qtangent(fn, args.anchors[0], d)
-        slope, intercept = line.k_q, line.c
-        sample = lambda x: primal_qline_eval(line, x)  # noqa: E731
+    d, fn = _function(args)
+    config = qquad.QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
+                                    singularity_mode=qquad.SingularityMode(args.singularity))
+    if args.mode == "borges-dual":
+        row = (qquad.borges_dual_qint(fn, args.x_lo, args.x_hi, d, config), 0.0, "")
     else:
-        if args.kind == "secant":
-            line = dual_qline_through(fn, args.anchors[0], args.anchors[1], d)
-        else:
-            line = dual_qtangent(fn, args.anchors[0], d)
-        slope, intercept = line.k_sup_q, line.intercept
-        sample = lambda x: dual_qline_eval(line, x)  # noqa: E731
+        integral = qquad.primal_qint if args.mode == "primal" else qquad.dual_qint
+        res = integral(fn, args.x_lo, args.x_hi, d, config)
+        row = (res.value, res.error_estimate, _flags_cell(res.flags))
+    return ["value", "error_estimate", "flags"], [row], 0
+
+
+def _cmd_qline(args: argparse.Namespace) -> _Table:
+    from . import qgeom
+
+    d, fn = _function(args)
+    make = getattr(qgeom, f"{args.mode}_qline_through" if args.kind == "secant"
+                   else f"{args.mode}_qtangent")
+    line = make(fn, *args.anchors, d)  # _validate checked the anchor count
+    if args.mode == "primal":
+        slope, intercept, sample = line.k_q, line.c, qgeom.primal_qline_eval
+    else:
+        slope, intercept, sample = line.k_sup_q, line.intercept, qgeom.dual_qline_eval
     rows = [("slope", None, slope), ("intercept", None, intercept)]
     if args.grid is not None:
-        rows.extend(("curve", x, sample(x)) for x in args.grid)
-    meta = _base_meta(args)
-    meta.update(expr=args.expr, mode=args.mode, kind=args.kind,
-                anchors=list(args.anchors), x_from=args.x_from,
-                x_to=args.x_to, points=args.points)
-    return _render(meta, ["field", "x", "value"], rows, args.format)
+        rows.extend(("curve", x, sample(line, x)) for x in args.grid)
+    return ["field", "x", "value"], rows, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_verify(args: argparse.Namespace) -> _Table:
     from . import verify
 
-    q_values = None if args.q is None else [args.q]
-    fault_sign = -1.0 if args.inject_fault else 1.0
-    results = verify.run_battery(q_values, fault_sign)
+    args.q_values = list(verify.DEFAULT_Q_SWEEP) if args.q is None else [args.q]
+    results = verify.run_battery(args.q_values, -1.0 if args.fault_injected else 1.0)
     rows = [
         (r.name, r.max_residual, r.tolerance,
          "PASS" if r.passed else "FAIL", r.detail)
         for r in results
     ]
-    all_passed = all(r.passed for r in results)
-    rows.append(("OVERALL", None, None, "PASS" if all_passed else "FAIL", ""))
-    meta = {
-        "command": "verify",
-        "q_values": list(verify.DEFAULT_Q_SWEEP) if q_values is None
-        else q_values,
-        "fault_injected": args.inject_fault,
-        "format": args.format,
-    }
-    text = _render(
-        meta, ["property", "max_residual", "tolerance", "status", "detail"],
-        rows, args.format,
-    )
-    return text, 0 if all_passed else 3
+    passed = all(r.passed for r in results)
+    rows.append(("OVERALL", None, None, "PASS" if passed else "FAIL", ""))
+    return ["property", "max_residual", "tolerance", "status", "detail"], rows, 0 if passed else 3
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +421,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            if args.command == "eval":
-                text, code = _cmd_eval(args), 0
-            elif args.command == "diff":
-                text, code = _cmd_diff(args), 0
-            elif args.command == "integrate":
-                text, code = _cmd_integrate(args), 0
-            elif args.command == "qline":
-                text, code = _cmd_qline(args), 0
-            else:
-                text, code = _cmd_verify(args)
+            header, rows, code = args.run(args)
+            meta = {key: getattr(args, key) for key in args.meta}
+            text = _render(meta, header, rows, args.format)
     except ParseError as exc:
         print(f"qcalc: {exc}", file=sys.stderr)
         return 2

@@ -74,6 +74,6 @@ class ToleranceWarning(UserWarning):
 
 
 # What evaluating an expression raises at a point outside its domain: the
-# errors a compiled function's domain predicate and the derivative stencils
-# treat as "outside".
+# errors that RealFunction.defined and the derivative stencils treat as
+# "outside".
 EVAL_ERRORS = (DomainError, PoleError, OverflowError, ValueError, ZeroDivisionError)

@@ -16,7 +16,8 @@ offset of the offending input and the set of tokens that would have been
 legal there.
 
 :func:`compile` turns a tree into a :class:`RealFunction`: an evaluator, a
-symbolically differentiated ordinary derivative, and a domain predicate.
+symbolically differentiated ordinary derivative, and no domain predicate:
+it is defined where evaluation succeeds.
 :func:`builtin` provides the same wrapper for a handful of named functions
 with exact analytic derivatives. :func:`point_loop` compiles a caller's loop
 text (qquad's Kronrod panel, qdiff's numeric-derivative point) over a
@@ -70,8 +71,8 @@ class RealFunction(Record):
     Attributes:
         eval: the function itself.
         derivative: optional ordinary derivative x -> f'(x).
-        domain: predicate, True on the open set where eval is defined; if its
-            ``by_evaluation`` is true, exactly where eval raises no EVAL_ERRORS.
+        domain: predicate, True on the open set where eval is defined; None
+            (the default) means exactly where eval raises no EVAL_ERRORS.
         label: human-readable description (expression text for parsed input).
 
     ``stencils`` keeps qdiff's numeric-derivative point functions of f, by
@@ -84,7 +85,7 @@ class RealFunction(Record):
         self,
         eval: Callable[[float], float],  # noqa: A002 - the field's name
         derivative: Callable[[float], float] | None = None,
-        domain: Callable[[float], bool] = lambda x: True,
+        domain: Callable[[float], bool] | None = None,
         label: str = "",
     ) -> None:
         object.__setattr__(self, "eval", eval)
@@ -95,6 +96,17 @@ class RealFunction(Record):
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
+
+    def defined(self, x: float) -> bool:
+        """Whether x is in f's domain: the predicate's answer, or without one,
+        whether eval succeeds at x."""
+        if self.domain is not None:
+            return self.domain(x)
+        try:
+            self.eval(x)
+        except EVAL_ERRORS:
+            return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -741,22 +753,11 @@ def _derivative(node: Expr, du: Expr, dv: Expr | None = None) -> Expr:
 def compile(ast: Expr) -> RealFunction:  # noqa: A001 - mirrors re.compile
     """Wrap a tree as a RealFunction with a synthesized ordinary derivative.
 
-    The domain predicate reports True exactly where evaluation succeeds
-    (``by_evaluation``); the derivative is derived on its first call.
+    It has no domain predicate: it is defined exactly where evaluation
+    succeeds. The derivative is derived on its first call.
     """
-    fn, dast = ast._compiled, cache(lambda: differentiate(ast)._compiled)
-
-    def domain(x: float) -> bool:
-        try:
-            fn(x)
-        except EVAL_ERRORS:
-            return False
-        return True
-
-    domain.by_evaluation = True
-    return RealFunction(
-        eval=fn, derivative=lambda x: dast()(x), domain=domain, label=to_text(ast)
-    )
+    dast = cache(lambda: differentiate(ast)._compiled)
+    return RealFunction(eval=ast._compiled, derivative=lambda x: dast()(x), label=to_text(ast))
 
 
 def _builtin_qexp(d: Deformation) -> RealFunction:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import DomainError, PoleError
 
@@ -327,16 +327,27 @@ def q_div(x: float, y: float, d: Deformation) -> ExtendedValue:
     return ExtendedValue(*_cutoff_power(x**d.delta - y**d.delta + 1.0, d))
 
 
+def _is_integer(n) -> bool:
+    """Whether n is a count: an int, or anything else operator.index takes."""
+    try:
+        index(n)
+    except TypeError:
+        return False
+    return True
+
+
 def q_power_n(x: float, n: int, d: Deformation) -> ExtendedValue:
     """n-fold deformed power [n x^(1-q) - (n-1)]_+^(1/(1-q)), n >= 1.
 
     Equal to folding q_mul n times over x; the closed form is one bracket.
 
     Raises:
-        DomainError: on x <= 0 or n < 1.
+        DomainError: on x <= 0, or a count n that is not an integer >= 1.
     """
     if x <= 0.0:
         raise DomainError(f"q_power_n requires x > 0, got {x}")
+    if not _is_integer(n):
+        raise DomainError(f"q_power_n requires an integer n, got {n!r}")
     if n < 1:
         raise DomainError(f"q_power_n requires n >= 1, got {n}")
     if d.classical:
@@ -351,8 +362,10 @@ def q_times_n(n: int, x: float, d: Deformation) -> float:
     the open support for accuracy when the bracket is near 1.
 
     Raises:
-        DomainError: on n < 1.
+        DomainError: on a count n that is not an integer >= 1.
     """
+    if not _is_integer(n):
+        raise DomainError(f"q_times_n requires an integer n, got {n!r}")
     if n < 1:
         raise DomainError(f"q_times_n requires n >= 1, got {n}")
     if d.classical:

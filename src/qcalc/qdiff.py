@@ -63,15 +63,16 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, class
     """``maker(delta, _domain, _label) -> point``, where ``point(x) -> (value,
     estimate)`` is the ``op`` ("primal" or "dual") derivative at x.
 
-    It checks x as f's domain does: by the tree's statements ("inline"), or
-    by calling _domain at the primal centre ("called", where f.eval raising
-    is the check elsewhere) and also before every point ("checked"). Then it
-    tries central differences at x = x_of(c +- h), c the centre, h = h0/2^j,
-    j = 0..RICHARDSON_LEVELS, where a dual pair's cutoff check runs before
-    the next pair is evaluated; h0 halves after each try that raises, up to
-    _MAX_SHRINKS times. A try that fits returns the last diagonal entry of its
-    Richardson table, entry (j, k) = (j, k-1) + ((j, k-1) - (j-1, k-1)) /
-    (4^k - 1), and the gap to the one before as the estimate."""
+    It checks x as f's domain does: by evaluating f at x ("inline", f has no
+    domain predicate), or by calling _domain at x and before every point
+    ("checked"). Then it tries central differences at x = x_of(c +- h), c
+    the centre, h = h0/2^j, j = 0..RICHARDSON_LEVELS, where a dual pair's
+    cutoff check runs before the next pair is evaluated; h0 halves after
+    each try that raises, up to _MAX_SHRINKS times, and the error then says
+    whether the last try overflowed or left the domain. A try that fits
+    returns the last diagonal entry of its Richardson table, entry (j, k) =
+    (j, k-1) + ((j, k-1) - (j-1, k-1)) / (4^k - 1), and the gap to the one
+    before as the estimate."""
     levels, where = RICHARDSON_LEVELS, f"{op} derivative"
     steps = [f"_h{j}" for j in range(levels + 1)]
     if domain == "checked":
@@ -114,6 +115,8 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, class
             *(f"    _h{j} = _h0 / {2.0**j!r}" for j in range(1, levels + 1)), "    _f = []",
             "    try:", *(f"        {line}" for line in loop + table),
             "    except EVAL_ERRORS as _e:", "        _error = _e",
+            f'if isinstance(_error, OverflowError): raise DomainError("{where}: the difference '
+            f'stencil still overflows after {_MAX_SHRINKS} shrinks") from _error',
             f'raise DomainError("{where}: no difference stencil fits inside the domain '
             f'after {_MAX_SHRINKS} shrinks") from _error']
     return (f"def factory({', '.join(params)}):\n"
@@ -173,8 +176,7 @@ def dual_qderiv_closed(F: RealFunction, x: float, d: Deformation) -> float:
 def _point(f: RealFunction, op: str, d: Deformation):
     """f's point function of op at d (see _point_text), made once and kept in
     f.stencils[op, d.q]."""
-    by_evaluation = getattr(f.domain, "by_evaluation", False)
-    domain = ("inline" if hasattr(f.eval, "tree") else "called") if by_evaluation else "checked"
+    domain = "inline" if f.domain is None else "checked"
     maker = point_loop(f.eval, _point_text, (op, d.classical, domain))
     point = f.stencils[op, d.q] = maker(d.delta, f.domain, f.label)
     return point

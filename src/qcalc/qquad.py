@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from enum import Enum
-from operator import index, itemgetter
+from operator import itemgetter
 
 from .errors import DomainError, SingularityError
 from .funcexpr import RealFunction, chart, chart_point, indented, point_loop
@@ -44,6 +44,7 @@ from .qcore import (
     QUAD_REL_TOL,
     Deformation,
     Record,
+    _is_integer,
     q_add,
     q_exp,
     q_log_exp_of,
@@ -76,15 +77,6 @@ class IntegralFlag(Enum):
     SINGULARITY_CROSSED = "SingularityCrossed"
     REFLECTION_APPLIED = "ReflectionApplied"
     TOLERANCE_NOT_MET = "ToleranceNotMet"
-
-
-def _is_integer(n) -> bool:
-    """Whether n is a count: an int, or anything else operator.index takes."""
-    try:
-        index(n)
-    except TypeError:
-        return False
-    return True
 
 
 def _check_steps(n) -> None:

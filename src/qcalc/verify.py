@@ -355,10 +355,10 @@ def _prop_derivative_vs_difference(ds):
         for text in _SMOOTH_POOL:
             fn = funcexpr.compile(parse(text, d))
             for x in _grid(-0.45, 0.45, 5):
-                if not fn.domain(x):
+                if not fn.defined(x):
                     continue
                 h = 1e-5 * max(1.0, abs(x))
-                if not (fn.domain(x - h) and fn.domain(x + h)):
+                if not (fn.defined(x - h) and fn.defined(x + h)):
                     continue
                 central = (fn(x + h) - fn(x - h)) / (2.0 * h)
                 exact = fn.derivative(x)
@@ -420,7 +420,7 @@ def _prop_closed_vs_numeric(ds):
         ]
         for f in primal_set:
             for x in _support_points(d, 10, margin=0.1):
-                if not f.domain(x):
+                if not f.defined(x):
                     continue
                 closed = primal_qderiv_closed(f, x, d)
                 out.append((_rel(primal_qderiv_numeric(f, x, d), closed), d.q))
@@ -428,7 +428,7 @@ def _prop_closed_vs_numeric(ds):
         dual_set = [builtin("qlog", d), builtin("identity", d), cubic]
         for fn in dual_set:
             for x in _grid(0.15, 2.0, 10) + _grid(-1.0, -0.1, 6):
-                if not fn.domain(x) or d.bracket(fn(x)) <= 0.05:
+                if not fn.defined(x) or d.bracket(fn(x)) <= 0.05:
                     continue
                 try:
                     closed = dual_qderiv_closed(fn, x, d)
@@ -445,9 +445,7 @@ def _prop_translation_kernels(ds):
         base = funcexpr.compile(parse("sin(x)+2", d))
         qe = builtin("qexp", d)
         for c in (-0.5, 1.0, 2.0):
-            shifted = RealFunction(
-                lambda x, c=c: base(x) + c, domain=base.domain
-            )
+            shifted = RealFunction(lambda x, c=c: base(x) + c)
             for x in (-0.3, 0.2, 0.6):
                 if d.bracket(x) <= 0.05:
                     continue
@@ -462,11 +460,9 @@ def _prop_translation_kernels(ds):
                 )
             if d.bracket(c) <= 0.05:
                 continue
-            qshift = RealFunction(
-                lambda x, c=c: q_add(qe(x), c, d), domain=qe.domain
-            )
+            qshift = RealFunction(lambda x, c=c: q_add(qe(x), c, d))
             for x in (-0.3, 0.1, 0.4):
-                if not qe.domain(x) or d.bracket(qe(x)) <= 0.05:
+                if not qe.defined(x) or d.bracket(qe(x)) <= 0.05:
                     continue
                 if d.bracket(q_add(qe(x), c, d)) <= 0.05:
                     continue

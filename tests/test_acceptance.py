@@ -116,7 +116,7 @@ def test_03_numeric_and_closed_derivatives_agree():
         ]
         for fn in dual_set:
             for x in grid(-1.5, 2.0, 20):
-                if not fn.domain(x) or d.bracket(fn(x)) <= 0.05:
+                if not fn.defined(x) or d.bracket(fn(x)) <= 0.05:
                     continue
                 if not d.classical and abs(d.bracket(x)) <= 0.05:
                     continue

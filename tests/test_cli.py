@@ -1,4 +1,7 @@
-"""End-to-end CLI tests: run the installed entry point as a subprocess.
+"""End-to-end CLI tests: run ``python -m qcalc`` as a subprocess.
+
+The installed ``qcalc`` console script, which calls the same ``cli.main``,
+is run by the CI workflow.
 
 Checks of options, grids and ``meta`` keys call ``cli.main`` in process,
 where stdout and stderr are captured by pytest.
@@ -583,3 +586,103 @@ class TestUsageLines:
         assert res.stderr.startswith("usage: qcalc eval ")
         res = run_cli("qline", "x", "primal", "secant", "1", "--q", "1")
         assert res.returncode == 2 and res.stderr.startswith("usage: qcalc qline ")
+
+
+GRID = ["--from", "0", "--to", "1", "--points", "3"]
+GRID_META = [("x_from", 0.0), ("x_to", 1.0), ("points", 3)]
+NO_GRID_META = [("x_from", None), ("x_to", None), ("points", None)]
+SWEEP = [-1.0, 0.0, 0.5, 0.9, 1.0, 1.1, 2.0]
+DIFF_HEADER = ["x", "derivative", "error_estimate"]
+QUAD_HEADER = ["value", "error_estimate", "flags"]
+QLINE_HEADER = ["field", "x", "value"]
+VERIFY_HEADER = ["property", "max_residual", "tolerance", "status", "detail"]
+
+
+def _diff_case(expr, mode, method, tol):
+    argv = ["diff", expr, mode, method, "--q", "0.5", *GRID]
+    if tol is not None:
+        argv += ["--rel-tol", tol]
+    meta = [("command", "diff"), ("q", 0.5), ("rel_tol", float(tol or 1e-08)),
+            ("format", "json"), ("expr", expr), ("mode", mode), ("method", method), *GRID_META]
+    return pytest.param(argv, 0, meta, DIFF_HEADER, id=f"diff-{mode}-{method}")
+
+
+def _integrate_case(mode, extra, abs_tol, rel_tol, singularity):
+    argv = ["integrate", "x", mode, "0", "1", "--q", "0.5", *extra]
+    meta = [("command", "integrate"), ("q", 0.5), ("abs_tol", abs_tol), ("rel_tol", rel_tol),
+            ("singularity", singularity), ("format", "json"), ("expr", "x"), ("mode", mode),
+            ("x_lo", 0.0), ("x_hi", 1.0)]
+    return pytest.param(argv, 0, meta, QUAD_HEADER, id=f"integrate-{mode}")
+
+
+def _qline_case(mode, kind, grid):
+    anchors = ["0.5", "1.5"] if kind == "secant" else ["0.5"]
+    argv = ["qline", "qexp(x)", mode, kind, *anchors, "--q", "0.5", *(GRID if grid else [])]
+    meta = [("command", "qline"), ("q", 0.5), ("format", "json"), ("expr", "qexp(x)"),
+            ("mode", mode), ("kind", kind), ("anchors", list(map(float, anchors))),
+            *(GRID_META if grid else NO_GRID_META)]
+    return pytest.param(argv, 0, meta, QLINE_HEADER,
+                        id=f"qline-{mode}-{kind}" + ("-grid" if grid else ""))
+
+
+def _verify_case(q, fault):
+    argv = ["verify", *(["--q", str(q)] if q is not None else []),
+            *(["--inject-fault"] if fault else [])]
+    meta = [("command", "verify"), ("q_values", SWEEP if q is None else [q]),
+            ("fault_injected", fault), ("format", "json")]
+    return pytest.param(argv, 3 if fault else 0, meta, VERIFY_HEADER,
+                        id="verify" + ("-q" if q is not None else "") + ("-fault" if fault else ""))
+
+
+META_CASES = [
+    pytest.param(["eval", "qexp(x)", "--q", "0.5", *GRID], 0,
+                 [("command", "eval"), ("q", 0.5), ("format", "json"), ("expr", "qexp(x)"),
+                  *GRID_META],
+                 ["x", "value", "flags"], id="eval"),
+    _diff_case("qexp(x)", "primal", "closed", None),
+    _diff_case("qexp(x)", "primal", "numeric", "1e-05"),
+    _diff_case("qlog(x+1)", "dual", "closed", None),
+    _diff_case("qlog(x+1)", "dual", "numeric", None),
+    _integrate_case("primal", [], 1e-10, 1e-08, "error"),
+    _integrate_case("dual", ["--abs-tol", "1e-9"], 1e-09, 1e-08, "error"),
+    _integrate_case("borges-dual", ["--rel-tol", "1e-6", "--singularity", "reflect"],
+                    1e-10, 1e-06, "reflect"),
+    *(_qline_case(mode, kind, grid) for mode in ("primal", "dual")
+      for kind in ("secant", "tangent") for grid in (False, True)),
+    *(_verify_case(q, fault) for q in (0.5, None) for fault in (False, True)),
+]
+
+
+def _csv_line(values):
+    """A CSV line from JSON-decoded cells (non-finite floats arrive quoted)."""
+    cells = ("" if v is None else "true" if v is True else "false" if v is False
+             else cli.format_float(v) if isinstance(v, float) else str(v) for v in values)
+    return ",".join(cells)
+
+
+class TestMeta:
+    """Each command's whole JSON meta, in order, and its row header; CSV and
+    JSON carry the same rows."""
+
+    @pytest.mark.parametrize("argv,code,meta,header", META_CASES)
+    def test_meta_header_and_rows(self, argv, code, meta, header, capsys):
+        assert cli.main(argv + ["--format", "json"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["meta"].items()) == meta
+        assert doc["rows"] and all(list(row) == header for row in doc["rows"])
+        assert cli.main(argv) == code
+        csv = capsys.readouterr().out.splitlines()
+        assert csv == [",".join(header), *(_csv_line(row.values()) for row in doc["rows"])]
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "x", "primal", "numeric", "--q", "-1", "--from", "1e307", "--to", "1e308",
+     "--points", "2"],
+    ["diff", "exp(x)", "dual", "numeric", "--q", "0.5", "--from", "709.78", "--to", "709.78271",
+     "--points", "2"],
+], ids=["primal", "dual"])
+def test_an_overflowing_stencil_is_not_blamed_on_the_domain(argv, capsys):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("derivative: the difference stencil still overflows after 8 shrinks\n")

@@ -66,7 +66,7 @@ def test_generated_function_matches_the_reference_walker(tree, drawn):
         for x in POINTS + drawn:
             want = outcome(reference, bound, x, None)
             assert outcome(evaluate, bound, x) == want, x
-            assert f.domain(x) is (want[1] is None), x
+            assert f.defined(x) is (want[1] is None), x
             assert outcome(extended_compiled, bound, x) == outcome(
                 extended_reference, bound, x), x
             assert outcome(f.derivative, x) == outcome(reference, dtree, x, None), x

@@ -157,7 +157,7 @@ def test_closures_match_the_reference_walker(text, q):
         want = outcome(reference, tree, x, None)
         assert outcome(evaluate, tree, x) == want, x
         assert outcome(f.eval, x) == want, x
-        assert f.domain(x) is (want[1] is None), x
+        assert f.defined(x) is (want[1] is None), x
         assert outcome(extended_compiled, tree, x) == outcome(extended_reference, tree, x), x
         assert outcome(f.derivative, x) == outcome(reference, dtree, x, None), x
 

@@ -54,8 +54,8 @@ class TestPointValues:
 
     def test_reciprocal_domain(self):
         f = funcexpr.compile(parse("1/x", D_HALF))
-        assert f.domain(0.0) is False
-        assert f.domain(2.0) is True
+        assert f.defined(0.0) is False
+        assert f.defined(2.0) is True
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +370,8 @@ class TestDomains:
     )
     def test_predicate(self, text, inside, outside):
         f = funcexpr.compile(parse(text, D_HALF))
-        assert f.domain(inside) is True
-        assert f.domain(outside) is False
+        assert f.defined(inside) is True
+        assert f.defined(outside) is False
 
     def test_evaluate_raises_outside_domain(self):
         with pytest.raises(DomainError):

@@ -207,6 +207,16 @@ class TestPointValues:
         with pytest.raises(DomainError):
             q_times_n(0, 1.0, d)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, math.nan, "2"])
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_fold_counts_must_be_integers(self, n, q):
+        # an n-fold fold has a whole number of terms: 2.5 once gave 3.51 and 4.14
+        d = Deformation(q)
+        with pytest.raises(DomainError, match="requires an integer n"):
+            q_times_n(n, 1.0, d)
+        with pytest.raises(DomainError, match="requires an integer n"):
+            q_power_n(2.0, n, d)
+
     def test_q_log_exp_of_frozen(self):
         d = Deformation(0.5)
         assert q_log_exp_of(0.0, d) == 0.0

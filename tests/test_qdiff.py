@@ -253,6 +253,19 @@ class TestFailureModes:
         with pytest.raises(DomainError):
             dual_qderiv_numeric(only_center, 1.0, d)
 
+    @pytest.mark.parametrize("numeric", [primal_qderiv_numeric, dual_qderiv_numeric])
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_an_overflowing_stencil_says_so(self, numeric, q):
+        # exp(x) is finite at x but overflows at x + h for every step tried
+        d = Deformation(q)
+        f = funcexpr.compile(parse("exp(x)", d))
+        with pytest.raises(DomainError, match="stencil still overflows after 8 shrinks") as info:
+            numeric(f, 709.78271, d)
+        assert isinstance(info.value.__cause__, OverflowError)
+        # a stencil that leaves the domain is still told apart
+        with pytest.raises(DomainError, match="no difference stencil fits inside the domain"):
+            numeric(RealFunction(eval=lambda x: x, domain=lambda x: x == 1.0), 1.0, d)
+
     def test_rough_function_warns(self):
         d = Deformation(0.5)
         kink = RealFunction(eval=lambda x: abs(x - 0.3 - 1e-7), domain=lambda x: True)

@@ -61,7 +61,7 @@ class ExtendedValue:
 class RealFunction:
     eval: Callable[[float], float]
     derivative: Optional[Callable[[float], float]] = None
-    domain: Callable[[float], bool] = _DEFAULT_DOMAIN
+    domain: Optional[Callable[[float], bool]] = _DEFAULT_DOMAIN
     label: str = ""
 
 
@@ -309,9 +309,10 @@ def test_fields_are_the_dataclass_fields(name):
     assert not dataclasses.is_dataclass(ours)
 
 
-def test_default_domain_is_the_class_lambda():
-    assert _DEFAULT_DOMAIN.__qualname__ == "RealFunction.<lambda>"
-    assert _DEFAULT_DOMAIN(-1.0) is True
+def test_default_domain_is_none():
+    assert _DEFAULT_DOMAIN is None
+    f = funcexpr.RealFunction(math.log)
+    assert (f.defined(1.0), f.defined(-1.0)) == (True, False)  # where eval succeeds
 
 
 @pytest.mark.parametrize("name,i", PAIRS)

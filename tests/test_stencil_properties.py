@@ -52,7 +52,7 @@ def _richardson(phi, h0):
 
 
 def _checked(f):
-    if getattr(f.domain, "by_evaluation", False):
+    if f.domain is None:
         return f.eval
 
     def checked(x):
@@ -78,6 +78,11 @@ def _refine(phi, centre, config, where, steps):
                        f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")
             warnings.warn(ToleranceWarning(message), stacklevel=2)
         return value, err
+    if isinstance(last_error, OverflowError):
+        raise DomainError(
+            f"{where}: the difference stencil still overflows "
+            f"after {qdiff._MAX_SHRINKS} shrinks"
+        ) from last_error
     raise DomainError(
         f"{where}: no difference stencil fits inside the domain "
         f"after {qdiff._MAX_SHRINKS} shrinks"
@@ -85,7 +90,7 @@ def _refine(phi, centre, config, where, steps):
 
 
 def reference_primal(f, x, d, config, steps):
-    if not f.domain(x):
+    if not f.defined(x):
         raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
     if d.classical:
         u0, x_of = x, lambda u: u
@@ -388,7 +393,7 @@ def test_a_function_without_a_tree_is_called_at_each_point():
         seen.append(x)
         return x * x
 
-    g_domain = funcexpr.compile(parse("x", d)).domain  # marked by_evaluation
-    f = RealFunction(eval=g, domain=g_domain)
+    f = RealFunction(eval=g)  # no domain: defined where g succeeds
     compare(primal_qderiv_numeric, f, 0.3, d)
-    assert len(seen) == 2 * 2 * (qdiff.RICHARDSON_LEVELS + 1)  # reference, then generated
+    # reference, then generated: each evaluates g at x, then at every stencil point
+    assert len(seen) == 2 * (1 + 2 * (qdiff.RICHARDSON_LEVELS + 1))
