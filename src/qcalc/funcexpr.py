@@ -17,11 +17,11 @@ legal there.
 
 :func:`compile` turns a tree into a :class:`RealFunction`: an evaluator, a
 symbolically differentiated ordinary derivative, and no domain predicate:
-it is defined where evaluation succeeds.
-:func:`builtin` provides the same wrapper for a handful of named functions
-with exact analytic derivatives. :func:`point_loop` compiles a caller's loop
-text (qquad's Kronrod panel, qdiff's numeric-derivative point) over a
-compiled tree's statements, once per tree and text.
+it is defined where evaluation succeeds. :func:`builtin` names a handful of
+functions with their derivatives, compiled from text where the grammar covers
+them. :func:`point_loop` compiles a caller's loop text (qquad's Kronrod panel,
+qdiff's numeric-derivative point) over a compiled tree's statements, once per
+tree and text.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .qcore import (
     _exp_q1,
     big_e,
     ln_big_e,
-    q_exp,
-    q_log,
 )
 
 __all__ = [
@@ -151,7 +149,7 @@ class BinOp(_Node):
 
 
 class Call(_Node):
-    _fields = ("func", "arg", "deformation")  # deformation: bound for qexp/qlog
+    _fields = ("func", "arg", "deformation")  # deformation: bound for qexp/qexp'/qlog
 
     def __init__(self, func: str, arg: Expr, deformation: Deformation | None = None) -> None:
         object.__setattr__(self, "func", func)
@@ -421,7 +419,8 @@ def to_text(node: Expr) -> str:
 # settles it as false (x/4, x^2; not x/0, x^-1, x^0.5). A node object that
 # occurs twice (as in derivative trees) is computed once. qexp is the bracket
 # power (exp on the classical branch) and calls its kernel only on the cutoff,
-# pole and overflow branches; qlog is expm1(delta*log(v))/delta. Constants and
+# pole and overflow branches (its derivative qexp', which only derivative trees
+# hold, writes them inline); qlog is expm1(delta*log(v))/delta. Constants and
 # kernels are parameters of a factory that returns f, so no expression text
 # reaches the source, and trees of one shape share one compiled factory unless
 # a classical qexp or qlog, or a settled check, makes their statements differ.
@@ -438,11 +437,10 @@ def _qexp_kernel(d: Deformation) -> Callable[[float, set | None], float]:
     return qexp
 
 
-# expm1 and log1p are read by qlog, by the primal chart and the dual quotient,
-# isinf by the primal centre
+# expm1, log1p and inf are read by qlog and by the chart texts
 _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
             "sqrt": math.sqrt, "math_pow": math.pow, "expm1": math.expm1,
-            "log1p": math.log1p, "isinf": math.isinf,
+            "log1p": math.log1p, "inf": math.inf,
             "DomainError": DomainError, "PoleError": PoleError,
             "EVAL_ERRORS": EVAL_ERRORS, "Q1_BRANCH": _Q1}
 # per operator or function: the expression, and the checks (condition,
@@ -496,8 +494,8 @@ class _Source:
             a = operands[0]
             return self.bind("c", -self.bound[a]) if a in self.bound else self.assign(f"-{a}")
         key = node.op if isinstance(node, BinOp) else node.func
-        if key == "qexp":
-            return self.qexp(operands[0], node.deformation)
+        if key in ("qexp", "qexp'"):
+            return self.qexp(operands[0], node.deformation, key == "qexp'")
         if key == "qlog" and not node.deformation.classical:
             key, operands = "qlog_q", (*operands, self.bind("c", node.deformation.delta))
         for condition, message in _CHECKS.get(key, ()):
@@ -514,14 +512,21 @@ class _Source:
                 return True
         return False
 
-    def qexp(self, v: str, d: Deformation) -> str:
-        """The statements of qexp(v); the kernel runs only off the normal branch."""
-        kernel = f"{self.bind('k', _qexp_kernel(d))}({v}, flags)"
+    def qexp(self, v: str, d: Deformation, slope: bool) -> str:
+        """The statements of qexp(v), whose kernel runs only off the normal
+        branch, or with slope of qexp'(v): qexp(v)^q on the support, 0 on the
+        cutoff region, a PoleError at and beyond the pole, inf on overflow."""
+        kernel = "inf" if slope else f"{self.bind('k', _qexp_kernel(d))}({v}, flags)"
         if d.classical:
             value, flagged = f"exp({v})", ["if flags is not None: flags.update(Q1_BRANCH)"]
         else:
             b = self.assign(f"1.0 + {self.bind('c', d.delta)} * {v}")
-            value, flagged = f"{b} ** {self.bind('c', d.inv_delta)} if {b} > 0.0 else {kernel}", []
+            power, flagged = f"{b} ** {self.bind('c', d.inv_delta)}", []
+            if slope and d.delta < 0.0:
+                self.lines.append(f"if not {b} > 0.0: raise PoleError("
+                                  '"derivative undefined at/beyond the pole for q > 1")')
+            value = (f"math_pow({power}, {self.bind('c', d.q)}) if {b} > 0.0 else 0.0" if slope
+                     else f"{power} if {b} > 0.0 else {kernel}")
         name = f"t{len(self.lines)}"
         self.lines += [f"try: {name} = {value}", f"except OverflowError: {name} = {kernel}", *flagged]
         return name
@@ -573,7 +578,13 @@ def _point_factory(text: Callable[..., str], args: tuple) -> Callable:
     return _factory(text(["t0 = g(x)"], "t0", ["g"], *args))
 
 
-# the texts that map u ({0}) back to x above and below the pole of the primal chart
+# The paper's chart u = ln_E(x) = ln|1 + delta*x| / delta and its inverse, as
+# texts over {0} that read delta, one per side of the pole. Past the float range
+# the forward maps are (ln|delta| + ln|x|) / delta, as ln_big_e; LN_E, the map on
+# the support, raises log1p's ValueError at and beyond the pole.
+LN_E = "(log1p(delta * {0}) if delta * {0} < inf else log(abs(delta)) + log(abs({0}))) / delta"
+LN_E_BELOW = ("(log(-1.0 - delta * {0}) if delta * {0} > -inf"
+              " else log(abs(delta)) + log(abs({0}))) / delta")
 CHART_ABOVE, CHART_BELOW = "expm1(delta * {0}) / delta", "(-exp(delta * {0}) - 1.0) / delta"
 
 
@@ -736,10 +747,11 @@ def _derivative(node: Expr, du: Expr, dv: Expr | None = None) -> Expr:
         return _mul(_div(Call("abs", u), u), du)
     d = node.deformation
     if name == "qexp":
-        # d/dx e_q(u) = (1 + (1-q)u)^(q/(1-q)) u' = e_q(u)^q u'
-        if d.classical:
-            return _mul(Call("qexp", u, d), du)
-        return _mul(_pow(Call("qexp", u, d), _num(d.q)), du)
+        # d/dx e_q(u) = qexp'(u) u', where qexp'(u) is e_q(u)^q on the support,
+        # 0 on the cutoff region and undefined at and beyond the pole
+        return _mul(Call("qexp" if d.classical else "qexp'", u, d), du)
+    if name == "qexp'":  # as e_q(u)^q
+        return _derivative(BinOp("^", Call("qexp", u, d), _num(d.q)), _mul(node, du))
     assert name == "qlog"
     # d/dx ln_q(u) = u^(-q) u'
     if d.classical:
@@ -758,31 +770,6 @@ def compile(ast: Expr) -> RealFunction:  # noqa: A001 - mirrors re.compile
     """
     dast = cache(lambda: differentiate(ast)._compiled)
     return RealFunction(eval=ast._compiled, derivative=lambda x: dast()(x), label=to_text(ast))
-
-
-def _builtin_qexp(d: Deformation) -> RealFunction:
-    def dfn(x: float) -> float:
-        if d.classical:
-            return math.exp(x)
-        s = d.bracket(x)
-        if s > 0.0:
-            return s ** (d.q / d.delta)
-        if d.delta > 0.0:
-            return 0.0  # flat on the cutoff region
-        raise PoleError("derivative undefined at/beyond the pole for q > 1")
-
-    return RealFunction(eval=lambda x: q_exp(x, d).value, derivative=dfn, label="qexp")
-
-
-def _builtin_qlog(d: Deformation) -> RealFunction:
-    def dfn(x: float) -> float:
-        if x <= 0.0:
-            raise DomainError(f"qlog derivative requires x > 0, got {x}")
-        return x ** (-d.q)
-
-    return RealFunction(
-        eval=lambda x: q_log(x, d), derivative=dfn, domain=lambda x: x > 0.0, label="qlog"
-    )
 
 
 def _builtin_big_e(d: Deformation) -> RealFunction:
@@ -811,42 +798,22 @@ def _builtin_ln_big_e(d: Deformation) -> RealFunction:
     )
 
 
-def _builtin_recip(d: Deformation) -> RealFunction:
-    def fn(x: float) -> float:
-        if x == 0.0:
-            raise DomainError("recip undefined at 0")
-        return 1.0 / x
+# the builtins the grammar covers, compiled from their text on each call
+_TEXTS = {"qexp": "qexp(x)", "qlog": "qlog(x)", "recip": "1/x", "identity": "x"}
+_BUILTINS = {"bigE": _builtin_big_e, "lnBigE": _builtin_ln_big_e}
 
-    return RealFunction(
-        eval=fn,
-        derivative=lambda x: -1.0 / (x * x),
-        domain=lambda x: x != 0.0,
-        label="recip",
-    )
-
-
-def _builtin_identity(d: Deformation) -> RealFunction:
-    return RealFunction(eval=lambda x: x, derivative=lambda x: 1.0, label="identity")
-
-
-_BUILTINS: dict[str, Callable[[Deformation], RealFunction]] = {
-    "qexp": _builtin_qexp,
-    "qlog": _builtin_qlog,
-    "bigE": _builtin_big_e,
-    "lnBigE": _builtin_ln_big_e,
-    "recip": _builtin_recip,
-    "identity": _builtin_identity,
-}
-
-BUILTIN_NAMES = tuple(sorted(_BUILTINS))
+BUILTIN_NAMES = tuple(sorted([*_TEXTS, *_BUILTINS]))
 
 
 def builtin(name: str, d: Deformation) -> RealFunction:
-    """Named function with exact analytic derivative attached.
+    """Named function with its analytic derivative attached.
 
     Raises:
         UnknownBuiltinError: if name is not one of BUILTIN_NAMES.
     """
+    if name in _TEXTS:
+        f = compile(parse(_TEXTS[name], d))
+        return RealFunction(f.eval, f.derivative, label=name)
     if name not in _BUILTINS:
         raise UnknownBuiltinError(
             f"unknown builtin {name!r}; expected one of {', '.join(BUILTIN_NAMES)}"

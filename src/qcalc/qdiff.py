@@ -31,8 +31,9 @@ import math
 import sys
 import warnings
 
-from .errors import MissingDerivativeError, PoleError, ToleranceWarning
-from .funcexpr import CHART_ABOVE, CHART_BELOW, RealFunction, chart_point, indented, point_loop
+from .errors import EVAL_ERRORS, DomainError, MissingDerivativeError, PoleError, ToleranceWarning
+from .funcexpr import (CHART_ABOVE, CHART_BELOW, LN_E, LN_E_BELOW, RealFunction, chart_point,
+                       indented, point_loop)
 from .qcore import DERIV_REL_TOL, Deformation, Record
 
 __all__ = [
@@ -49,26 +50,23 @@ BASE_STEP = math.ulp(1.0) ** (1.0 / 3.0)  # ~6.06e-6, optimal central-diff step
 RICHARDSON_LEVELS = 3  # halvings laid above BASE_STEP
 _MAX_SHRINKS = 8
 
-# Stencil templates (the dual's check and the quotients) over the pair's values
-# {0}, {1} and the step {2}; the primal chart is funcexpr's.
+# The central quotient over a pair's values {0}, {1} and the step {2}
 _QUOTIENT = "({0} - {1}) / (2.0 * {2})"
-_LOG_QUOTIENT = "(log1p(delta * {0}) / delta - log1p(delta * {1}) / delta) / (2.0 * {2})"
-_CUTOFF_CHECK = ("if 1.0 + delta * {0} <= 0.0 or 1.0 + delta * {1} <= 0.0: "
-                 'raise DomainError("stencil value in the cutoff region")')
 _OUTSIDE = 'raise DomainError(f"x = {{x}} is outside the domain of {{_label or {!r}}}")'
+# each operator's charts off the classical branch: x_of(u) on x's side of the pole, y_of(F)
+_CHARTS = {"primal": (f"{CHART_ABOVE} if _above else {CHART_BELOW}", "{}"), "dual": ("{}", LN_E)}
 
 
-def _point_text(lines: list[str], result: str, params: list[str], op: str, classical: bool,
+def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of: str, y_of: str,
                 domain: str) -> str:
     """``maker(delta, _domain, _label) -> point``, where ``point(x) -> (value,
-    estimate)`` is the ``op`` ("primal" or "dual") derivative at x.
-
-    It checks x as f's domain does: by evaluating f at x ("inline", f has no
-    domain predicate), or by calling _domain at x and before every point
+    estimate)`` is the ``op`` ("primal" or "dual") derivative at x: the
+    classical derivative of y_of(f(x_of(u))) at the u of x. It checks x as
+    f's domain does: by evaluating f at x ("inline", f has no domain
+    predicate), or by calling _domain at x and before every point
     ("checked"). Then it tries central differences at x = x_of(c +- h), c
-    the centre, h = h0/2^j, j = 0..RICHARDSON_LEVELS, where a dual pair's
-    cutoff check runs before the next pair is evaluated; h0 halves after
-    each try that raises, up to _MAX_SHRINKS times, and the error then says
+    the centre, h = h0/2^j, j = 0..RICHARDSON_LEVELS; h0 halves after each
+    try that raises, up to _MAX_SHRINKS times, and the error then says
     whether the last try overflowed or left the domain. A try that fits
     returns the last diagonal entry of its Richardson table, entry (j, k) =
     (j, k-1) + ((j, k-1) - (j-1, k-1)) / (4^k - 1), and the gap to the one
@@ -77,33 +75,25 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, class
     steps = [f"_h{j}" for j in range(levels + 1)]
     if domain == "checked":
         lines = [f"if not _domain(x): {_OUTSIDE.format('f')}", *lines]
-    x_of, check, quotient = "{}", "", _QUOTIENT
     centre = ["try:", *(f"    {line}" for line in lines or ["pass"])]
     if op == "dual":
         head = [*centre,
                 f"except EVAL_ERRORS as _e: {_OUTSIDE.format('F')} from _e",
                 f'if 1.0 + delta * {result} <= 0.0: raise DomainError(f"F(x) = {{{result}}} lies in '
-                'the cutoff region at x = {x}; the dual derivative is undefined there")', "_c = x"]
-        check, quotient = _CUTOFF_CHECK, _QUOTIENT if classical else _LOG_QUOTIENT
+                'the cutoff region at x = {x}; the dual derivative is undefined there")']
+    elif domain == "inline":
+        head = [*centre, f"except EVAL_ERRORS: {_OUTSIDE.format('f')} from None"]
     else:
-        head = ([*centre, f"except EVAL_ERRORS: {_OUTSIDE.format('f')} from None"]
-                if domain == "inline"
-                else [f"if not _domain(x): {_OUTSIDE.format('f')}"])
-        head += ["_c = x"] if classical else [
-            "_s = 1.0 + delta * x",
-            'if _s == 0.0: raise PoleError(f"x = {x} sits on the pole of the coordinate chart")',
-            "_above = _s > 0.0", "_c = log1p(delta * x) / delta if _above else log(-_s) / delta",
-            "if isinf(_s): _c = (log(abs(delta)) + log(abs(x))) / delta"]  # as ln_big_e
-        x_of = "{}" if classical else f"{CHART_ABOVE} if _above else {CHART_BELOW}"
-    var, point = chart_point(x_of, lines, result)
-    if check:
-        loop = [f"for _h in ({', '.join(steps)}):", f"    for {var} in (_c + _h, _c - _h):",
-                *(f"        {line}" for line in point), f"    {check.format('_f[-2]', '_f[-1]')}"]
-    else:
-        points = ", ".join(f"_c {s} {h}" for h in steps for s in "+-")
-        loop = [f"for {var} in ({points}):", *(f"    {line}" for line in point)]
+        head = [f"if not _domain(x): {_OUTSIDE.format('f')}"]
+    head += ["_c = x"] if x_of == "{}" else [
+        "_s = 1.0 + delta * x",
+        'if _s == 0.0: raise PoleError(f"x = {x} sits on the pole of the coordinate chart")',
+        "_above = _s > 0.0", f"_c = {LN_E.format('x')} if _above else {LN_E_BELOW.format('x')}"]
+    var, point = chart_point(x_of, lines, y_of.format(result))
+    points = ", ".join(f"_c {s} {h}" for h in steps for s in "+-")
+    loop = [f"for {var} in ({points}):", *(f"    {line}" for line in point)]
     table = [f"{', '.join(f'_y{j}, _z{j}' for j in range(levels + 1))} = _f",
-             *(f"_r{j}_0 = {quotient.format(f'_y{j}', f'_z{j}', h)}" for j, h in enumerate(steps))]
+             *(f"_r{j}_0 = {_QUOTIENT.format(f'_y{j}', f'_z{j}', h)}" for j, h in enumerate(steps))]
     for j in range(1, levels + 1):
         table += [f"_r{j}_{k} = _r{j}_{k - 1} + (_r{j}_{k - 1} - _r{j - 1}_{k - 1})"
                   f" / {4.0**k - 1.0!r}" for k in range(1, j + 1)]
@@ -143,16 +133,28 @@ class DerivConfig(Record):
         object.__setattr__(self, "rel_tol", rel_tol)
 
 
+def value_in_domain(f: RealFunction, x: float) -> float:
+    """f(x), or for an x outside f's domain the numeric derivatives' DomainError."""
+    try:
+        if f.domain is None or f.domain(x):
+            return f.eval(x)
+    except EVAL_ERRORS:
+        pass
+    raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
+
+
 def primal_qderiv_closed(f: RealFunction, x: float, d: Deformation) -> float:
     """(1 + delta*x) * f'(x) from the attached derivative.
 
     Raises:
         MissingDerivativeError: if f carries no derivative.
+        DomainError: if x is outside f's domain, as primal_qderiv_numeric.
     """
     if f.derivative is None:
         raise MissingDerivativeError(
             f"closed-form deformed derivative needs f.derivative ({f.label or 'unlabeled'})"
         )
+    value_in_domain(f, x)
     return (1.0 + d.delta * x) * f.derivative(x)
 
 
@@ -177,7 +179,8 @@ def _point(f: RealFunction, op: str, d: Deformation):
     """f's point function of op at d (see _point_text), made once and kept in
     f.stencils[op, d.q]."""
     domain = "inline" if f.domain is None else "checked"
-    maker = point_loop(f.eval, _point_text, (op, d.classical, domain))
+    x_of, y_of = ("{}", "{}") if d.classical else _CHARTS[op]
+    maker = point_loop(f.eval, _point_text, (op, x_of, y_of, domain))
     point = f.stencils[op, d.q] = maker(d.delta, f.domain, f.label)
     return point
 

@@ -394,7 +394,7 @@ class GeometricPartition(Record):
     def __init__(self, x_lo: float, x_hi: float, n: int, deformation: Deformation) -> None:
         d = deformation
         z = _bracket_ratio(x_lo, x_hi, n, d)
-        t = math.expm1(math.log(z) / n) / d.delta
+        t = q_log_exp_of(math.log(z) / (n * d.delta), d)  # x of the chart step
         nodes = [x_lo]
         for i in range(1, n):
             nodes.append(q_add(x_lo, q_times_n(i, t, d), d))
@@ -442,7 +442,7 @@ def dual_qint(
 
     The deformation acts once, on the whole ordinary integral — never
     inside the quadrature. The error estimate is transported through the
-    outer map by its derivative exp(delta * A).
+    outer map by its derivative, e^(delta * A).
     """
     a_val, a_err, converged, n_panels = _integrate(f.eval, x_lo, x_hi, config)
     value = q_log_exp_of(a_val, d)

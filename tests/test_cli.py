@@ -116,6 +116,39 @@ class TestDiff:
         assert res.returncode == 1
         assert res.stdout == ""
 
+    def test_dual_numeric_at_the_float_limit_is_finite(self):
+        res = run_cli("diff", "x", "dual", "numeric", "--q", "-1",
+                      "--from", "1e307", "--to", "1e308", "--points", "2")
+        assert (res.returncode, res.stderr) == (0, "")
+        for line in res.stdout.splitlines()[1:]:
+            x, value, estimate = map(float, line.split(","))
+            assert math.isfinite(value) and math.isfinite(estimate)
+            want = 0.5 / (x + 0.5)  # 1 / (1 + 2x), without overflowing
+            assert abs(value - want) <= 1e-6 * want
+
+    @pytest.mark.parametrize("q", ["-1", "0", "0.5"])
+    def test_closed_qexp_derivative_on_the_cutoff_matches_the_numeric_one(self, q):
+        rows = {}
+        for method in ("closed", "numeric"):
+            res = run_cli("diff", "qexp(x)", "primal", method, "--q", q,
+                          "--from", "-1e300", "--to", "-1e299", "--points", "2")
+            assert (res.returncode, res.stderr) == (0, "")
+            rows[method] = [float(line.split(",")[1]) for line in res.stdout.splitlines()[1:]]
+        assert rows["closed"] == rows["numeric"] == [0.0, 0.0]
+
+    def test_closed_qexp_derivative_past_the_pole_exits_1(self):
+        res = run_cli("diff", "qexp(x)", "primal", "closed", "--q", "2",
+                      "--from", "1.5", "--to", "2", "--points", "2")
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "qcalc: derivative undefined at/beyond the pole for q > 1\n"
+
+    @pytest.mark.parametrize("method", ["closed", "numeric"])
+    def test_primal_derivative_outside_the_domain_exits_1(self, method):
+        res = run_cli("diff", "ln(x)", "primal", method, "--q", "0.5",
+                      "--from", "-2", "--to", "-1", "--points", "2")
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "qcalc: x = -2.0 is outside the domain of ln(x)\n"
+
 
 class TestIntegrate:
     def test_primal_qexp_value(self):

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from qcalc import Deformation, DomainError, evaluate, evaluate_extended, parse
+from qcalc import Deformation, DomainError, PoleError, evaluate, evaluate_extended, parse
 from qcalc import funcexpr
 from qcalc.funcexpr import BinOp, Call, Neg, Num, Var, differentiate
 from qcalc.qcore import q_exp, q_log
@@ -107,6 +107,17 @@ def reference(node, x, flags):
         if flags is not None:
             flags.update(ev.flags)
         return ev.value
+    if name == "qexp'":  # qexp's derivative, which derivative trees hold
+        d = node.deformation
+        s = d.bracket(v)
+        if s > 0.0:
+            try:
+                return math.pow(s ** d.inv_delta, d.q)
+            except OverflowError:
+                return math.inf
+        if d.delta > 0.0:
+            return 0.0  # flat on the cutoff region
+        raise PoleError("derivative undefined at/beyond the pole for q > 1")
     return q_log(v, node.deformation)
 
 

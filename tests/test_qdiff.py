@@ -290,6 +290,71 @@ class TestFailureModes:
             dual_qderiv_numeric(builtin("qlog", d), 2.0, d)
 
 
+class TestTheChart:
+    def test_the_operators_hold_no_chart_arithmetic(self):
+        # the chart's texts live in funcexpr (and its scalars in qcore): the
+        # stencil and the panel only format them
+        from qcalc import qquad
+
+        for module in (qdiff, qquad):
+            with open(module.__file__, encoding="utf-8") as source:
+                text = source.read()
+            for arithmetic in ("log1p(", "expm1(", "exp(delta", "log(-"):
+                assert arithmetic not in text, (module.__name__, arithmetic)
+
+    @pytest.mark.parametrize("x", [1e307, 1e308, 1.79e308])
+    def test_dual_numeric_is_finite_past_the_float_range(self, x):
+        # at q = -1, delta * F(x) = 2x is inf: ln_big_e's branch past the float
+        # range keeps every stencil value finite
+        d = Deformation(-1.0)
+        f = funcexpr.compile(parse("x", d))
+        with warnings_as_errors():
+            value, estimate = qdiff.dual_qderiv_numeric_with_estimate(f, x, d)
+        want = 0.5 / (x + 0.5)  # 1 / (1 + 2x), without overflowing
+        assert math.isfinite(value) and math.isfinite(estimate)
+        assert abs(value - want) <= 1e-6 * want
+
+    @pytest.mark.parametrize("q", [-1.0, 0.0, 0.5])
+    def test_compiled_qexp_derivative_is_flat_on_the_cutoff(self, q):
+        d = Deformation(q)
+        f = funcexpr.compile(parse("qexp(x)", d))
+        for x in (d.pole - 1.0, d.pole, -1e300, -1e308):
+            assert f.derivative(x) == 0.0 == builtin("qexp", d).derivative(x), x
+        for x in (d.pole - 1.0, -1e300):  # the pole is the primal chart's too
+            assert primal_qderiv_closed(f, x, d) == 0.0 == primal_qderiv_numeric(f, x, d)
+        assert f.derivative(d.pole + 0.5) == pytest.approx(f.eval(d.pole + 0.5) ** q, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1.0, 1.5, 1e308])
+    def test_compiled_qexp_derivative_is_undefined_at_and_past_the_pole(self, x):
+        d = Deformation(2.0)
+        f = funcexpr.compile(parse("qexp(x)", d))
+        with pytest.raises(PoleError):
+            f.derivative(x)
+        with pytest.raises(PoleError):
+            primal_qderiv_closed(f, x, d)
+        assert f.derivative(0.5) == pytest.approx(4.0, rel=1e-15)  # (1 - 0.5)^-2
+
+    @pytest.mark.parametrize("text, x", [("ln(x)", -2.0), ("ln(x)", 0.0), ("sqrt(x)", -1.0),
+                                         ("1/(x+3)", -3.0), ("x^2", 1e308)])
+    def test_primal_closed_is_undefined_outside_the_domain(self, text, x):
+        d = Deformation(0.5)
+        f = funcexpr.compile(parse(text, d))
+        with pytest.raises(DomainError) as numeric:
+            primal_qderiv_numeric(f, x, d)
+        with pytest.raises(DomainError) as closed:
+            primal_qderiv_closed(f, x, d)
+        assert str(closed.value) == str(numeric.value) == (
+            f"x = {x} is outside the domain of {f.label}")
+
+    def test_builtins_the_grammar_covers_are_compiled_trees(self):
+        d = Deformation(0.5)
+        for name, text in (("qexp", "qexp(x)"), ("qlog", "qlog(x)"), ("recip", "1/x"),
+                           ("identity", "x")):
+            f = builtin(name, d)
+            assert f.label == name and f.domain is None
+            assert f.eval.tree == parse(text, d)
+
+
 class warnings_as_errors:
     def __enter__(self):
         import warnings

@@ -260,6 +260,26 @@ class TestTangents:
             for f in (F, numeric):
                 assert len(calls(op, f, 0.3, d)) <= 8
 
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("tangent", [primal_qtangent, dual_qtangent])
+    def test_a_tangent_evaluates_F_at_its_point_once(self, tangent, closed):
+        d = Deformation(0.5)
+        seen = []
+
+        def F(x):
+            seen.append(x)
+            return x * x + 1.0
+
+        f = RealFunction(eval=F, derivative=(lambda x: 2.0 * x) if closed else None)
+        tangent(f, 0.3, d)
+        assert seen.count(0.3) == 1 + (not closed)  # and once more in the numeric stencil
+
+    def test_primal_tangent_outside_the_domain_says_so(self):
+        d = Deformation(0.5)
+        for f in (funcexpr.compile(parse("ln(x)", d)), RealFunction(math.log, label="ln(x)")):
+            with pytest.raises(DomainError, match=r"^x = -2.0 is outside the domain of ln\(x\)$"):
+                primal_qtangent(f, -2.0, d)
+
     def test_dual_tangent_rejects_cutoff_point(self):
         d = Deformation(2.0)
         with pytest.raises(DomainError):

@@ -23,7 +23,7 @@ import pytest
 
 import qcalc
 from qcalc import funcexpr, qcore, qdiff, qgeom, qquad, verify
-from qcalc.qcore import EvalFlag, q_add, q_times_n
+from qcalc.qcore import EvalFlag, q_add, q_log_exp_of, q_times_n
 from qcalc.qquad import IntegralFlag, SingularityMode
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ class GeometricPartition:
     def __post_init__(self):
         d = self.deformation
         z = (1.0 + d.delta * self.x_hi) / (1.0 + d.delta * self.x_lo)
-        t = math.expm1(math.log(z) / self.n) / d.delta
+        t = q_log_exp_of(math.log(z) / (self.n * d.delta), d)
         nodes = [self.x_lo]
         for i in range(1, self.n):
             nodes.append(q_add(self.x_lo, q_times_n(i, t, d), d))
