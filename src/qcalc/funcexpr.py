@@ -18,10 +18,9 @@ legal there.
 :func:`compile` turns a tree into a :class:`RealFunction`: an evaluator, a
 symbolically differentiated ordinary derivative, and no domain predicate:
 it is defined where evaluation succeeds. :func:`builtin` names a handful of
-functions with their derivatives, compiled from text where the grammar covers
-them. :func:`point_loop` compiles a caller's loop text (qquad's Kronrod panel,
-qdiff's numeric-derivative point) over a compiled tree's statements, once per
-tree and text.
+expressions, compiled with their derivatives. :func:`point_loop` compiles a
+caller's loop text (qquad's Kronrod panel, qdiff's numeric-derivative point)
+over a compiled tree's statements, once per tree and text.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .qcore import (
     _Q1,
     _cutoff_power,
     _exp_q1,
-    big_e,
     ln_big_e,
 )
 
@@ -590,13 +588,11 @@ CHART_ABOVE, CHART_BELOW = "expm1(delta * {0}) / delta", "(-exp(delta * {0}) - 1
 
 def chart(x: float, d: Deformation) -> tuple[float, str]:
     """u = ln_big_e(x), where the primal operators are classical and the pole is
-    at u = +-inf, and the text mapping u ({0}) back to x on x's side of it."""
+    at u = +-inf, and the text mapping u ({0}) back to x on x's side of it.
+    PoleError (ln_big_e's) at the pole."""
     if d.classical:
         return x, "{}"
-    s = d.bracket(x)
-    if s == 0.0:
-        raise PoleError(f"x = {x} sits on the pole of the coordinate chart")
-    return ln_big_e(x, d), CHART_ABOVE if s > 0.0 else CHART_BELOW
+    return ln_big_e(x, d), CHART_ABOVE if d.bracket(x) > 0.0 else CHART_BELOW
 
 
 def chart_point(x_of: str, lines: list[str], value: str) -> tuple[str, list[str]]:
@@ -750,8 +746,9 @@ def _derivative(node: Expr, du: Expr, dv: Expr | None = None) -> Expr:
         # d/dx e_q(u) = qexp'(u) u', where qexp'(u) is e_q(u)^q on the support,
         # 0 on the cutoff region and undefined at and beyond the pole
         return _mul(Call("qexp" if d.classical else "qexp'", u, d), du)
-    if name == "qexp'":  # as e_q(u)^q
-        return _derivative(BinOp("^", Call("qexp", u, d), _num(d.q)), _mul(node, du))
+    if name == "qexp'":  # q qexp'(u) / (1 + delta*u): q (1 + delta*u)^((2q-1)/delta), or 0
+        bracket = _add(Num(1.0), _mul(_num(d.delta), u))
+        return _mul(_div(_mul(_num(d.q), node), bracket), du)
     assert name == "qlog"
     # d/dx ln_q(u) = u^(-q) u'
     if d.classical:
@@ -772,37 +769,10 @@ def compile(ast: Expr) -> RealFunction:  # noqa: A001 - mirrors re.compile
     return RealFunction(eval=ast._compiled, derivative=lambda x: dast()(x), label=to_text(ast))
 
 
-def _builtin_big_e(d: Deformation) -> RealFunction:
-    def dfn(x: float) -> float:
-        if d.classical:
-            return math.exp(x)
-        s = d.bracket(x)
-        if s == 0.0:
-            raise PoleError("derivative undefined at the pole")
-        sign = 1.0 if s > 0.0 else -1.0
-        return sign * abs(s) ** (d.q / d.delta)
-
-    return RealFunction(eval=lambda x: big_e(x, d), derivative=dfn, label="bigE")
-
-
-def _builtin_ln_big_e(d: Deformation) -> RealFunction:
-    def dfn(x: float) -> float:
-        s = d.bracket(x)
-        if s == 0.0:
-            raise PoleError("derivative undefined at the pole")
-        return 1.0 / s
-
-    return RealFunction(
-        eval=lambda x: ln_big_e(x, d), derivative=dfn,
-        domain=lambda x: d.bracket(x) != 0.0, label="lnBigE",
-    )
-
-
-# the builtins the grammar covers, compiled from their text on each call
+# the builtins, compiled from their text on each call
 _TEXTS = {"qexp": "qexp(x)", "qlog": "qlog(x)", "recip": "1/x", "identity": "x"}
-_BUILTINS = {"bigE": _builtin_big_e, "lnBigE": _builtin_ln_big_e}
 
-BUILTIN_NAMES = tuple(sorted([*_TEXTS, *_BUILTINS]))
+BUILTIN_NAMES = tuple(sorted(_TEXTS))
 
 
 def builtin(name: str, d: Deformation) -> RealFunction:
@@ -811,11 +781,9 @@ def builtin(name: str, d: Deformation) -> RealFunction:
     Raises:
         UnknownBuiltinError: if name is not one of BUILTIN_NAMES.
     """
-    if name in _TEXTS:
-        f = compile(parse(_TEXTS[name], d))
-        return RealFunction(f.eval, f.derivative, label=name)
-    if name not in _BUILTINS:
+    if name not in _TEXTS:
         raise UnknownBuiltinError(
             f"unknown builtin {name!r}; expected one of {', '.join(BUILTIN_NAMES)}"
         )
-    return _BUILTINS[name](d)
+    f = compile(parse(_TEXTS[name], d))
+    return RealFunction(f.eval, f.derivative, label=name)

@@ -52,7 +52,10 @@ _MAX_SHRINKS = 8
 
 # The central quotient over a pair's values {0}, {1} and the step {2}
 _QUOTIENT = "({0} - {1}) / (2.0 * {2})"
-_OUTSIDE = 'raise DomainError(f"x = {{x}} is outside the domain of {{_label or {!r}}}")'
+# the domain's three messages, formatted by the point texts and by slope_at
+_OUTSIDE = "x = {x} is outside the domain of {name}"
+_POLE = "x = {x} sits on the pole of the coordinate chart"
+_CUTOFF = "F(x) = {y} lies in the cutoff region at x = {x}; the dual derivative is undefined there"
 # each operator's charts off the classical branch: x_of(u) on x's side of the pole, y_of(F)
 _CHARTS = {"primal": (f"{CHART_ABOVE} if _above else {CHART_BELOW}", "{}"), "dual": ("{}", LN_E)}
 
@@ -73,22 +76,25 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of:
     before as the estimate."""
     levels, where = RICHARDSON_LEVELS, f"{op} derivative"
     steps = [f"_h{j}" for j in range(levels + 1)]
+    outside = {n: f"raise DomainError({_OUTSIDE!r}.format(x=x, name=_label or {n!r}))"
+               for n in "fF"}
     if domain == "checked":
-        lines = [f"if not _domain(x): {_OUTSIDE.format('f')}", *lines]
+        lines = [f"if not _domain(x): {outside['f']}", *lines]
     centre = ["try:", *(f"    {line}" for line in lines or ["pass"])]
     if op == "dual":
-        head = [*centre,
-                f"except EVAL_ERRORS as _e: {_OUTSIDE.format('F')} from _e",
-                f'if 1.0 + delta * {result} <= 0.0: raise DomainError(f"F(x) = {{{result}}} lies in '
-                'the cutoff region at x = {x}; the dual derivative is undefined there")']
+        head = [*centre, f"except EVAL_ERRORS as _e: {outside['F']} from _e",
+                f"if 1.0 + delta * {result} <= 0.0: "
+                f"raise DomainError({_CUTOFF!r}.format(y={result}, x=x))"]
     elif domain == "inline":
-        head = [*centre, f"except EVAL_ERRORS: {_OUTSIDE.format('f')} from None"]
+        head = [*centre, f"except EVAL_ERRORS: {outside['f']} from None"]
     else:
-        head = [f"if not _domain(x): {_OUTSIDE.format('f')}"]
+        head = [f"if not _domain(x): {outside['f']}"]
     head += ["_c = x"] if x_of == "{}" else [
-        "_s = 1.0 + delta * x",
-        'if _s == 0.0: raise PoleError(f"x = {x} sits on the pole of the coordinate chart")',
+        "_s = 1.0 + delta * x", f"if _s == 0.0: raise PoleError({_POLE!r}.format(x=x))",
         "_above = _s > 0.0", f"_c = {LN_E.format('x')} if _above else {LN_E_BELOW.format('x')}"]
+    # on the identity chart, as on the inverse one, a point past the float range overflows
+    guard = (['if abs(_c) + _h0 == inf: raise OverflowError("stencil point past the float range")']
+             if x_of == "{}" else [])
     var, point = chart_point(x_of, lines, y_of.format(result))
     points = ", ".join(f"_c {s} {h}" for h in steps for s in "+-")
     loop = [f"for {var} in ({points}):", *(f"    {line}" for line in point)]
@@ -103,7 +109,7 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of:
     body = ["flags = None", *head, f"_H = {BASE_STEP * 2.0**levels!r} * max(1.0, abs(_c))",
             "_error = None", f"for _a in ({shrinks}):", "    _h0 = _H / _a",
             *(f"    _h{j} = _h0 / {2.0**j!r}" for j in range(1, levels + 1)), "    _f = []",
-            "    try:", *(f"        {line}" for line in loop + table),
+            "    try:", *(f"        {line}" for line in guard + loop + table),
             "    except EVAL_ERRORS as _e:", "        _error = _e",
             f'if isinstance(_error, OverflowError): raise DomainError("{where}: the difference '
             f'stencil still overflows after {_MAX_SHRINKS} shrinks") from _error',
@@ -133,14 +139,29 @@ class DerivConfig(Record):
         object.__setattr__(self, "rel_tol", rel_tol)
 
 
-def value_in_domain(f: RealFunction, x: float) -> float:
-    """f(x), or for an x outside f's domain the numeric derivatives' DomainError."""
+def slope_at(F: RealFunction, x: float, d: Deformation, op: str) -> tuple[float, float]:
+    """F(x) and the slope of F's op ("primal" or "dual") derivative at x: the
+    closed one when F carries a derivative, else the numeric one. x is checked
+    as the numeric point function's head checks it, in its order and with its
+    errors: x in F's domain, then the pole (primal) or the cutoff region
+    (dual). The closed slope evaluates F at x once."""
     try:
-        if f.domain is None or f.domain(x):
-            return f.eval(x)
+        if F.domain is not None and not F.domain(x):
+            raise DomainError
+        y = F.eval(x)
     except EVAL_ERRORS:
-        pass
-    raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
+        name = F.label or ("F" if op == "dual" else "f")
+        raise DomainError(_OUTSIDE.format(x=x, name=name)) from None
+    s = 1.0 + d.delta * (x if op == "primal" else y)
+    if op == "primal" and s == 0.0 and not d.classical:
+        raise PoleError(_POLE.format(x=x))
+    if op == "dual" and s <= 0.0:
+        raise DomainError(_CUTOFF.format(y=y, x=x))
+    if F.derivative is not None:
+        return y, s * F.derivative(x) if op == "primal" else F.derivative(x) / s
+    if op == "primal":
+        return y, primal_qderiv_numeric_with_estimate(F, x, d)[0]
+    return y, dual_qderiv_numeric_with_estimate(F, x, d)[0]
 
 
 def primal_qderiv_closed(f: RealFunction, x: float, d: Deformation) -> float:
@@ -148,14 +169,13 @@ def primal_qderiv_closed(f: RealFunction, x: float, d: Deformation) -> float:
 
     Raises:
         MissingDerivativeError: if f carries no derivative.
-        DomainError: if x is outside f's domain, as primal_qderiv_numeric.
+        DomainError, PoleError: as primal_qderiv_numeric at x (see slope_at).
     """
     if f.derivative is None:
         raise MissingDerivativeError(
             f"closed-form deformed derivative needs f.derivative ({f.label or 'unlabeled'})"
         )
-    value_in_domain(f, x)
-    return (1.0 + d.delta * x) * f.derivative(x)
+    return slope_at(f, x, d, "primal")[1]
 
 
 def dual_qderiv_closed(F: RealFunction, x: float, d: Deformation) -> float:
@@ -163,16 +183,13 @@ def dual_qderiv_closed(F: RealFunction, x: float, d: Deformation) -> float:
 
     Raises:
         MissingDerivativeError: if F carries no derivative.
-        PoleError: if 1 + delta*F(x) is zero.
+        DomainError: as dual_qderiv_numeric at x (see slope_at).
     """
     if F.derivative is None:
         raise MissingDerivativeError(
             f"closed-form deformed derivative needs F.derivative ({F.label or 'unlabeled'})"
         )
-    den = 1.0 + d.delta * F.eval(x)
-    if den == 0.0:
-        raise PoleError(f"1 + delta*F(x) vanishes at x = {x}")
-    return F.derivative(x) / den
+    return slope_at(F, x, d, "dual")[1]
 
 
 def _point(f: RealFunction, op: str, d: Deformation):

@@ -29,8 +29,7 @@ from .errors import (
 )
 from .funcexpr import RealFunction
 from .qcore import Deformation, Record, ln_big_e, q_add, q_log_exp_of, q_sub
-from .qdiff import (dual_qderiv_numeric_with_estimate, primal_qderiv_numeric_with_estimate,
-                    value_in_domain)
+from .qdiff import slope_at
 
 __all__ = [
     "PrimalQLine",
@@ -174,34 +173,15 @@ def dual_qline_through(
     return DualQLine(d, k, _dual_intercept(F(x_i), k, x_i, d))
 
 
-def _slope(F: RealFunction, x0: float, d: Deformation, op: str) -> tuple[float, float]:
-    """F(x0) and the slope of F's op ("primal" or "dual") tangent there: the
-    closed deformed derivative when F carries a derivative, else the numeric
-    one. F is evaluated at x0 once. DomainError: x0 outside F's domain
-    (primal), or F(x0) in the cutoff region (dual)."""
-    if op == "primal":
-        y0 = value_in_domain(F, x0)
-        if F.derivative is None:
-            return y0, primal_qderiv_numeric_with_estimate(F, x0, d)[0]
-        return y0, (1.0 + d.delta * x0) * F.derivative(x0)  # primal_qderiv_closed
-    y0 = F.eval(x0)
-    den = 1.0 + d.delta * y0
-    if den <= 0.0:
-        raise DomainError("tangent point value lies in the cutoff region")
-    if F.derivative is None:
-        return y0, dual_qderiv_numeric_with_estimate(F, x0, d)[0]
-    return y0, F.derivative(x0) / den  # dual_qderiv_closed, with F(x0) known
-
-
 def primal_qtangent(F: RealFunction, x0: float, d: Deformation) -> PrimalQLine:
-    """Tangent primal line at x0, anchored at (x0, F(x0)); see _slope."""
-    y0, k = _slope(F, x0, d, "primal")
+    """Tangent primal line at x0, anchored at (x0, F(x0)); see qdiff.slope_at."""
+    y0, k = slope_at(F, x0, d, "primal")
     return PrimalQLine(d, k, y0 - k * ln_big_e(x0, d))
 
 
 def dual_qtangent(F: RealFunction, x0: float, d: Deformation) -> DualQLine:
-    """Tangent dual line at x0, anchored at (x0, F(x0)); see _slope."""
-    y0, k = _slope(F, x0, d, "dual")
+    """Tangent dual line at x0, anchored at (x0, F(x0)); see qdiff.slope_at."""
+    y0, k = slope_at(F, x0, d, "dual")
     return DualQLine(d, k, _dual_intercept(y0, k, x0, d))
 
 

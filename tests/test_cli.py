@@ -149,6 +149,18 @@ class TestDiff:
         assert (res.returncode, res.stdout) == (1, "")
         assert res.stderr == "qcalc: x = -2.0 is outside the domain of ln(x)\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["x", "primal", "--q", "0.5", "--from", "-2", "--to", "-1"],
+         "x = -2.0 sits on the pole of the coordinate chart"),
+        (["x", "dual", "--q", "0.5", "--from", "-3", "--to", "-2.5"],
+         "F(x) = -3.0 lies in the cutoff region at x = -3.0; the dual derivative is undefined "
+         "there"),
+    ], ids=["primal-pole", "dual-cutoff"])
+    def test_closed_and_numeric_refuse_alike(self, argv, message, capsys):
+        for method in ("closed", "numeric"):
+            assert cli.main(["diff", *argv[:2], method, *argv[2:], "--points", "2"]) == 1
+            assert capsys.readouterr() == ("", f"qcalc: {message}\n"), method
+
 
 class TestIntegrate:
     def test_primal_qexp_value(self):
@@ -713,7 +725,12 @@ class TestMeta:
      "--points", "2"],
     ["diff", "exp(x)", "dual", "numeric", "--q", "0.5", "--from", "709.78", "--to", "709.78271",
      "--points", "2"],
-], ids=["primal", "dual"])
+    # x + h is inf at the float limit: an overflow, not a nan row
+    ["diff", "x", "primal", "numeric", "--q", "1", "--from", "1.7e308", "--to",
+     "1.7976931348623157e308", "--points", "2"],
+    ["diff", "x", "dual", "numeric", "--q", "-1", "--from", "1.7e308", "--to",
+     "1.7976931348623157e308", "--points", "2"],
+], ids=["primal", "dual", "primal-float-limit", "dual-float-limit"])
 def test_an_overflowing_stencil_is_not_blamed_on_the_domain(argv, capsys):
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()

@@ -325,18 +325,6 @@ class TestBuiltins:
             assert math.isfinite(f.eval(x))
             assert math.isfinite(f.derivative(x))
 
-    def test_absolute_value_exponential_reaches_below_pole(self):
-        f = builtin("bigE", D_HALF)
-        # oracle: generate_frozen_values.py -> |1 + 0.5*(-4)|^2 = 1.0
-        assert f.eval(-4.0) == pytest.approx(1.0, rel=1e-15)
-        assert f.derivative(-4.0) == pytest.approx(-1.0, rel=1e-12)
-
-    def test_log_of_absolute_exponential_pole(self):
-        f = builtin("lnBigE", D_HALF)
-        assert f.domain(-2.0) is False
-        with pytest.raises(PoleError):
-            f.derivative(-2.0)
-
     def test_derivatives_match_central_difference(self):
         for name in funcexpr.BUILTIN_NAMES:
             f = builtin(name, Deformation(0.5))

@@ -16,6 +16,7 @@ from qcalc import (
     q_add,
 )
 from qcalc import funcexpr, qdiff
+from qcalc.funcexpr import differentiate, evaluate
 from qcalc.qdiff import (
     DerivConfig,
     dual_qderiv_closed,
@@ -23,6 +24,7 @@ from qcalc.qdiff import (
     primal_qderiv_closed,
     primal_qderiv_numeric,
 )
+from qcalc.qgeom import dual_qtangent, primal_qtangent
 
 Q_SET = [-1.0, 0.0, 0.5, 2.0]
 
@@ -210,8 +212,11 @@ class TestFailureModes:
     def test_dual_closed_pole(self):
         d = Deformation(0.5)
         at_pole = RealFunction(eval=lambda x: -2.0, derivative=lambda x: 0.0)
-        with pytest.raises(PoleError):
+        with pytest.raises(DomainError) as numeric:
+            dual_qderiv_numeric(at_pole, 1.0, d)
+        with pytest.raises(DomainError) as closed:  # the numeric method's error
             dual_qderiv_closed(at_pole, 1.0, d)
+        assert str(closed.value) == str(numeric.value)
 
     def test_dual_numeric_rejects_cutoff_region(self):
         d = Deformation(2.0)
@@ -265,6 +270,21 @@ class TestFailureModes:
         # a stencil that leaves the domain is still told apart
         with pytest.raises(DomainError, match="no difference stencil fits inside the domain"):
             numeric(RealFunction(eval=lambda x: x, domain=lambda x: x == 1.0), 1.0, d)
+
+    @pytest.mark.parametrize("numeric, q, x", [
+        (primal_qderiv_numeric, 1.0, 1.7976931348623157e308),
+        (primal_qderiv_numeric, 1.0, -1.7976931348623157e308),
+        (dual_qderiv_numeric, -1.0, 1.7976931348623157e308),
+        (dual_qderiv_numeric, 1.0, -1.7976931348623157e308),
+    ])
+    def test_a_stencil_point_past_the_float_range_overflows(self, numeric, q, x):
+        # x is finite but x + h is not: the identity chart's outermost point overflows
+        d = Deformation(q)
+        f = funcexpr.compile(parse("x", d))
+        with pytest.raises(DomainError, match="stencil still overflows after 8 shrinks") as info:
+            numeric(f, x, d)
+        assert isinstance(info.value.__cause__, OverflowError)
+        assert math.isfinite(numeric(f, math.copysign(1.7e308, x), d))  # its stencil fits
 
     def test_rough_function_warns(self):
         d = Deformation(0.5)
@@ -346,6 +366,24 @@ class TestTheChart:
         assert str(closed.value) == str(numeric.value) == (
             f"x = {x} is outside the domain of {f.label}")
 
+    @pytest.mark.parametrize("q", [-1.0, 0.0, 0.5])
+    def test_compiled_qexp_second_derivative_is_flat_on_the_cutoff(self, q):
+        d = Deformation(q)
+        second = differentiate(differentiate(parse("qexp(x)", d)))
+        for x in (d.pole - 1.0, -1e300, -1e308):
+            assert evaluate(second, x) == 0.0, x
+        for x in (d.pole + 0.5, 0.3, 2.0):  # q (1 + delta*x)^((2q-1)/delta) on the support
+            want = q * (1.0 + d.delta * x) ** ((2.0 * q - 1.0) / d.delta)
+            assert evaluate(second, x) == pytest.approx(want, rel=1e-14, abs=0.0), x
+
+    def test_compiled_qexp_second_derivative_is_undefined_past_the_pole(self):
+        d = Deformation(2.0)
+        second = differentiate(differentiate(parse("qexp(x)", d)))
+        for x in (1.0, 1.5, 1e308):
+            with pytest.raises(PoleError):
+                evaluate(second, x)
+        assert evaluate(second, 0.5) == pytest.approx(16.0, rel=1e-15)  # 2 (1 - 0.5)^-3
+
     def test_builtins_the_grammar_covers_are_compiled_trees(self):
         d = Deformation(0.5)
         for name, text in (("qexp", "qexp(x)"), ("qlog", "qlog(x)"), ("recip", "1/x"),
@@ -353,6 +391,54 @@ class TestTheChart:
             f = builtin(name, d)
             assert f.label == name and f.domain is None
             assert f.eval.tree == parse(text, d)
+
+
+# ---------------------------------------------------------------------------
+# One domain rule: the closed and numeric derivatives and the tangents decide
+# where each operator is defined alike
+
+
+def _outcome(call):
+    """("value", the value), or the raised error's (type, message)."""
+    try:
+        return "value", call()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+class TestOneDomainRule:
+    @pytest.mark.parametrize("text, q, x", [
+        ("x", 0.5, -2.0),  # the primal pole; F on the dual pole
+        ("x", 2.0, 1.0),  # the primal pole; F on the dual pole
+        ("ln(x)", 0.5, -2.0),  # outside F's domain
+        ("x", 0.5, -3.0),  # F in the dual cutoff region
+        ("x", 2.0, 1.5),  # F in the dual cutoff region, beyond the primal pole
+        ("x^2+3*x-1", 0.5, 0.3),
+        ("qlog(x+2)", 2.0, 0.3),
+        ("x*qexp(x/4)+sin(x)^2", 1.0, 0.3),
+    ])
+    @pytest.mark.parametrize("predicate", [False, True])
+    @pytest.mark.parametrize("op", ["primal", "dual"])
+    def test_closed_numeric_and_tangent_decide_alike(self, op, predicate, text, q, x):
+        d = Deformation(q)
+        f = funcexpr.compile(parse(text, d))
+        if predicate:  # a hand-built domain predicate, and no label
+            f = RealFunction(eval=f.eval, derivative=f.derivative, domain=f.defined)
+        closed = getattr(qdiff, f"{op}_qderiv_closed")
+        numeric = getattr(qdiff, f"{op}_qderiv_numeric")
+        if op == "primal":
+            tangent = lambda g: primal_qtangent(g, x, d).k_q  # noqa: E731
+        else:
+            tangent = lambda g: dual_qtangent(g, x, d).k_sup_q  # noqa: E731
+        numeric_only = RealFunction(eval=f.eval, domain=f.domain, label=f.label)
+        outcomes = [_outcome(lambda: closed(f, x, d)), _outcome(lambda: numeric(f, x, d)),
+                    _outcome(lambda: tangent(f)), _outcome(lambda: tangent(numeric_only))]
+        if all(kind == "value" for kind, _ in outcomes):
+            want = outcomes[0][1]
+            for _, value in outcomes:
+                assert abs(value - want) <= 1e-6 * max(1.0, abs(want)), outcomes
+        else:
+            assert outcomes == [outcomes[0]] * 4
 
 
 class warnings_as_errors:

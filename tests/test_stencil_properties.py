@@ -65,12 +65,15 @@ def _checked(f):
     return checked
 
 
-def _refine(phi, centre, config, where, steps):
+def _refine(phi, centre, config, where, steps, identity):
     h0 = qdiff.BASE_STEP * 2.0**qdiff.RICHARDSON_LEVELS * max(1.0, abs(centre))
     last_error = None
     for attempt in range(qdiff._MAX_SHRINKS + 1):
         steps.append((centre, h0 / (2.0**attempt)))
         try:
+            # on the identity chart, an outermost point past the float range overflows
+            if identity and abs(centre) + h0 / (2.0**attempt) == math.inf:
+                raise OverflowError("stencil point past the float range")
             value, err = _richardson(phi, h0 / (2.0**attempt))
         except EVAL_ERRORS as e:
             last_error = e
@@ -110,7 +113,7 @@ def reference_primal(f, x, d, config, steps):
     def phi(h):
         return (f_at(x_of(u0 + h)) - f_at(x_of(u0 - h))) / (2.0 * h)
 
-    return _refine(phi, u0, config, "primal derivative", steps)
+    return _refine(phi, u0, config, "primal derivative", steps, d.classical)
 
 
 def reference_dual(F, x, d, config, steps):
@@ -136,7 +139,7 @@ def reference_dual(F, x, d, config, steps):
         yp = ln_e(F_at(x + h))
         return (yp - ln_e(F_at(x - h))) / (2.0 * h)
 
-    return _refine(phi, x, config, "dual derivative", steps)
+    return _refine(phi, x, config, "dual derivative", steps, True)
 
 
 REFERENCE = {primal_qderiv_numeric: reference_primal, dual_qderiv_numeric: reference_dual}
