@@ -39,7 +39,6 @@ from .qcore import (
     _Q1,
     _cutoff_power,
     _exp_q1,
-    ln_big_e,
 )
 
 __all__ = [
@@ -71,8 +70,9 @@ class RealFunction(Record):
             (the default) means exactly where eval raises no EVAL_ERRORS.
         label: human-readable description (expression text for parsed input).
 
-    ``stencils`` keeps qdiff's numeric-derivative point functions of f, by
-    operator and q, made on first use; it takes no part in equality.
+    ``stencils`` keeps the point functions made from f on first use:
+    qdiff's numeric-derivative points by (operator, q), and qquad's Kronrod
+    panels by (weight, chart, delta); it takes no part in equality.
     """
 
     _fields = ("eval", "derivative", "domain", "label")
@@ -584,15 +584,6 @@ LN_E = "(log1p(delta * {0}) if delta * {0} < inf else log(abs(delta)) + log(abs(
 LN_E_BELOW = ("(log(-1.0 - delta * {0}) if delta * {0} > -inf"
               " else log(abs(delta)) + log(abs({0}))) / delta")
 CHART_ABOVE, CHART_BELOW = "expm1(delta * {0}) / delta", "(-exp(delta * {0}) - 1.0) / delta"
-
-
-def chart(x: float, d: Deformation) -> tuple[float, str]:
-    """u = ln_big_e(x), where the primal operators are classical and the pole is
-    at u = +-inf, and the text mapping u ({0}) back to x on x's side of it.
-    PoleError (ln_big_e's) at the pole."""
-    if d.classical:
-        return x, "{}"
-    return ln_big_e(x, d), CHART_ABOVE if d.bracket(x) > 0.0 else CHART_BELOW
 
 
 def chart_point(x_of: str, lines: list[str], value: str) -> tuple[str, list[str]]:

@@ -64,10 +64,10 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of:
                 domain: str) -> str:
     """``maker(delta, _domain, _label) -> point``, where ``point(x) -> (value,
     estimate)`` is the ``op`` ("primal" or "dual") derivative at x: the
-    classical derivative of y_of(f(x_of(u))) at the u of x. It checks x as
-    f's domain does: by evaluating f at x ("inline", f has no domain
-    predicate), or by calling _domain at x and before every point
-    ("checked"). Then it tries central differences at x = x_of(c +- h), c
+    classical derivative of y_of(f(x_of(u))) at the u of x. It checks x
+    against f's domain: _domain at x and before every point ("checked"; an
+    "inline" f has no predicate), then f(x), which must evaluate to a finite
+    number. Then it tries central differences at x = x_of(c +- h), c
     the centre, h = h0/2^j, j = 0..RICHARDSON_LEVELS; h0 halves after each
     try that raises, up to _MAX_SHRINKS times, and the error then says
     whether the last try overflowed or left the domain. A try that fits
@@ -80,15 +80,13 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of:
                for n in "fF"}
     if domain == "checked":
         lines = [f"if not _domain(x): {outside['f']}", *lines]
-    centre = ["try:", *(f"    {line}" for line in lines or ["pass"])]
+    name, cause = ("F", "_e") if op == "dual" else ("f", "None")
+    head = ["try:", *(f"    {line}" for line in lines or ["pass"]),
+            f"except EVAL_ERRORS as _e: {outside[name]} from {cause}",
+            f"if not -inf < {result} < inf: {outside[name]}"]
     if op == "dual":
-        head = [*centre, f"except EVAL_ERRORS as _e: {outside['F']} from _e",
-                f"if 1.0 + delta * {result} <= 0.0: "
-                f"raise DomainError({_CUTOFF!r}.format(y={result}, x=x))"]
-    elif domain == "inline":
-        head = [*centre, f"except EVAL_ERRORS: {outside['f']} from None"]
-    else:
-        head = [f"if not _domain(x): {outside['f']}"]
+        head.append(f"if 1.0 + delta * {result} <= 0.0: "
+                    f"raise DomainError({_CUTOFF!r}.format(y={result}, x=x))")
     head += ["_c = x"] if x_of == "{}" else [
         "_s = 1.0 + delta * x", f"if _s == 0.0: raise PoleError({_POLE!r}.format(x=x))",
         "_above = _s > 0.0", f"_c = {LN_E.format('x')} if _above else {LN_E_BELOW.format('x')}"]
@@ -143,12 +141,14 @@ def slope_at(F: RealFunction, x: float, d: Deformation, op: str) -> tuple[float,
     """F(x) and the slope of F's op ("primal" or "dual") derivative at x: the
     closed one when F carries a derivative, else the numeric one. x is checked
     as the numeric point function's head checks it, in its order and with its
-    errors: x in F's domain, then the pole (primal) or the cutoff region
-    (dual). The closed slope evaluates F at x once."""
+    errors: x in F's domain, where F(x) is finite, then the pole (primal) or
+    the cutoff region (dual). The closed slope evaluates F at x once."""
     try:
         if F.domain is not None and not F.domain(x):
             raise DomainError
         y = F.eval(x)
+        if not -math.inf < y < math.inf:
+            raise DomainError
     except EVAL_ERRORS:
         name = F.label or ("F" if op == "dual" else "f")
         raise DomainError(_OUTSIDE.format(x=x, name=name)) from None

@@ -1,7 +1,8 @@
 """Deformed integrals: adaptive quadrature plus independent cross-checks.
 
 The primal integral is the ordinary integral of f(x(u)) du in the chart
-u = ln_big_e(x) (funcexpr.chart); the dual integral applies ``ln_q . exp``
+u = ln_big_e(x) (its inverse is funcexpr's CHART_ABOVE or CHART_BELOW text,
+on the lower bound's side of the pole); the dual integral applies ``ln_q . exp``
 once to the ordinary integral of the integrand. Both ride on one adaptive
 Gauss-Kronrod engine with deterministic worst-interval-first refinement.
 
@@ -10,8 +11,12 @@ The engine's unit of work is a generated panel, one Python frame for the
 text (rule, sums, error estimate) _panel_text writes. For a compiled
 expression it runs the tree's statements at each node, so it grows with
 the tree as the tree's own function does; funcexpr.point_loop compiles it
-once per tree shape, weight and chart (a cold cost below 1 ms).
-Any other point function is called at each node by the same text. The totals
+once per tree shape, weight and chart (a cold cost below 1 ms), and each
+RealFunction keeps its panels in f.stencils by weight, chart and delta.
+Any other point function is called at each node by the same text. A run
+whose first panel meets the tolerance ends there, with that panel's value
+and estimate, which are the totals of a one-panel heap; a warm one-panel
+integral costs little more than its panel. Otherwise the totals
 over the heap of panels are math.fsum over the heap while it is short
 (below _SHORT_HEAP panels: cheaper than keeping sums), then exact running
 sums, which keep a long run linear in its subdivision count. Results equal
@@ -38,13 +43,14 @@ from enum import Enum
 from operator import itemgetter
 
 from .errors import DomainError, SingularityError
-from .funcexpr import RealFunction, chart, chart_point, indented, point_loop
+from .funcexpr import CHART_ABOVE, CHART_BELOW, RealFunction, chart_point, indented, point_loop
 from .qcore import (
     QUAD_ABS_TOL,
     QUAD_REL_TOL,
     Deformation,
     Record,
     _is_integer,
+    ln_big_e,
     q_add,
     q_exp,
     q_log_exp_of,
@@ -114,8 +120,8 @@ class QuadratureConfig(Record):
 class IntegralResult(Record):
     """Value, a conservative error estimate, and what happened on the way.
 
-    Unless TOLERANCE_NOT_MET is flagged, error_estimate is at most
-    max(abs_tol, rel_tol * |value|) of the config that produced it.
+    Unless TOLERANCE_NOT_MET is flagged, error_estimate is finite and at
+    most max(abs_tol, rel_tol * |value|) of the config that produced it.
     n_panels counts the 15-point Kronrod panels computed; it takes no part
     in equality or hashing.
     """
@@ -127,13 +133,19 @@ class IntegralResult(Record):
         self, value: float, error_estimate: float, flags: frozenset = frozenset(),
         n_panels: int = 0,
     ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "error_estimate", error_estimate)
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "n_panels", n_panels)
+        # one write for the four fields: a result is built once per integral
+        # and read a few times, so this costs less than four writes
+        object.__setattr__(self, "__dict__", {"value": value, "error_estimate": error_estimate,
+                                              "flags": flags, "n_panels": n_panels})
 
     def __float__(self) -> float:
         return self.value
+
+
+# The flag sets of a primal result; a dual one carries either of the first two
+_NO_FLAGS = frozenset()
+_NOT_MET = frozenset({IntegralFlag.TOLERANCE_NOT_MET})
+_REFLECTED = frozenset({IntegralFlag.SINGULARITY_CROSSED, IntegralFlag.REFLECTION_APPLIED})
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +189,8 @@ _WEIGHTS = {
 # from the outermost node in; c and hl halve each bound first, so they stay
 # finite), runs a tree's statements once per node at x = x_of(node) and
 # applies the weight in the same statement, then forms both sums in the
-# order of the looped rule.
+# order of the looped rule. The estimate min(d, (200 d)^1.5) of the gap d
+# between them is d from d = 1 on, where the power could overflow.
 
 def _panel_text(lines: list[str], result: str, params: list[str], weight: str, x_of: str) -> str:
     n = len(_XK)
@@ -190,7 +203,7 @@ def _panel_text(lines: list[str], result: str, params: list[str], weight: str, x
             f"for {var} in ({nodes}):"]
     tail = [f"{names} = _f", *(f"_p{k} = _y{k} + _z{k}" for k in range(1, n + 1)),
             f"_sk = {sk}", f"_sg = {sg}", "_value = _sk * _hl", "_d = abs(_value - _sg * _hl)",
-            "return _value, min(_d, (200.0 * _d) ** 1.5)"]
+            "return _value, _d if _d >= 1.0 else min(_d, (200.0 * _d) ** 1.5)"]
     body = "".join(indented(3, head) + indented(4, point) + indented(3, tail))
     return (f"def factory({', '.join(params)}):\n"
             f"    def panel_maker(delta):\n"
@@ -212,6 +225,7 @@ _EXACT_SUM_LIMIT = 2.0**1000
 # of an iteration independent of the heap's size.
 _SHORT_HEAP = 48
 _value_of, _error_of = itemgetter(4), itemgetter(5)
+_INF, _isfinite = math.inf, math.isfinite
 
 
 def _grow(partials: list[float], x: float) -> None:
@@ -234,24 +248,30 @@ def _refine(panel, a: float, b: float, config: QuadratureConfig):
     """Worst-first adaptive refinement; deterministic for a given input.
 
     Returns the value, its estimate, whether the tolerance was met, and the
-    number of panels computed. The totals are math.fsum over the heap while
-    it is short. From _SHORT_HEAP panels on they are exact running sums
-    (Shewchuk partials), whose math.fsum equals that over the heap; the heap
-    is summed instead while a sum is exactly zero (math.fsum takes the sign
-    of a zero from its summands), and for good once `bound`, the sum of
+    number of panels computed. A run whose first panel meets the tolerance
+    ends there, with that panel's totals. The totals are math.fsum over the
+    heap while it is short. From _SHORT_HEAP panels on they are exact running
+    sums (Shewchuk partials), whose math.fsum equals that over the heap; the
+    heap is summed instead while a sum is exactly zero (math.fsum takes the
+    sign of a zero from its summands), and for good once `bound`, the sum of
     |value| + estimate over every panel made, reaches _EXACT_SUM_LIMIT or is
-    not finite.
+    not finite. A non-finite estimate never meets the tolerance.
     """
+    abs_tol, rel_tol = config.abs_tol, config.rel_tol
     value, err = panel(a, b)
-    # heap entries: (-err, insertion order, a, b, value, err)
-    heap = [(-err, 0, a, b, value, err)]
-    values = errors = None
-    bound = abs(value) + err
-    order = 1
-    for _ in range(config.max_subdivisions):
-        total, total_err = _totals(heap, values, errors, bound)
-        if total_err <= max(config.abs_tol, config.rel_tol * abs(total)):
-            return total, total_err, True, order
+    # math.fsum of the one-panel heap: a value of -0.0 totals +0.0
+    total, total_err = value + 0.0, err
+    heap = values = errors = None
+    order, splits = 1, 0
+    while True:
+        # total_err <= max(abs_tol, rel_tol * |total|) and finite, without max()'s call
+        converged = total_err < _INF and (total_err <= abs_tol
+                                          or total_err <= rel_tol * abs(total))
+        if converged or splits == config.max_subdivisions:
+            return total, total_err, converged, order
+        splits += 1
+        if heap is None:  # built on the first split: (-err, insertion order, a, b, value, err)
+            heap, bound = [(-err, 0, a, b, value, err)], abs(value) + err
         _, _, wa, wb, value, err = heapq.heappop(heap)
         running = values is not None
         if running and bound < _EXACT_SUM_LIMIT:
@@ -271,9 +291,7 @@ def _refine(panel, a: float, b: float, config: QuadratureConfig):
             for entry in heap:
                 _grow(values, entry[4])
                 _grow(errors, entry[5])
-    total, total_err = _totals(heap, values, errors, bound)
-    converged = total_err <= max(config.abs_tol, config.rel_tol * abs(total))
-    return total, total_err, converged, order
+        total, total_err = _totals(heap, values, errors, bound)
 
 
 def _totals(heap, values, errors, bound) -> tuple[float, float]:
@@ -288,28 +306,29 @@ def _totals(heap, values, errors, bound) -> tuple[float, float]:
     return total, total_err
 
 
-def _integrate(g, a: float, b: float, config: QuadratureConfig, weight: str = "none",
-               delta: float = 0.0, d: Deformation | None = None
+def _unbounded(a: float, b: float) -> DomainError:
+    return DomainError(f"integration bounds must be finite, got [{a}, {b}]")
+
+
+def _integrate(f: RealFunction, a: float, b: float, config: QuadratureConfig,
+               weight: str = "none", delta: float = 0.0, x_of: str = "{}"
                ) -> tuple[float, float, bool, int]:
-    """_refine of g times the weight from a to b: swapped bounds negate the
-    value, a == b gives 0 from no panels, and a bound that is not finite
-    raises DomainError. Given d, g runs in its primal chart from
-    ln_big_e(a) to ln_big_e(b), on the lower bound's side of the pole."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
-    x_of = "{}"
-    if d is not None:
-        if math.isinf(d.bracket(a)) or math.isinf(d.bracket(b)):  # x(u) cannot reach it
-            raise OverflowError(f"1 + delta*x at a bound of [{a}, {b}] is not finite")
-        (u_a, a_of), (u_b, b_of) = chart(a, d), chart(b, d)
-        delta, x_of, a, b = d.delta, a_of if a < b else b_of, u_a, u_b
+    """_refine of f(x_of(u)) times the weight from a to b: swapped bounds
+    negate the value, a == b gives 0 from no panels, and a bound that is not
+    finite raises DomainError. The panel is made once per (weight, x_of,
+    delta) and kept in f.stencils."""
+    if not (_isfinite(a) and _isfinite(b)):
+        raise _unbounded(a, b)
     if a == b:
         return 0.0, 0.0, True, 0
-    panel = _kronrod(g, weight, delta, x_of)
+    key = (weight, x_of, delta)
+    panel = f.stencils.get(key)
+    if panel is None:
+        panel = f.stencils[key] = _kronrod(f.eval, weight, delta, x_of)
     if a < b:
         return _refine(panel, a, b, config)
-    value, err, ok, n_panels = _refine(panel, b, a, config)
-    return -value, err, ok, n_panels
+    value, err, converged, n_panels = _refine(panel, b, a, config)
+    return -value, err, converged, n_panels
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +350,28 @@ def primal_qint(
     keeps that side's chart, so it integrates up to x_hi's mirror image
     -2/delta - x_hi (of equal u), and flags it. A pole on a bound raises.
     """
-    flags = set()
-    if not d.classical:
-        if d.bracket(x_lo) == 0.0 or d.bracket(x_hi) == 0.0:
-            raise SingularityError(f"integration bound sits on the pole at {d.pole}")
-        lo, hi = sorted((x_lo, x_hi))
-        if lo < d.pole < hi:
-            if config.singularity_mode is SingularityMode.ERROR:
-                raise SingularityError(f"interval [{lo}, {hi}] crosses the pole at {d.pole}")
-            flags |= {IntegralFlag.SINGULARITY_CROSSED, IntegralFlag.REFLECTION_APPLIED}
-
-    value, err, converged, n_panels = _integrate(f.eval, x_lo, x_hi, config, d=d)
-    if not converged:
-        flags.add(IntegralFlag.TOLERANCE_NOT_MET)
-    return IntegralResult(value, err, frozenset(flags), n_panels)
+    if d.classical:
+        value, err, converged, n_panels = _integrate(f, x_lo, x_hi, config)
+        return IntegralResult(value, err, _NO_FLAGS if converged else _NOT_MET, n_panels)
+    delta, pole = d.delta, d.pole
+    s_lo, s_hi = 1.0 + delta * x_lo, 1.0 + delta * x_hi  # the brackets
+    if s_lo == 0.0 or s_hi == 0.0:
+        raise SingularityError(f"integration bound sits on the pole at {pole}")
+    flags = _NO_FLAGS
+    lo, hi = (x_hi, x_lo) if x_hi < x_lo else (x_lo, x_hi)
+    if lo < pole < hi:
+        if config.singularity_mode is SingularityMode.ERROR:
+            raise SingularityError(f"interval [{lo}, {hi}] crosses the pole at {pole}")
+        flags = _REFLECTED
+    if not (_isfinite(s_lo) and _isfinite(s_hi)):
+        if not (_isfinite(x_lo) and _isfinite(x_hi)):
+            raise _unbounded(x_lo, x_hi)
+        raise OverflowError(f"1 + delta*x at a bound of [{x_lo}, {x_hi}] is not finite")
+    # x(u) on the lower bound's side of the pole
+    x_of = CHART_ABOVE if (s_lo if x_lo < x_hi else s_hi) > 0.0 else CHART_BELOW
+    value, err, converged, n_panels = _integrate(f, ln_big_e(x_lo, d), ln_big_e(x_hi, d), config,
+                                                 "none", delta, x_of)
+    return IntegralResult(value, err, flags if converged else flags | _NOT_MET, n_panels)
 
 
 def primal_qint_riemann(
@@ -444,14 +471,13 @@ def dual_qint(
     inside the quadrature. The error estimate is transported through the
     outer map by its derivative, e^(delta * A).
     """
-    a_val, a_err, converged, n_panels = _integrate(f.eval, x_lo, x_hi, config)
+    a_val, a_err, converged, n_panels = _integrate(f, x_lo, x_hi, config)
     value = q_log_exp_of(a_val, d)
     try:
         scale = math.exp(d.delta * a_val)
     except OverflowError:
         scale = math.inf
-    flags = frozenset() if converged else frozenset({IntegralFlag.TOLERANCE_NOT_MET})
-    return IntegralResult(value, a_err * scale, flags, n_panels)
+    return IntegralResult(value, a_err * scale, _NO_FLAGS if converged else _NOT_MET, n_panels)
 
 
 def dual_qint_from(
@@ -487,5 +513,4 @@ def borges_dual_qint(
     inverse of the dual derivative but is not one: already for f = 1/x it
     produces ln x - delta/x + c. Kept as the negative control.
     """
-    value, _, _, _ = _integrate(f.eval, x_lo, x_hi, config, "borges", d.delta)
-    return value
+    return _integrate(f, x_lo, x_hi, config, "borges", d.delta)[0]

@@ -137,10 +137,12 @@ class TestDiff:
         assert rows["closed"] == rows["numeric"] == [0.0, 0.0]
 
     def test_closed_qexp_derivative_past_the_pole_exits_1(self):
-        res = run_cli("diff", "qexp(x)", "primal", "closed", "--q", "2",
-                      "--from", "1.5", "--to", "2", "--points", "2")
-        assert (res.returncode, res.stdout) == (1, "")
-        assert res.stderr == "qcalc: derivative undefined at/beyond the pole for q > 1\n"
+        # qexp(1.5) is inf at q = 2: x is outside its domain, for both methods
+        for method in ("closed", "numeric"):
+            res = run_cli("diff", "qexp(x)", "primal", method, "--q", "2",
+                          "--from", "1.5", "--to", "2", "--points", "2")
+            assert (res.returncode, res.stdout) == (1, "")
+            assert res.stderr == "qcalc: x = 1.5 is outside the domain of qexp(x)\n"
 
     @pytest.mark.parametrize("method", ["closed", "numeric"])
     def test_primal_derivative_outside_the_domain_exits_1(self, method):
@@ -445,7 +447,8 @@ class TestEvaluationErrors:
         assert err == ""
 
     @pytest.mark.parametrize("argv, code", [
-        (["integrate", "sin(x)", "dual", "0.5", "1.7e308", "--q", "1"], 1),
+        # the estimate of a panel this wide is finite: a value flagged ToleranceNotMet
+        (["integrate", "sin(x)", "dual", "0.5", "1.7e308", "--q", "1"], 0),
         (["integrate", "sin(x)*cos(x)", "primal", "1e308", "0.5", "--q", "0"], 0),
         (["integrate", "x", "primal", "-1e308", "1e308", "--q", "1"], 0),
         # 1 + delta*x overflows, so the primal chart has no finite u for 1e308
@@ -458,6 +461,24 @@ class TestEvaluationErrors:
             assert out == "" and "numeric overflow" in err
         else:
             assert out.startswith("value,error_estimate,flags\n") and err == ""
+
+    @pytest.mark.parametrize("argv, row", [
+        (["integrate", "1e210*exp(x)", "primal", "0", "10", "--q", "1"],
+         "2.2025465794806727e+214,3.9735731247702648e+204,"),
+        (["integrate", "exp(x)", "dual", "0", "709.7", "--q", "1"],
+         "1.6549840276801752e+308,1.1418249168648128e+299,"),
+    ])
+    def test_a_large_finite_integral_has_a_finite_estimate(self, argv, row, capsys):
+        # a panel's estimate min(d, (200 d)^1.5) is d from d = 1 on: no power overflows
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (f"value,error_estimate,flags\n{row}\n", "")
+
+    def test_an_infinite_estimate_never_converges(self, capsys):
+        # the panels' sums overflow to inf: refining on, the integrand overflows
+        assert cli.main(["integrate", "exp(x)", "primal", "0", "710", "--q", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "numeric overflow" in err
 
     @pytest.mark.parametrize("expr", ["\u00b2", "x+\u0661"])  # '²', Arabic-Indic one
     def test_non_ascii_digits_are_parse_errors(self, expr):
@@ -496,10 +517,11 @@ class TestWarnings:
 
     @pytest.mark.parametrize("op", ["primal", "dual"])
     def test_a_nan_error_estimate_warns(self, op):
+        # x*x is finite at 1.3407807e154 and overflows on the stencil around it
         res = run_cli("diff", "x*x", op, "numeric", "--q", "1", "--from", "1e153",
-                      "--to", "1.4e154", "--points", "3")
+                      "--to", "1.3407807e154", "--points", "3")
         assert res.returncode == 0
-        assert res.stdout.splitlines()[-1] == "1.4000000000000000e+154,nan,nan"
+        assert res.stdout.splitlines()[-1] == "1.3407807000000001e+154,nan,nan"
         assert res.stderr == (f"qcalc: warning: {op} derivative: error estimate nan exceeds "
                               "rel_tol=1.0e-08 (value nan)\n")
 

@@ -24,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 # the shared primal chart above and below the pole
-ABOVE, BELOW = (funcexpr.chart(x, Deformation(0.5))[1] for x in (0.3, -2.5))
+ABOVE, BELOW = funcexpr.CHART_ABOVE, funcexpr.CHART_BELOW
 PANELS = (("none", "{}"), ("borges", "{}"), ("none", ABOVE), ("none", BELOW))
 INTERVALS = [(0.0, 1.0), (-0.15, 0.75), (-2.0, 3.0), (0.0, 0.0), (1.0, -1.0), (-1e300, 1e300),
              (-0.0, -0.0), (-1.5e308, 1.5e308)]  # a centre of -0.0; a half-length near the limit

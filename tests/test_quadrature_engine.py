@@ -14,11 +14,11 @@ import struct
 
 import pytest
 
-from qcalc import Deformation, parse
+from qcalc import Deformation, RealFunction, parse
 from qcalc import funcexpr
 from qcalc.qcore import ln_big_e
 from qcalc.qquad import (
-    QuadratureConfig, _XK, _WK, _WK_CENTER, _WG, _WG_CENTER, _kronrod, _refine,
+    QuadratureConfig, _EXACT_SUM_LIMIT, _XK, _WK, _WK_CENTER, _WG, _WG_CENTER, _kronrod, _refine,
 )
 
 
@@ -35,7 +35,8 @@ def reference_panel(g, a, b):
             sg += _WG[i // 2] * pair
     value = sk * hl
     d = abs(value - sg * hl)
-    return value, min(d, (200.0 * d) ** 1.5)
+    # min(d, (200 d)^1.5) is d from d = 1 on, where the power could overflow
+    return value, d if d >= 1.0 else min(d, (200.0 * d) ** 1.5)
 
 
 def fsum_or_nan(values):
@@ -47,6 +48,11 @@ def fsum_or_nan(values):
         return math.nan
 
 
+def met(total, total_err, config):
+    """The tolerance test: a non-finite estimate never meets it."""
+    return total_err < math.inf and total_err <= max(config.abs_tol, config.rel_tol * abs(total))
+
+
 def reference_adaptive(g, a, b, config):
     value, err = reference_panel(g, a, b)
     heap = [(-err, 0, a, b, value, err)]
@@ -54,7 +60,7 @@ def reference_adaptive(g, a, b, config):
     for _ in range(config.max_subdivisions):
         total = fsum_or_nan(e[4] for e in heap)
         total_err = math.fsum(e[5] for e in heap)
-        if total_err <= max(config.abs_tol, config.rel_tol * abs(total)):
+        if met(total, total_err, config):
             return total, total_err, True
         _, _, wa, wb, _, _ = heapq.heappop(heap)
         mid = 0.5 * wa + 0.5 * wb
@@ -64,8 +70,7 @@ def reference_adaptive(g, a, b, config):
             order += 1
     total = fsum_or_nan(e[4] for e in heap)
     total_err = math.fsum(e[5] for e in heap)
-    converged = total_err <= max(config.abs_tol, config.rel_tol * abs(total))
-    return total, total_err, converged
+    return total, total_err, met(total, total_err, config)
 
 
 def bits(value):
@@ -128,7 +133,7 @@ def _window(lo, value):
 
 
 @pytest.mark.parametrize("g", [
-    _window(0.33, math.inf),  # converges with value inf
+    _window(0.33, math.inf),  # an infinite value with a NaN estimate: not converged
     _window(0.34, -math.inf),
     _window(0.77, math.nan),
     lambda x: -0.0,  # an exactly zero sum takes its sign from the heap
@@ -159,10 +164,7 @@ def test_finite_bounds_give_finite_nodes(a, b):
         nodes.append(x)
         return math.sin(x)
 
-    try:
-        engine(g, a, b, QuadratureConfig(max_subdivisions=5))
-    except OverflowError:  # (200 * d) ** 1.5 of an estimate near the float limit
-        pass
+    engine(g, a, b, QuadratureConfig(max_subdivisions=5))  # estimates near the limit are finite
     assert len(nodes) >= 15 and all(map(math.isfinite, nodes))
 
 
@@ -178,12 +180,13 @@ def _narrow_window(lo, width, value):
 
 def _heap_size_at_first_hit(g):
     """Panels in the reference's heap when a panel first makes the sum of
-    |value| + estimate non-finite or raises (None if none does)."""
+    |value| + estimate reach _EXACT_SUM_LIMIT, or not finite, or raises (None
+    if none does)."""
     value, err = reference_panel(g, 0.0, 1.0)
     heap = [(-err, 0, 0.0, 1.0, value, err)]
     bound, order = abs(value) + err, 1
     for _ in range(LONG.max_subdivisions):
-        if not math.isfinite(bound):
+        if not bound < _EXACT_SUM_LIMIT:
             return len(heap)
         _, _, wa, wb, _, _ = heapq.heappop(heap)
         mid = 0.5 * wa + 0.5 * wb
@@ -202,7 +205,7 @@ WINDOWS = {  # (lo, width, value): hit after the switch?
     (0.33, 0.001, math.inf): True,
     (0.34, 0.001, -math.inf): True,
     (0.33, 0.001, math.nan): True,
-    (0.33, 0.001, 1e250): True,  # the estimate overflows: OverflowError
+    (0.33, 0.001, 1e306): True,  # the bound passes _EXACT_SUM_LIMIT
     (0.5, 0.0001, math.inf): False,  # non-finite before the switch: no running sums
 }
 
@@ -305,3 +308,105 @@ def test_n_panels_takes_no_part_in_equality_or_hashing():
     a, b = IntegralResult(1.0, 0.5, n_panels=3), IntegralResult(1.0, 0.5, n_panels=7)
     assert a == b and hash(a) == hash(b)
     assert IntegralResult(1.0, 0.5).n_panels == 0
+
+
+# ---------------------------------------------------------------------------
+# Runs that end on their first panel
+
+
+def _kronrod_only_inf(x):
+    """inf at the node x = 0.9957 of [0, 1] alone, which the Gauss rule skips:
+    the first panel's value and estimate are both inf."""
+    return math.inf if x > 0.995 else 1.0
+
+
+@pytest.mark.parametrize("g", [
+    lambda x: -0.0,  # the total of a -0.0 panel is +0.0
+    lambda x: 2.5,
+    lambda x: math.nan,
+    lambda x: math.inf,
+    lambda x: -math.inf,
+    _kronrod_only_inf,  # an infinite estimate does not converge
+])
+@pytest.mark.parametrize("n", [1, 2, 2000])
+def test_first_panel_runs_match_the_reference(g, n):
+    got = same_outcome(g, 0.0, 1.0, QuadratureConfig(max_subdivisions=n))
+    if g(0.5) == 0.0:
+        assert got == (bits(0.0), bits(0.0), True)
+    if g is _kronrod_only_inf:
+        assert got[2] is False
+
+
+def _same_result(res, value, err, flags, n_panels):
+    assert (bits(res.value), bits(res.error_estimate)) == (bits(value), bits(err))
+    assert (res.flags, res.n_panels) == (flags, n_panels)
+
+
+@pytest.mark.parametrize("n", [1, 2000])
+def test_one_panel_integrals_match_the_reference(n):
+    from qcalc.qcore import q_log_exp_of
+    from qcalc.qquad import borges_dual_qint, dual_qint, primal_qint
+
+    d = Deformation(0.5)
+    f = funcexpr.compile(parse("x^2*cos(x)-x", d))
+    config = QuadratureConfig(max_subdivisions=n)
+    a, b = -0.15, 0.75
+    value, err, ok = reference_adaptive(in_the_chart(f.eval, d), ln_big_e(a, d), ln_big_e(b, d),
+                                        config)
+    assert ok and counted_reference(in_the_chart(f.eval, d), ln_big_e(a, d), ln_big_e(b, d),
+                                    config) == 1
+    _same_result(primal_qint(f, a, b, d, config), value, err, frozenset(), 1)
+    _same_result(primal_qint(f, b, a, d, config), -value, err, frozenset(), 1)
+    _same_result(primal_qint(f, a, a, d, config), 0.0, 0.0, frozenset(), 0)
+
+    value, err, ok = reference_adaptive(f.eval, a, b, config)
+    assert ok
+    scale = math.exp(d.delta * value)
+    _same_result(dual_qint(f, a, b, d, config), q_log_exp_of(value, d), err * scale,
+                 frozenset(), 1)
+    _same_result(dual_qint(f, b, a, d, config), q_log_exp_of(-value, d),
+                 err * math.exp(-d.delta * value), frozenset(), 1)
+    _same_result(dual_qint(f, b, b, d, config), 0.0, 0.0, frozenset(), 0)
+
+    def borges(x):
+        y = f.eval(x)
+        return (1.0 + d.delta * y) * y
+
+    value = reference_adaptive(borges, a, b, config)[0]
+    assert bits(borges_dual_qint(f, a, b, d, config)) == bits(value)
+    assert bits(borges_dual_qint(f, b, a, d, config)) == bits(-value)
+    assert bits(borges_dual_qint(f, a, a, d, config)) == bits(0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2000])
+def test_reflected_runs_match_the_reference(n):
+    from qcalc.qquad import IntegralFlag, SingularityMode, primal_qint
+
+    d = Deformation(2.0)  # the pole is at 1
+    reflected = frozenset({IntegralFlag.SINGULARITY_CROSSED, IntegralFlag.REFLECTION_APPLIED})
+    u_lo, u_hi = ln_big_e(0.5, d), ln_big_e(1.25, d)
+    reflect = SingularityMode.REFLECT
+    cases = [("x+1", QuadratureConfig(max_subdivisions=n, singularity_mode=reflect)),
+             ("sin(30*x)+1", QuadratureConfig(1e-300, 1e-300, n, reflect))]
+    for text, config in cases:
+        f = funcexpr.compile(parse(text, d))
+        g = in_the_chart(f.eval, d)
+        value, err, ok = reference_adaptive(g, u_lo, u_hi, config)
+        flags = reflected if ok else reflected | {IntegralFlag.TOLERANCE_NOT_MET}
+        panels = counted_reference(g, u_lo, u_hi, config)
+        assert panels == 1 if ok else panels == 2 * n + 1
+        _same_result(primal_qint(f, 0.5, 1.25, d, config), value, err, flags, panels)
+        _same_result(primal_qint(f, 1.25, 0.5, d, config), -value, err, flags, panels)
+
+
+def test_a_one_panel_integral_makes_its_panel_once_and_calls_it_once():
+    from qcalc.qquad import primal_qint
+
+    d = Deformation(0.5)
+    g = funcexpr.compile(parse("x^2*cos(x)-x", d)).eval
+    nodes = []
+    f = RealFunction(eval=lambda x: nodes.append(x) or g(x))  # no tree: g at each node
+    for _ in range(3):
+        assert primal_qint(f, -0.15, 0.75, d).n_panels == 1
+    assert len(nodes) == 3 * 15
+    assert len(f.stencils) == 1  # the panel, kept from the first call

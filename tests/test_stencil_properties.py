@@ -3,7 +3,8 @@
 The reference below is what ``qdiff`` ran before its stencils were generated:
 a ``phi`` closure per derivative (with the chart ``x_of`` for the primal
 one), ``_richardson``'s looped extrapolation table, and ``_refine``'s shrink
-loop. For every call the generated form must give the same (value,
+loop, with one rule added since: a point where f is not finite is outside
+f's domain. For every call the generated form must give the same (value,
 estimate) bits, the same ``ToleranceWarning`` texts, the same steps tried
 (so the same shrinks), or an error of the same type and message, with a
 cause of the same type and message.
@@ -94,8 +95,17 @@ def _refine(phi, centre, config, where, steps, identity):
     ) from last_error
 
 
+def _finite_at(f, x):
+    """Whether x is in f's domain and f(x) is finite: a non-finite value is
+    outside the domain too."""
+    try:
+        return (f.domain is None or f.domain(x)) and math.isfinite(f.eval(x))
+    except EVAL_ERRORS:
+        return False
+
+
 def reference_primal(f, x, d, config, steps):
-    if not f.defined(x):
+    if not _finite_at(f, x):
         raise DomainError(f"x = {x} is outside the domain of {f.label or 'f'}")
     if d.classical:
         u0, x_of = x, lambda u: u
@@ -122,6 +132,8 @@ def reference_dual(F, x, d, config, steps):
         y = F_at(x)
     except EVAL_ERRORS as e:
         raise DomainError(f"x = {x} is outside the domain of {F.label or 'F'}") from e
+    if not math.isfinite(y):
+        raise DomainError(f"x = {x} is outside the domain of {F.label or 'F'}")
     if d.bracket(y) <= 0.0:
         raise DomainError(
             f"F(x) = {y} lies in the cutoff region at x = {x}; "
