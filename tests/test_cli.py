@@ -259,6 +259,18 @@ class TestVerify:
         assert any(line.startswith("algebra/identity-table,") for line in failing)
         assert lines[-1] == "OVERALL,,,FAIL,"
 
+    @pytest.mark.parametrize("argv", [(), ("--q", "1"), ("--q", "0.5", "--inject-fault")],
+                             ids=["default", "classical", "fault"])
+    def test_every_csv_line_has_five_cells(self, argv):
+        # cells are not quoted: a comma in a detail would add a cell
+        res = run_cli("verify", *argv)
+        lines = res.stdout.splitlines()
+        assert len(lines) == 33
+        assert all(line.count(",") == 4 for line in lines), res.stdout
+        detail = {line.split(",")[0]: line.split(",")[4] for line in lines}
+        assert " x=" in detail["roundtrip/log-exp"]
+        assert " x=" not in detail["int/partition-slope"]
+
 
 class TestOutput:
     def test_json_schema(self):

@@ -10,6 +10,7 @@ either sign depending on whether the interpreter has specialised the
 multiplication yet, so every NaN compares equal to every other here.
 """
 
+import gc
 import math
 import pickle
 import struct
@@ -123,15 +124,25 @@ def reference(node, x, flags):
 
 def calls(fn, *args):
     """The code objects of the frames one call of fn(*args) enters, fn's own
-    included, after a first call has warmed every cache."""
+    included, after a first call has warmed every cache.  The garbage
+    collector is held off meanwhile: finalizers it runs would count too."""
     fn(*args)
     codes = []
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(lambda frame, event, arg: codes.append(frame.f_code) if event == "call" else None)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
     return codes
+
+
+def names(codes):
+    return [code.co_name for code in codes]
 
 
 def bits(value):

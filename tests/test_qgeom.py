@@ -19,7 +19,7 @@ from qcalc import (
     q_sub,
 )
 from qcalc import funcexpr
-from test_compiled_eval import calls
+from test_compiled_eval import calls, names
 from qcalc.qgeom import (
     DualQLine,
     PrimalQLine,
@@ -258,7 +258,8 @@ class TestTangents:
         numeric = RealFunction(eval=F.eval, domain=F.domain)  # no derivative
         for op in (primal_qtangent, dual_qtangent):
             for f in (F, numeric):
-                assert len(calls(op, f, 0.3, d)) <= 8
+                codes = calls(op, f, 0.3, d)
+                assert len(codes) <= 8, names(codes)
 
     @pytest.mark.parametrize("closed", [True, False])
     @pytest.mark.parametrize("tangent", [primal_qtangent, dual_qtangent])

@@ -25,7 +25,7 @@ from qcalc.errors import EVAL_ERRORS
 from qcalc.qcore import ln_big_e
 from qcalc.qdiff import DerivConfig, dual_qderiv_numeric, primal_qderiv_numeric
 from test_codegen_properties import TREES, with_deformation
-from test_compiled_eval import POINTS, Q_VALUES, calls
+from test_compiled_eval import POINTS, Q_VALUES, calls, names
 from test_quadrature_engine import bits
 
 pytest.importorskip("hypothesis")
@@ -296,7 +296,8 @@ def test_a_warm_point_is_one_call_into_generated_code(text, q):
     d = Deformation(q)
     f = funcexpr.compile(parse(text, d))
     for op in (qdiff.primal_qderiv_numeric_with_estimate, qdiff.dual_qderiv_numeric_with_estimate):
-        assert len(calls(op, f, 0.3, d)) <= 2
+        codes = calls(op, f, 0.3, d)
+        assert len(codes) <= 2, names(codes)
 
 
 def test_shrinks_and_the_failure_after_eight_are_reproduced():

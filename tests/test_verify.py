@@ -67,13 +67,18 @@ class TestResultShape:
         assert DEFAULT_Q_SWEEP == (-1.0, 0.0, 0.5, 0.9, 1.0, 1.1, 2.0)
 
 
+def points_at(table):
+    """A one-q property yielding table[q]'s (residual, x) points."""
+    return lambda d: iter(table.get(d.q, ()))
+
+
 class TestNonFiniteResiduals:
     def test_nan_after_finite_residuals_fails_the_row(self, monkeypatch):
-        # max() over (residual, q) tuples passes over a NaN that is not first
-        residuals = [(1e-16, 0.5), (math.nan, 2.0), (1e-15, 1.0)]
-        probe = ("probe/nan-residual", 1e-12, lambda ds: verify._worst(residuals))
-        monkeypatch.setattr(verify, "_BATTERY", [probe])
-        (row,) = run_battery([0.5])
+        # a comparison passes over a NaN that is not the first point
+        probe = points_at({0.5: [(1e-16, 0.1)], 2.0: [(math.nan, None), (1e-15, 0.3)]})
+        monkeypatch.setattr(
+            verify, "_BATTERY", [("probe/nan-residual", 1e-12, verify._sweep, probe)])
+        (row,) = run_battery([0.5, 2.0])
         assert math.isnan(row.max_residual)
         assert not row.passed
         assert row.detail == "worst at q=2"
@@ -83,22 +88,90 @@ class TestRaisingProperty:
     def test_a_property_that_raises_is_a_failing_row_and_the_rest_still_run(
         self, monkeypatch
     ):
-        def raises(ds):
+        def raises(d):
             raise ZeroDivisionError("probe division")
 
         swept = []
 
-        def later(ds):
-            swept.append([d.q for d in ds])
-            return 0.0, "ran"
+        def later(d):
+            swept.append(d.q)
+            yield 0.0, None
 
         monkeypatch.setattr(verify, "_BATTERY", [
-            ("probe/raises", 1e-12, raises), ("probe/later", 0.0, later)])
+            ("probe/raises", 1e-12, verify._sweep, raises),
+            ("probe/later", 0.0, verify._sweep, later)])
         failed, after = run_battery([0.5])
         assert failed == PropertyResult(
             "probe/raises", math.inf, 1e-12, False, "error: probe division")
-        assert after == PropertyResult("probe/later", 0.0, 0.0, True, "ran")
-        assert swept == [[0.5]]
+        assert after == PropertyResult("probe/later", 0.0, 0.0, True, "worst at q=0.5")
+        assert swept == [0.5]
+
+    def test_a_generator_that_raises_after_its_points_is_an_error_row(self, monkeypatch):
+        def raises_late(d):
+            yield 1e-16, 0.25
+            yield math.nan, 0.5
+            raise ValueError("probe failed late, after two points")
+
+        monkeypatch.setattr(verify, "_BATTERY", [
+            ("probe/raises-late", 1e-12, verify._sweep, raises_late),
+            ("probe/later", 1e-12, verify._sweep, points_at({2.0: [(1e-13, 0.7)]}))])
+        failed, after = run_battery([0.5, 2.0])
+        # a comma in the message would add a CSV cell
+        assert failed == PropertyResult(
+            "probe/raises-late", math.inf, 1e-12, False,
+            "error: probe failed late; after two points")
+        assert after == PropertyResult(
+            "probe/later", 1e-13, 1e-12, True, "worst at q=2 x=0.7")
+
+
+class TestWorstLocation:
+    @pytest.mark.parametrize("table,detail", [
+        # the largest residual wins, wherever it is
+        ({0.5: [(1e-15, 0.1), (3e-15, 0.2)], 2.0: [(2e-15, 0.3)]}, "worst at q=0.5 x=0.2"),
+        # a tie goes to the larger q, whatever the sweep order
+        ({0.5: [(3e-15, 0.1)], 2.0: [(1e-15, 0.2), (3e-15, 0.3)]}, "worst at q=2 x=0.3"),
+        # a tie at one q goes to the first point
+        ({0.5: [(3e-15, 0.1), (3e-15, 0.2)], 2.0: [(1e-15, 0.3)]}, "worst at q=0.5 x=0.1"),
+        # x is None where the check has no abscissa
+        ({0.5: [(1e-15, 0.1)], 2.0: [(2e-15, None)]}, "worst at q=2"),
+        ({}, "not exercised"),
+    ])
+    @pytest.mark.parametrize("sweep", [[0.5, 2.0], [2.0, 0.5]])
+    def test_the_worst_point_and_where_it_is(self, monkeypatch, table, detail, sweep):
+        monkeypatch.setattr(
+            verify, "_BATTERY", [("probe/location", 1.0, verify._sweep, points_at(table))])
+        (row,) = run_battery(sweep)
+        assert row.detail == detail
+        assert row.max_residual == max((r for pts in table.values() for r, _ in pts),
+                                       default=0.0)
+
+    @pytest.mark.parametrize("sweep,detail", [
+        ([0.5, 2.0], "worst at q=0.5 x=0.2"), ([2.0, 0.5], "worst at q=2 x=0.3")])
+    def test_the_first_non_finite_point_in_sweep_order_wins(self, monkeypatch, sweep,
+                                                             detail):
+        table = {0.5: [(1.0, 0.1), (math.inf, 0.2), (math.nan, 0.25)],
+                 2.0: [(math.nan, 0.3), (2.0, 0.4)]}
+        monkeypatch.setattr(
+            verify, "_BATTERY", [("probe/location", 1.0, verify._sweep, points_at(table))])
+        (row,) = run_battery(sweep)
+        assert row.detail == detail
+        assert not row.passed
+
+    def test_rows_run_at_their_own_deformations(self, monkeypatch):
+        seen = {}
+
+        def probe(name):
+            def prop(d):
+                seen.setdefault(name, []).append(d.q)
+                yield 0.0, None
+            return prop
+
+        monkeypatch.setattr(verify, "_BATTERY", [
+            (at.__name__, 0.0, at, probe(at.__name__))
+            for at in (verify._sweep, verify._first_q, verify._near_one)])
+        run_battery([2.0, 0.5])
+        assert seen == {"_sweep": [2.0, 0.5], "_first_q": [2.0],
+                        "_near_one": [1.0 - 1e-6, 1.0 + 1e-6]}
 
 
 def test_partition_slope_residual_is_the_same_on_every_python():
