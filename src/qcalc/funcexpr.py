@@ -28,7 +28,7 @@ from __future__ import annotations
 import builtins
 import math
 from collections.abc import Callable
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 
 from .errors import EVAL_ERRORS, DomainError, ParseError, PoleError, UnknownBuiltinError
 from .qcore import (
@@ -72,9 +72,11 @@ class RealFunction(Record):
 
     ``stencils`` keeps the point functions made from f on first use:
     qdiff's numeric-derivative points by (operator, q), and qquad's Kronrod
-    panels by (weight, chart, delta); it takes no part in equality.
+    panels by (weight, chart, delta); it takes no part in equality, and a
+    copy or an unpickled f starts with an empty one.
     """
 
+    __slots__ = ("eval", "derivative", "domain", "label", "stencils")
     _fields = ("eval", "derivative", "domain", "label")
 
     def __init__(
@@ -110,49 +112,38 @@ class RealFunction(Record):
 
 
 class _Node(Record):
-    @cached_property
-    def _compiled(self) -> Callable[..., float]:
-        """The tree as one generated function (see Evaluation), built on first use."""
-        return _generate(self)
+    # _compiled: the tree as one generated function (see Evaluation), set on
+    # first use; it is no field, and a pickled or copied tree rebuilds it
+    __slots__ = ("_compiled",)
+    _fields = ()
 
-    def __getstate__(self):  # generated functions do not pickle; rebuilt on use
-        return {k: v for k, v in vars(self).items() if k != "_compiled"}
+    def __getattr__(self, name: str):  # reached only while a slot is unset
+        if name != "_compiled":
+            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
+        compiled = _generate(self)
+        object.__setattr__(self, "_compiled", compiled)
+        return compiled
 
 
 class Num(_Node):
-    _fields = ("value",)
-
-    def __init__(self, value: float) -> None:
-        object.__setattr__(self, "value", value)
+    __slots__ = ("value",)
 
 
 class Var(_Node):
-    pass
+    __slots__ = ()
 
 
 class Neg(_Node):
-    _fields = ("operand",)
-
-    def __init__(self, operand: Expr) -> None:
-        object.__setattr__(self, "operand", operand)
+    __slots__ = ("operand",)
 
 
 class BinOp(_Node):
-    _fields = ("op", "left", "right")  # op: one of + - * / ^
-
-    def __init__(self, op: str, left: Expr, right: Expr) -> None:
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    __slots__ = ("op", "left", "right")  # op: one of + - * / ^
 
 
 class Call(_Node):
-    _fields = ("func", "arg", "deformation")  # deformation: bound for qexp/qexp'/qlog
-
-    def __init__(self, func: str, arg: Expr, deformation: Deformation | None = None) -> None:
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "deformation", deformation)
+    __slots__ = ("func", "arg", "deformation")  # deformation: bound for qexp/qexp'/qlog
+    _defaults = {"deformation": None}
 
 
 Expr = Num | Var | Neg | BinOp | Call
@@ -435,6 +426,16 @@ def _qexp_kernel(d: Deformation) -> Callable[[float, set | None], float]:
     return qexp
 
 
+# The paper's chart u = ln_E(x) = ln|1 + delta*x| / delta and its inverse, as
+# texts over {0} that read delta, one per side of the pole. Past the float range
+# the forward maps are (ln|delta| + ln|x|) / delta, as ln_big_e; LN_E, the map on
+# the support, raises log1p's ValueError at and beyond the pole.
+LN_E = "(log1p(delta * {0}) if delta * {0} < inf else log(abs(delta)) + log(abs({0}))) / delta"
+LN_E_BELOW = ("(log(-1.0 - delta * {0}) if delta * {0} > -inf"
+              " else log(abs(delta)) + log(abs({0}))) / delta")
+CHART_ABOVE, CHART_BELOW = "expm1(delta * {0}) / delta", "(-exp(delta * {0}) - 1.0) / delta"
+
+
 # expm1, log1p and inf are read by qlog and by the chart texts
 _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
             "sqrt": math.sqrt, "math_pow": math.pow, "expm1": math.expm1,
@@ -443,11 +444,13 @@ _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
             "EVAL_ERRORS": EVAL_ERRORS, "Q1_BRANCH": _Q1}
 # per operator or function: the expression, and the checks (condition,
 # message) that precede it, as templates over the operand names; a deformed
-# qlog ("qlog_q") has its delta as a second operand
+# qlog ("qlog_q") is the inverse chart at log of its operand, with its delta
+# as a second operand
 _TEMPLATES = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}",
               "^": "math_pow({}, {})", "ln": "log({})", "exp": "exp({})",
               "sin": "sin({})", "cos": "cos({})", "sqrt": "sqrt({})", "abs": "abs({})",
-              "qlog": "log({})", "qlog_q": "expm1({1} * log({0})) / {1}"}
+              "qlog": "log({})",
+              "qlog_q": CHART_ABOVE.format("log({0})").replace("delta", "{1}")}
 _CHECKS = {
     "/": (("{1} == 0.0", '"division by zero"'),),
     "^": (("{0} == 0.0 and {1} < 0.0", '"0 raised to a negative power"'),
@@ -574,16 +577,6 @@ def point_loop(g: Callable[[float], float], text: Callable[..., str], args: tupl
 @lru_cache(maxsize=16)
 def _point_factory(text: Callable[..., str], args: tuple) -> Callable:
     return _factory(text(["t0 = g(x)"], "t0", ["g"], *args))
-
-
-# The paper's chart u = ln_E(x) = ln|1 + delta*x| / delta and its inverse, as
-# texts over {0} that read delta, one per side of the pole. Past the float range
-# the forward maps are (ln|delta| + ln|x|) / delta, as ln_big_e; LN_E, the map on
-# the support, raises log1p's ValueError at and beyond the pole.
-LN_E = "(log1p(delta * {0}) if delta * {0} < inf else log(abs(delta)) + log(abs({0}))) / delta"
-LN_E_BELOW = ("(log(-1.0 - delta * {0}) if delta * {0} > -inf"
-              " else log(abs(delta)) + log(abs({0}))) / delta")
-CHART_ABOVE, CHART_BELOW = "expm1(delta * {0}) / delta", "(-exp(delta * {0}) - 1.0) / delta"
 
 
 def chart_point(x_of: str, lines: list[str], value: str) -> tuple[str, list[str]]:

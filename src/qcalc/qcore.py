@@ -60,32 +60,34 @@ QUAD_REL_TOL = 1e-8
 class Record:
     """Base of qcalc's immutable record classes.
 
-    A subclass names its fields in ``_fields``, in repr order, and, when
-    equality and hashing read fewer of them, those in ``_compared``. Its own
-    ``__init__`` sets every field with ``object.__setattr__`` (writing to
-    ``self.__dict__`` instead would make the instance keep a real dict, and
-    every later attribute read slower). Records
-    compare as the tuples of their compared fields, and only with records of
-    the same class; they hash as those tuples; their repr is
-    ``Class(field=value, ...)`` over ``_fields``. Assigning or deleting an
-    attribute raises ``FrozenInstanceError``, the error of the standard
+    A subclass lists its storage in ``__slots__``, which it must declare, so
+    no record has a ``__dict__``. Its fields, in repr order, are ``_fields``
+    (default: those slots). Equality and hashing read ``_compared``, and
+    pickling and ``copy.copy`` call the class on ``_args`` (both default to
+    the fields). A subclass without an ``__init__`` of its own gets one that
+    takes its fields, those in ``_defaults`` optional, and sets each slot
+    through its member descriptor. Records compare as the tuples of their
+    compared fields, only with records of the same class, and hash as those
+    tuples; their repr is ``Class(field=value, ...)``. Assigning or deleting
+    an attribute raises ``FrozenInstanceError``, the error of the standard
     library's frozen records.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        compared = cls.__dict__.get("_compared", cls._fields)
-        if len(compared) > 1:
-            key = attrgetter(*compared)
-        elif compared:
-            get = attrgetter(*compared)
-            key = lambda self: (get(self),)  # noqa: E731
-        else:
-            key = lambda self: ()  # noqa: E731
-        cls._key = staticmethod(key)
+        own = cls.__dict__
+        if "__slots__" not in own:
+            raise TypeError(f"record class {cls.__qualname__} must declare __slots__")
+        if "_fields" not in own:
+            cls._fields = tuple(own["__slots__"])
+        cls._key = staticmethod(_tuple_of(own.get("_compared", cls._fields)))
+        cls._argv = staticmethod(_tuple_of(own.get("_args", cls._fields)))
+        if "__init__" not in own:
+            cls.__init__ = _generated_init(cls)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -99,11 +101,39 @@ class Record:
         parts = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{self.__class__.__qualname__}({parts})"
 
+    def __reduce__(self):
+        return self.__class__, self._argv(self)
+
     def __setattr__(self, name, value):
         _frozen(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         _frozen(f"cannot delete field {name!r}")
+
+
+def _tuple_of(names: tuple[str, ...]):
+    """A function from a record to the tuple of its attributes ``names``."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda self: (get(self),)
+    return lambda self: ()
+
+
+def _generated_init(cls):
+    """``__init__(self, <fields>)`` for a record class: each field a parameter,
+    defaulting to its ``_defaults`` entry, set through its slot's descriptor."""
+    scope = {"_defaults": cls._defaults}
+    params, body = ["self"], []
+    for name in cls._fields:
+        scope[f"_set_{name}"] = getattr(cls, name).__set__
+        params.append(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name)
+        body.append(f"    _set_{name}(self, {name})\n")
+    exec(f"def __init__({', '.join(params)}):\n" + ("".join(body) or "    pass\n"), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _frozen(message: str):
@@ -128,6 +158,7 @@ class Deformation(Record):
     part in the constructor, repr, equality or hashing.
     """
 
+    __slots__ = ("q", "delta", "classical", "inv_delta")
     _fields = ("q",)
 
     def __init__(self, q: float) -> None:
@@ -168,11 +199,8 @@ class ExtendedValue(Record):
     1/(1-q), in which case the value is exactly 0.
     """
 
-    _fields = ("value", "flags")
-
-    def __init__(self, value: float, flags: frozenset[EvalFlag] = frozenset()) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "flags", flags)
+    __slots__ = ("value", "flags")
+    _defaults = {"flags": frozenset()}
 
     def __float__(self) -> float:
         return self.value
@@ -196,17 +224,16 @@ _NONE: frozenset[EvalFlag] = frozenset()
 def q_log(x: float, d: Deformation) -> float:
     """q-logarithm (x^(1-q) - 1)/(1-q).
 
-    Computed as expm1(delta*ln x)/delta, which stays accurate for x near 1
-    where the direct power cancels. Classical branch: ln x.
+    Computed as q_log_exp_of(ln x), that is expm1(delta*ln x)/delta, which
+    stays accurate for x near 1 where the direct power cancels. Classical
+    branch: ln x.
 
     Raises:
         DomainError: if x <= 0.
     """
     if x <= 0.0:
         raise DomainError(f"q_log requires x > 0, got {x}")
-    if d.classical:
-        return math.log(x)
-    return math.expm1(d.delta * math.log(x)) / d.delta
+    return q_log_exp_of(math.log(x), d)
 
 
 def _exp_q1(x: float) -> tuple[float, frozenset[EvalFlag]]:
@@ -386,6 +413,8 @@ def q_log_exp_of(a: float, d: Deformation) -> float:
     Raises:
         OverflowError: when (1-q)*a exceeds the representable exponent range.
     """
+    # the inverse chart, funcexpr's CHART_ABOVE, as a scalar: qcore sits
+    # beneath funcexpr and holds no texts, so this form is its own
     if d.classical:
         return a
     return math.expm1(d.delta * a) / d.delta

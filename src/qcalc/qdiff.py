@@ -127,7 +127,7 @@ class DerivConfig(Record):
     max(1, |result|).
     """
 
-    _fields = ("rel_tol",)
+    __slots__ = ("rel_tol",)
 
     def __init__(self, rel_tol: float = DERIV_REL_TOL) -> None:
         if rel_tol <= 0.0:

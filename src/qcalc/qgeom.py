@@ -57,12 +57,7 @@ class PrimalQLine(Record):
     c is the value at x = 0 (the chart fixes u(0) = 0).
     """
 
-    _fields = ("q", "k_q", "c")
-
-    def __init__(self, q: Deformation, k_q: float, c: float) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k_q", k_q)
-        object.__setattr__(self, "c", c)
+    __slots__ = ("q", "k_q", "c")
 
 
 class DualQLine(Record):
@@ -75,12 +70,7 @@ class DualQLine(Record):
     limit, where the family is just the ordinary lines k*x + intercept.
     """
 
-    _fields = ("q", "k_sup_q", "intercept")
-
-    def __init__(self, q: Deformation, k_sup_q: float, intercept: float) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k_sup_q", k_sup_q)
-        object.__setattr__(self, "intercept", intercept)
+    __slots__ = ("q", "k_sup_q", "intercept")
 
     @property
     def c(self) -> float:

@@ -94,7 +94,7 @@ def _check_steps(n) -> None:
 
 
 class QuadratureConfig(Record):
-    _fields = ("abs_tol", "rel_tol", "max_subdivisions", "singularity_mode")
+    __slots__ = ("abs_tol", "rel_tol", "max_subdivisions", "singularity_mode")
 
     def __init__(
         self,
@@ -126,17 +126,9 @@ class IntegralResult(Record):
     in equality or hashing.
     """
 
-    _fields = ("value", "error_estimate", "flags", "n_panels")
-    _compared = _fields[:3]
-
-    def __init__(
-        self, value: float, error_estimate: float, flags: frozenset = frozenset(),
-        n_panels: int = 0,
-    ) -> None:
-        # one write for the four fields: a result is built once per integral
-        # and read a few times, so this costs less than four writes
-        object.__setattr__(self, "__dict__", {"value": value, "error_estimate": error_estimate,
-                                              "flags": flags, "n_panels": n_panels})
+    __slots__ = ("value", "error_estimate", "flags", "n_panels")
+    _compared = __slots__[:3]
+    _defaults = {"flags": frozenset(), "n_panels": 0}
 
     def __float__(self) -> float:
         return self.value
@@ -416,7 +408,8 @@ class GeometricPartition(Record):
     Requires a non-classical deformation and both bounds on the support.
     """
 
-    _fields = ("x_lo", "x_hi", "n", "deformation", "z", "t", "nodes")
+    __slots__ = ("x_lo", "x_hi", "n", "deformation", "z", "t", "nodes")
+    _args = __slots__[:4]
 
     def __init__(self, x_lo: float, x_hi: float, n: int, deformation: Deformation) -> None:
         d = deformation

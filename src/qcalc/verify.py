@@ -87,17 +87,8 @@ _Points = Iterator[tuple[float, float | None]]
 class PropertyResult(Record):
     """Outcome of one invariant check: worst residual vs. its tolerance."""
 
-    _fields = ("name", "max_residual", "tolerance", "passed", "detail")
-
-    def __init__(
-        self, name: str, max_residual: float, tolerance: float, passed: bool,
-        detail: str = "",
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "max_residual", max_residual)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+    __slots__ = ("name", "max_residual", "tolerance", "passed", "detail")
+    _defaults = {"detail": ""}
 
 
 def _rel(lhs: float, rhs: float) -> float:
@@ -702,7 +693,8 @@ _BATTERY: tuple[tuple[str, float, _At, Callable[..., _Points]], ...] = (
 
 
 def _worst(points: Iterator[tuple[float, float, float | None]]) -> tuple[float, str]:
-    """The worst of a row's (residual, q, x) points, and where it occurred.
+    """The worst of a row's (residual, q, x) points, and where it occurred:
+    q in full (q = 1 + 1e-6 must not read as 1), x to 6 significant digits.
 
     The first non-finite residual wins (NaN included, which a comparison
     would pass over); otherwise the largest, on a tie the larger q, then
@@ -718,7 +710,7 @@ def _worst(points: Iterator[tuple[float, float, float | None]]) -> tuple[float, 
     if worst is None:
         return 0.0, "not exercised"
     r, q, x = worst
-    return r, f"worst at q={q:g}" + ("" if x is None else f" x={x:g}")
+    return r, f"worst at q={repr(q).removesuffix('.0')}" + ("" if x is None else f" x={x:g}")
 
 
 def run_battery(

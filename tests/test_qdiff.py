@@ -323,6 +323,18 @@ class TestTheChart:
             for arithmetic in ("log1p(", "expm1(", "exp(delta", "log(-"):
                 assert arithmetic not in text, (module.__name__, arithmetic)
 
+    def test_the_deformed_qlog_template_is_the_inverse_chart(self):
+        # qlog_q formats CHART_ABOVE at log of its operand, its delta bound as a
+        # second operand; the templates' own text holds no chart arithmetic
+        import ast
+
+        assert funcexpr._TEMPLATES["qlog_q"] == "expm1({1} * log({0})) / {1}"
+        with open(funcexpr.__file__, encoding="utf-8") as source:
+            text = source.read()
+        (templates,) = [node for node in ast.parse(text).body if isinstance(node, ast.Assign)
+                        and getattr(node.targets[0], "id", None) == "_TEMPLATES"]
+        assert "expm1(" not in ast.get_source_segment(text, templates)
+
     @pytest.mark.parametrize("x", [1e307, 1e308, 1.79e308])
     def test_dual_numeric_is_finite_past_the_float_range(self, x):
         # at q = -1, delta * F(x) = 2x is inf: ln_big_e's branch past the float
@@ -490,7 +502,7 @@ class TestEvaluationCount:
             calls.append(x)
             return real_closure(x, flags)
 
-        vars(ast)["_compiled"] = counting_closure
+        object.__setattr__(ast, "_compiled", counting_closure)
         f = funcexpr.compile(ast)
         budget = 2 * (qdiff.RICHARDSON_LEVELS + 1) + 1
         for op in (primal_qderiv_numeric, dual_qderiv_numeric):

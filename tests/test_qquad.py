@@ -1,6 +1,8 @@
 """Adaptive deformed integrals vs closed forms and independent oracles."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -508,3 +510,19 @@ class TestFlawedDual:
         d = Deformation(0.5)
         got = borges_dual_qint(builtin("recip", d), 1.0, 2.0, d)
         assert isinstance(got, float) and not isinstance(got, IntegralResult)
+
+
+class TestUsedFunction:
+    def test_pickles_and_its_copy_gets_its_own_cache(self):
+        # stencils holds the generated point functions, which do not pickle:
+        # pickling and copy.copy rebuild f from its fields, with an empty cache
+        d = Deformation(0.5)
+        f = RealFunction(math.exp, math.exp)
+        primal_qderiv_numeric(f, 0.3, d)
+        primal_qint(f, 0.0, 1.0, d)
+        assert f.stencils
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and back.stencils == {}
+        dup = copy.copy(f)
+        assert dup == f and dup.stencils is not f.stencils and dup.stencils == {}
+        assert primal_qint(dup, 0.0, 1.0, d) == primal_qint(f, 0.0, 1.0, d)

@@ -276,9 +276,37 @@ def _both(name, i):
     return make(OURS), make(REF)
 
 
+def _slot_state(record):
+    """The slots a record has set, by name, leaving out a tree node's
+    generated function (records have no instance dict for vars to read)."""
+    return {name: getattr(record, name) for cls in type(record).__mro__
+            for name in cls.__dict__.get("__slots__", ())
+            if name != "_compiled" and hasattr(record, name)}
+
+
+def _has_compiled(node):
+    """Whether a tree node's _compiled slot is set, read without its
+    __getattr__, which would build it."""
+    try:
+        object.__getattribute__(node, "_compiled")
+    except AttributeError:
+        return False
+    return True
+
+
+def _promised_eq(a, b):
+    """The records' equality, on a pair of reference instances: the same
+    class, and equal tuples of the compared fields (a tuple short-cuts on
+    identity, so a record holding the same NaN object equals itself)."""
+    def compared(r):
+        return tuple(getattr(r, f.name) for f in dataclasses.fields(r) if f.compare)
+
+    return type(a) is type(b) and compared(a) == compared(b)
+
+
 def _same_state(a, b):
-    """The instance dicts hold equal values, NaN matching NaN."""
-    va, vb = vars(a), vars(b)
+    """The set slots hold equal values, NaN matching NaN."""
+    va, vb = _slot_state(a), _slot_state(b)
     return va.keys() == vb.keys() and all(
         va[k] == vb[k] or (isinstance(va[k], float) and math.isnan(va[k])
                            and isinstance(vb[k], float) and math.isnan(vb[k]))
@@ -330,12 +358,12 @@ def test_equality_matches_across_every_pair_of_cases(name):
     another = CASES[NAMES[(NAMES.index(name) + 1) % len(NAMES)]][0]
     for i, make_a in enumerate(makers):
         a_ours, a_ref = make_a(OURS), make_a(REF)
-        assert (a_ours == another(OURS)) is (a_ref == another(REF)) is False
-        assert (a_ours == a_ours) == (a_ref == a_ref)
+        assert (a_ours == another(OURS)) is _promised_eq(a_ref, another(REF)) is False
+        assert (a_ours == a_ours) is _promised_eq(a_ref, a_ref)
         for make_b in makers:
             b_ours, b_ref = make_b(OURS), make_b(REF)
-            assert (a_ours == b_ours) is (a_ref == b_ref), (i, b_ref)
-            assert (a_ours != b_ours) is (a_ref != b_ref), (i, b_ref)
+            assert (a_ours == b_ours) is _promised_eq(a_ref, b_ref), (i, b_ref)
+            assert (a_ours != b_ours) is not _promised_eq(a_ref, b_ref), (i, b_ref)
         for other in (None, 1.0, "x", object(), a_ours._key(a_ours)):
             assert (a_ours == other) is (a_ref == other)
             assert a_ours.__eq__(other) is a_ref.__eq__(other)
@@ -385,9 +413,9 @@ def test_pickle_round_trip(name, i, protocol):
 def test_pickled_node_drops_and_rebuilds_its_compiled_function():
     tree = funcexpr.parse("x*qexp(x/4)", OURS.Deformation(0.5))
     value = funcexpr.evaluate(tree, 0.5)
-    assert "_compiled" in vars(tree)
+    assert _has_compiled(tree)
     back = pickle.loads(pickle.dumps(tree))
-    assert "_compiled" not in vars(back)
+    assert not _has_compiled(back)
     assert back == tree and funcexpr.evaluate(back, 0.5) == value
 
 
@@ -398,7 +426,7 @@ def test_copy(name, i):
     assert type(dup) is type(ours)
     assert repr(dup) == repr(copy.copy(ref)) == repr(ours)
     assert dup == ours and hash(dup) == hash(ours)
-    assert vars(dup) == vars(ours)
+    assert _slot_state(dup) == _slot_state(ours)
 
 
 def test_stored_attributes_survive_pickling():

@@ -157,6 +157,20 @@ class TestWorstLocation:
         assert row.detail == detail
         assert not row.passed
 
+    @pytest.mark.parametrize("q,text", [
+        (1.0 - 1e-6, "0.999999"), (1.0 + 1e-6, "1.000001"), (0.123456789, "0.123456789"),
+        (2.0, "2"), (-1.0, "-1"), (1e-05, "1e-05")])
+    def test_q_is_named_in_full_and_x_to_six_digits(self, monkeypatch, q, text):
+        # with 6 significant digits, q = 1 +- 1e-6 both read q=1
+        monkeypatch.setattr(verify, "_BATTERY", [
+            ("probe/location", 1.0, verify._sweep, points_at({q: [(1e-15, 0.123456789)]}))])
+        (row,) = run_battery([q])
+        assert row.detail == f"worst at q={text} x=0.123457"
+
+    def test_classical_continuity_names_its_side_of_q_1(self):
+        row = next(r for r in run_battery() if r.name == "classical-continuity")
+        assert row.detail == "worst at q=1.000001 x=-6"
+
     def test_rows_run_at_their_own_deformations(self, monkeypatch):
         seen = {}
 
