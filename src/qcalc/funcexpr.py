@@ -112,17 +112,70 @@ class RealFunction(Record):
 
 
 class _Node(Record):
-    # _compiled: the tree as one generated function (see Evaluation), set on
-    # first use; it is no field, and a pickled or copied tree rebuilds it
+    """Base of the tree nodes. No pass over a tree recurses: ``==``, ``hash``,
+    ``repr`` and pickling keep their own stacks, as the passes below do, and
+    give the values of the nested frozen dataclasses that the nodes replaced.
+    ``_operands`` are the positions in ``_fields`` that hold subtrees."""
+
+    # _compiled: the tree as one generated function (see Evaluation), set by
+    # its first evaluation; it is no field, and a pickled or copied tree
+    # starts without it
     __slots__ = ("_compiled",)
     _fields = ()
+    _operands: tuple[int, ...] = ()
 
-    def __getattr__(self, name: str):  # reached only while a slot is unset
-        if name != "_compiled":
-            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
-        compiled = _generate(self)
-        object.__setattr__(self, "_compiled", compiled)
-        return compiled
+    def __eq__(self, other):
+        """Same class and equal fields, compared as tuples compare them (an
+        identical value is equal); a pair of subtrees is compared once."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo, seen = [(self, other)], set()
+        while todo:
+            a, b = todo.pop()
+            for u, v in zip(a._key(a), b._key(b)):
+                if u is v:
+                    continue
+                if u.__class__ is v.__class__ and isinstance(u, _Node):
+                    if (id(u), id(v)) not in seen:
+                        seen.add((id(u), id(v)))
+                        todo.append((u, v))
+                elif not u == v:
+                    return False
+        return True
+
+    def __hash__(self):
+        """The hash of the tuple of fields, each subtree standing in by its hash."""
+        return _post_order(self, Record.__hash__, lambda node, *hashes: hash(
+            _substituted(node._key(node), node._operands, map(_Hashed, hashes))))
+
+    def __repr__(self):
+        out, todo = [], [self]  # todo: nodes to print, and text
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, _Node):
+                out.append(item)
+                continue
+            parts = []
+            for name in item._fields:
+                value = getattr(item, name)
+                parts += (", ", f"{name}=", value if isinstance(value, _Node) else repr(value))
+            out.append(f"{item.__class__.__qualname__}(")
+            todo += (")", *reversed(parts[1:]))
+        return "".join(out)
+
+    def __reduce__(self):
+        """Pickle and copy as a flat list: each distinct node once, after its
+        operands, as its class and its fields, each operand the index of its
+        entry; ``_build`` makes the tree again."""
+        entries = []
+
+        def entry(node, *operands):
+            fields = _substituted(node._key(node), node._operands, operands)
+            entries.append((node.__class__, fields))
+            return len(entries) - 1
+
+        _post_order(self, entry, entry)
+        return _build, (entries,)
 
 
 class Num(_Node):
@@ -135,14 +188,17 @@ class Var(_Node):
 
 class Neg(_Node):
     __slots__ = ("operand",)
+    _operands = (0,)
 
 
 class BinOp(_Node):
     __slots__ = ("op", "left", "right")  # op: one of + - * / ^
+    _operands = (1, 2)
 
 
 class Call(_Node):
     __slots__ = ("func", "arg", "deformation")  # deformation: bound for qexp/qexp'/qlog
+    _operands = (1,)
     _defaults = {"deformation": None}
 
 
@@ -323,8 +379,9 @@ def parse(text: str, d: Deformation) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Tree passes (the printer, the derivative, the code generator) keep their
-# own stacks, so a tree's depth is not bounded by the recursion limit.
+# Tree passes (the printer, the derivative, the code generator, and a node's
+# ==, hash, repr and pickling) keep their own stacks, so a tree's depth is not
+# bounded by the recursion limit.
 
 def _post_order(root: Expr, leaf: Callable, combine: Callable):
     """leaf(node) for a node without operands, combine(node, *results) for
@@ -359,6 +416,36 @@ def _post_order(root: Expr, leaf: Callable, combine: Callable):
             value = done[id(node)] = leaf(node)
         results.append(value)
     return results[0]
+
+
+def _substituted(values: tuple, at: tuple[int, ...], new) -> tuple:
+    """values with those at the positions ``at`` replaced by ``new``, in order."""
+    values = list(values)
+    for i, value in zip(at, new):
+        values[i] = value
+    return tuple(values)
+
+
+class _Hashed:
+    """Stands in for a subtree in its parent's field tuple and hashes as the
+    subtree does (an int hashes as itself only below 2**61 - 1)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _build(entries: list) -> Expr:
+    """The tree that ``_Node.__reduce__`` wrote as ``entries``."""
+    built: list = []
+    for cls, values in entries:
+        at = cls._operands
+        built.append(cls(*_substituted(values, at, [built[values[i]] for i in at])))
+    return built[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +634,12 @@ def _factory(source: str) -> Callable[..., Callable[..., float]]:
 
 
 def _generate(node: Expr) -> Callable[..., float]:
+    """The tree's function, kept in its _compiled slot."""
     source = _Source(node)
     f = _factory(source.text())(*source.bound.values())
     f.tree = node  # to generate its panels and stencils from
     f.panels = {}  # (text, args) -> panel maker or stencil; see point_loop
+    object.__setattr__(node, "_compiled", f)
     return f
 
 
@@ -593,13 +682,21 @@ def indented(depth: int, lines) -> list[str]:
 
 def evaluate(node: Expr, x: float) -> float:
     """Evaluate the tree at x. Raises DomainError outside the domain."""
-    return node._compiled(x)
+    try:
+        f = node._compiled
+    except AttributeError:
+        f = _generate(node)
+    return f(x)
 
 
 def evaluate_extended(node: Expr, x: float) -> ExtendedValue:
     """Evaluate collecting cutoff/pole/limit-branch diagnostics."""
+    try:
+        f = node._compiled
+    except AttributeError:
+        f = _generate(node)
     flags: set[EvalFlag] = set()
-    value = node._compiled(x, flags)
+    value = f(x, flags)
     return ExtendedValue(value, frozenset(flags))
 
 
@@ -749,8 +846,12 @@ def compile(ast: Expr) -> RealFunction:  # noqa: A001 - mirrors re.compile
     It has no domain predicate: it is defined exactly where evaluation
     succeeds. The derivative is derived on its first call.
     """
-    dast = cache(lambda: differentiate(ast)._compiled)
-    return RealFunction(eval=ast._compiled, derivative=lambda x: dast()(x), label=to_text(ast))
+    try:
+        f = ast._compiled
+    except AttributeError:
+        f = _generate(ast)
+    dast = cache(lambda: _generate(differentiate(ast)))
+    return RealFunction(eval=f, derivative=lambda x: dast()(x), label=to_text(ast))
 
 
 # the builtins, compiled from their text on each call

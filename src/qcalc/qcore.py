@@ -64,9 +64,10 @@ class Record:
     no record has a ``__dict__``. Its fields, in repr order, are ``_fields``
     (default: those slots). Equality and hashing read ``_compared``, and
     pickling and ``copy.copy`` call the class on ``_args`` (both default to
-    the fields). A subclass without an ``__init__`` of its own gets one that
-    takes its fields, those in ``_defaults`` optional, and sets each slot
-    through its member descriptor. Records compare as the tuples of their
+    the fields). A subclass with fields and without an ``__init__`` of its
+    own gets one that takes its fields, those in ``_defaults`` optional, and
+    sets each slot through its member descriptor; one without fields takes
+    no arguments, as ``object`` does. Records compare as the tuples of their
     compared fields, only with records of the same class, and hash as those
     tuples; their repr is ``Class(field=value, ...)``. Assigning or deleting
     an attribute raises ``FrozenInstanceError``, the error of the standard
@@ -86,7 +87,7 @@ class Record:
             cls._fields = tuple(own["__slots__"])
         cls._key = staticmethod(_tuple_of(own.get("_compared", cls._fields)))
         cls._argv = staticmethod(_tuple_of(own.get("_args", cls._fields)))
-        if "__init__" not in own:
+        if "__init__" not in own and cls._fields:
             cls.__init__ = _generated_init(cls)
 
     def __eq__(self, other):
@@ -130,7 +131,7 @@ def _generated_init(cls):
         scope[f"_set_{name}"] = getattr(cls, name).__set__
         params.append(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name)
         body.append(f"    _set_{name}(self, {name})\n")
-    exec(f"def __init__({', '.join(params)}):\n" + ("".join(body) or "    pass\n"), scope)
+    exec(f"def __init__({', '.join(params)}):\n" + "".join(body), scope)
     init = scope["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init

@@ -53,19 +53,19 @@ def test_fourth_derivative_matches_the_reference_walker(q):
 def test_trees_of_one_shape_share_one_compiled_function():
     text = "x*qexp(x/4)+sin(x)^2"
     funcexpr._factory.cache_clear()
-    codes = {q: parse(text, Deformation(q))._compiled.__code__ for q in Q_VALUES}
+    codes = {q: funcexpr.compile(parse(text, Deformation(q))).eval.__code__ for q in Q_VALUES}
     # one function for every deformed q (the bracket power), one for q = 1 (exp)
     assert len({codes[q] for q in Q_VALUES if q != 1.0} - {codes[1.0]}) == 1
     info = funcexpr._factory.cache_info()
     assert (info.misses, info.hits) == (2, len(Q_VALUES) - 2)
-    assert parse("x*qexp(x/4)-sin(x)^2", D)._compiled.__code__ not in codes.values()
+    assert funcexpr.compile(parse("x*qexp(x/4)-sin(x)^2", D)).eval.__code__ not in codes.values()
     values = {evaluate(parse(text, Deformation(q)), 1.5) for q in Q_VALUES}
     assert len(values) == len(Q_VALUES)
 
 
 def test_constants_are_bound_not_written_into_the_source():
     a, b = parse("x+0.1", D), parse("x+0.2", D)
-    assert a._compiled.__code__ is b._compiled.__code__
+    assert funcexpr.compile(a).eval.__code__ is funcexpr.compile(b).eval.__code__
     assert (evaluate(a, 1.0), evaluate(b, 1.0)) == (1.1, 1.2)
     assert "0.125" not in funcexpr._Source(parse("x*0.125", D)).text()
 

@@ -196,7 +196,7 @@ def test_flags_cover_cutoff_pole_and_classical_branch():
 @pytest.mark.parametrize("q", Q_VALUES)
 @pytest.mark.parametrize("text", ["qexp(x/3)", "qlog(x+2)", "x*qexp(x/4)+sin(x)^2"])
 def test_qexp_and_qlog_on_their_normal_branch_enter_no_other_frame(text, q):
-    f = parse(text, Deformation(q))._compiled
+    f = funcexpr.compile(parse(text, Deformation(q))).eval
     for flags in (None, set()):
         assert [code.co_filename for code in calls(f, 0.3, flags)] == ["<qcalc expression>"]
 

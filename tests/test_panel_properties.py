@@ -73,7 +73,7 @@ def test_hand_built_and_large_integrands_match_the_reference(weight, x_of):
     # qexp's kernel branches (the cutoff, the pole, bracket-power and exp
     # overflow), qlog outside its domain and settled checks, against the
     # reference walker's q_exp and q_log
-    cases += [(tree._compiled, lambda x, tree=tree: reference(tree, x, None))
+    cases += [(funcexpr.compile(tree).eval, lambda x, tree=tree: reference(tree, x, None))
               for q in (0.5, 1.0, 2.0) for tree in (parse(text, Deformation(q))
                                                     for text in ("qexp(x)", "qlog(x)+x/4", "x^-1"))]
     for f, f_reference in cases:

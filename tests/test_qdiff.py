@@ -496,7 +496,7 @@ class TestEvaluationCount:
         d = Deformation(q)
         ast = parse("x*qexp(x/4)+sin(x)^2", d)
         calls = []
-        real_closure = ast._compiled
+        real_closure = funcexpr.compile(ast).eval
 
         def counting_closure(x, flags=None):
             calls.append(x)

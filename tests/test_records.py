@@ -2,7 +2,8 @@
 
 The dataclass definitions are kept below as the reference; each record is
 checked against it for repr, ==, hash, pickling, copy.copy, assignment and
-constructor errors. qcalc itself imports ``dataclasses`` only to raise
+constructor errors. Trees keep those values at any depth: their passes do
+not recurse. qcalc itself imports ``dataclasses`` only to raise
 ``FrozenInstanceError``; the import-pin tests check what a CLI call loads.
 """
 
@@ -284,16 +285,6 @@ def _slot_state(record):
             if name != "_compiled" and hasattr(record, name)}
 
 
-def _has_compiled(node):
-    """Whether a tree node's _compiled slot is set, read without its
-    __getattr__, which would build it."""
-    try:
-        object.__getattribute__(node, "_compiled")
-    except AttributeError:
-        return False
-    return True
-
-
 def _promised_eq(a, b):
     """The records' equality, on a pair of reference instances: the same
     class, and equal tuples of the compared fields (a tuple short-cuts on
@@ -413,9 +404,9 @@ def test_pickle_round_trip(name, i, protocol):
 def test_pickled_node_drops_and_rebuilds_its_compiled_function():
     tree = funcexpr.parse("x*qexp(x/4)", OURS.Deformation(0.5))
     value = funcexpr.evaluate(tree, 0.5)
-    assert _has_compiled(tree)
+    assert hasattr(tree, "_compiled")
     back = pickle.loads(pickle.dumps(tree))
-    assert not _has_compiled(back)
+    assert not hasattr(back, "_compiled")
     assert back == tree and funcexpr.evaluate(back, 0.5) == value
 
 
@@ -491,39 +482,151 @@ def test_validation_errors_match():
 
 
 # ---------------------------------------------------------------------------
-# Deep trees: the records recurse no deeper than the dataclasses did
+# Trees: no pass recurses, a shared subtree is walked once, and random trees
+# print, hash and compare as the dataclass reference does
+
+DEPTH = {"BinOp": 9999, "Neg": 1000}  # a 10 000-term x+x+..., a 1000-deep -(-(...x...))
 
 
-def _chain(n, ns, depth):
-    t = ns.Var()
-    for _ in range(depth):
-        t = ns.BinOp("+", t, ns.Var()) if n == "BinOp" else ns.Neg(t)
+def _deep(node, leaf):
+    """The deep tree of that node kind, with leaf as its deepest x."""
+    t = leaf
+    for _ in range(DEPTH[node]):
+        t = OURS.BinOp("+", t, OURS.Var()) if node == "BinOp" else OURS.Neg(t)
     return t
 
 
-def _deepest(op, n, ns, hi):
-    """The largest depth <= hi at which op succeeds on a chain of n nodes."""
-    def ok(depth):
-        try:
-            op(_chain(n, ns, depth), _chain(n, ns, depth))
-            return True
-        except RecursionError:
-            return False
+class _HashedAs:
+    def __init__(self, value):
+        self.value = value
 
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if ok(mid) else (lo, mid - 1)
-    return lo
+    def __hash__(self):
+        return self.value
+
+
+def _nested_tuple_hash(node):
+    """The hash of the deep tree as nested tuples of fields, bottom up."""
+    h = hash(())  # Var()
+    for _ in range(DEPTH[node]):
+        if node == "BinOp":
+            h = hash(("+", _HashedAs(h), _HashedAs(hash(()))))
+        else:
+            h = hash((_HashedAs(h),))
+    return h
 
 
 @pytest.mark.parametrize("node", ["BinOp", "Neg"])
-@pytest.mark.parametrize("op", ["hash", "repr", "eq", "pickle"])
-def test_deep_trees_recurse_no_deeper_than_the_dataclasses(node, op):
-    fn = {"hash": lambda a, b: hash(a), "repr": lambda a, b: repr(a),
-          "eq": lambda a, b: a == b, "pickle": lambda a, b: pickle.dumps(a)}[op]
-    limit = sys.getrecursionlimit()
-    assert _deepest(fn, node, OURS, 2 * limit) >= _deepest(fn, node, REF, 2 * limit)
+def test_deep_trees_hash_and_compare(node):
+    a, b, other = _deep(node, OURS.Var()), _deep(node, OURS.Var()), _deep(node, OURS.Num(1.0))
+    assert hash(a) == hash(b) == _nested_tuple_hash(node) != hash(other)
+    assert a == b and not a != b
+    assert a != other and not a == other
+
+
+@pytest.mark.parametrize("node", ["BinOp", "Neg"])
+def test_deep_trees_print(node):
+    opening, closing = {"BinOp": ("BinOp(op='+', left=", ", right=Var())"),
+                        "Neg": ("Neg(operand=", ")")}[node]
+    want = []
+    for _ in range(DEPTH[node]):
+        want.append(opening)
+    want.append("Var()")
+    for _ in range(DEPTH[node]):
+        want.append(closing)
+    assert repr(_deep(node, OURS.Var())) == "".join(want)
+
+
+@pytest.mark.parametrize("node", ["BinOp", "Neg"])
+def test_deep_trees_pickle_and_copy(node):
+    tree = _deep(node, OURS.Num(-0.0))
+    copies = [pickle.loads(pickle.dumps(tree, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in [*copies, copy.copy(tree), copy.deepcopy(tree)]:
+        assert back == tree and back is not tree
+        assert back != _deep(node, OURS.Num(0.5))
+        deepest = back
+        while not isinstance(deepest, OURS.Num):
+            deepest = deepest.left if node == "BinOp" else deepest.operand
+        assert math.copysign(1.0, deepest.value) == -1.0
+
+
+def _shares_itself(leaf):
+    t = leaf
+    for _ in range(64):
+        t = OURS.BinOp("+", t, t)
+    return t
+
+
+def test_a_tree_that_shares_itself_hashes_compares_and_pickles():
+    a, b = _shares_itself(OURS.Var()), _shares_itself(OURS.Var())
+    other = _shares_itself(OURS.Num(1.0))
+    assert hash(a) == hash(b) != hash(other)
+    assert a == b and a != other
+    for back in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert back == a and back.left is back.right
+
+
+def _reference_tree(node):
+    """The dataclass reference of a tree, sharing its leaf values."""
+    if isinstance(node, OURS.Deformation):
+        return REF.Deformation(node.q)
+    if not isinstance(node, funcexpr._Node):
+        return node
+    return getattr(REF, type(node).__name__)(*map(_reference_tree, node._key(node)))
+
+
+REF_NODES = (Num, Var, Neg, BinOp, Call)
+
+
+def _promised_tree_eq(a, b):
+    """The records' equality on reference trees, at every level (see _promised_eq)."""
+    if not (isinstance(a, REF_NODES) and isinstance(b, REF_NODES)):
+        return a == b
+    fields = [f.name for f in dataclasses.fields(a)]
+    return type(a) is type(b) and all(
+        u is v or _promised_tree_eq(u, v)
+        for u, v in zip((getattr(a, f) for f in fields), (getattr(b, f) for f in fields)))
+
+
+def _build_again(node):
+    """An equal tree of new node objects, holding the same leaf values."""
+    if not isinstance(node, funcexpr._Node):
+        return node
+    return type(node)(*map(_build_again, node._key(node)))
+
+
+def _random_trees():
+    from hypothesis import strategies as st
+
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, NAN]), st.floats())
+    leaves = st.one_of(st.builds(OURS.Var), st.builds(OURS.Num, values))
+    deformations = st.sampled_from([None, OURS.Deformation(0.5), OURS.Deformation(2.0)])
+
+    def grow(inner):
+        return st.one_of(
+            st.builds(OURS.Neg, inner),
+            st.builds(OURS.BinOp, st.sampled_from("+*^"), inner, inner),
+            st.builds(OURS.Call, st.sampled_from(["sin", "qexp"]), inner, deformations),
+            inner.map(lambda t: OURS.BinOp("*", t, t)),  # a shared subtree
+        )
+
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
+def test_random_trees_match_the_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_random_trees(), _random_trees())
+    def check(a, b):
+        ref_a = _reference_tree(a)
+        assert repr(a) == repr(ref_a)
+        assert hash(a) == hash(ref_a)
+        for x in (a, b, _build_again(a)):
+            assert (a == x) is _promised_tree_eq(ref_a, _reference_tree(x))
+            assert (a != x) is not _promised_tree_eq(ref_a, _reference_tree(x))
+
+    check()
 
 
 # ---------------------------------------------------------------------------
