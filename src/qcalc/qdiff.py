@@ -13,15 +13,20 @@ differences in the transformed coordinate ``u = ln_big_e(x)``, where the
 primal derivative is an ordinary d/du; the chart maps the pole to u = +-inf,
 so no finite stencil can straddle it. The dual one differences
 ``ln_big_e(F(x))`` in x. Both refine a central difference with Richardson
-extrapolation and carry a step-halving error estimate; if that estimate
-misses ``rel_tol`` a :class:`~qcalc.errors.ToleranceWarning` is emitted.
+extrapolation and carry a step-halving error estimate. The table stops at
+level 1 (two central pairs) when that level's estimate meets ``rel_tol``,
+and only otherwise evaluates two more pairs for the full three-level table,
+as Ridders' method grows its tableau only while it needs to; if the final
+estimate misses ``rel_tol`` a :class:`~qcalc.errors.ToleranceWarning` is
+emitted.
 
 A numeric derivative at a point is one call of a function made once per
 function, operator and q (kept in ``f.stencils``) from the text that
 ``_point_text`` writes and :func:`~qcalc.funcexpr.point_loop` compiles once
 per tree shape: it checks x, finds the centre (u0 = ln_big_e(x) on x's side
 of the pole, or x), and runs the shrinking stencils and their Richardson
-tables, with a compiled expression's own statements at every point. Python
+tables, with a compiled expression's own statements at every point. The
+caller's rel_tol is its second argument, for the stop at level 1. Python
 keeps only the lookup of that function and the ToleranceWarning.
 """
 
@@ -62,20 +67,23 @@ _CHARTS = {"primal": (f"{CHART_ABOVE} if _above else {CHART_BELOW}", "{}"), "dua
 
 def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of: str, y_of: str,
                 domain: str) -> str:
-    """``maker(delta, _domain, _label) -> point``, where ``point(x) -> (value,
-    estimate)`` is the ``op`` ("primal" or "dual") derivative at x: the
+    """``maker(delta, _domain, _label) -> point``, where ``point(x, rel_tol) ->
+    (value, estimate)`` is the ``op`` ("primal" or "dual") derivative at x: the
     classical derivative of y_of(f(x_of(u))) at the u of x. It checks x
     against f's domain: _domain at x and before every point ("checked"; an
     "inline" f has no predicate), then f(x), which must evaluate to a finite
     number. Then it tries central differences at x = x_of(c +- h), c
     the centre, h = h0/2^j, j = 0..RICHARDSON_LEVELS; h0 halves after each
     try that raises, up to _MAX_SHRINKS times, and the error then says
-    whether the last try overflowed or left the domain. A try that fits
-    returns the last diagonal entry of its Richardson table, entry (j, k) =
-    (j, k-1) + ((j, k-1) - (j-1, k-1)) / (4^k - 1), and the gap to the one
-    before as the estimate."""
+    whether the last try overflowed or left the domain. A try evaluates the
+    pairs of j = 0, 1 first, and returns entry (1, 1) of its Richardson table,
+    entry (j, k) = (j, k-1) + ((j, k-1) - (j-1, k-1)) / (4^k - 1), with the
+    estimate |(1, 1) - (0, 0)| if that meets rel_tol * max(1, |(1, 1)|).
+    Otherwise it evaluates the pairs of j = 2, 3 and returns the last diagonal
+    entry and the gap to the one before as the estimate. The tree's
+    statements are written twice: at x, and once in the loop over both
+    groups of points."""
     levels, where = RICHARDSON_LEVELS, f"{op} derivative"
-    steps = [f"_h{j}" for j in range(levels + 1)]
     outside = {n: f"raise DomainError({_OUTSIDE!r}.format(x=x, name=_label or {n!r}))"
                for n in "fF"}
     if domain == "checked":
@@ -94,19 +102,35 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of:
     guard = (['if abs(_c) + _h0 == inf: raise OverflowError("stencil point past the float range")']
              if x_of == "{}" else [])
     var, point = chart_point(x_of, lines, y_of.format(result))
-    points = ", ".join(f"_c {s} {h}" for h in steps for s in "+-")
-    loop = [f"for {var} in ({points}):", *(f"    {line}" for line in point)]
-    table = [f"{', '.join(f'_y{j}, _z{j}' for j in range(levels + 1))} = _f",
-             *(f"_r{j}_0 = {_QUOTIENT.format(f'_y{j}', f'_z{j}', h)}" for j, h in enumerate(steps))]
-    for j in range(1, levels + 1):
-        table += [f"_r{j}_{k} = _r{j}_{k - 1} + (_r{j}_{k - 1} - _r{j - 1}_{k - 1})"
-                  f" / {4.0**k - 1.0!r}" for k in range(1, j + 1)]
+
+    # entry (j, 0) is the quotient of pair j, at step _k (even j) or _l (odd j)
+    def quotient(j: int) -> str:
+        return f"_r{j}_0 = {_QUOTIENT.format(f'_y{j}', f'_z{j}', '_l' if j % 2 else '_k')}"
+
+    def entry(j: int, k: int) -> str:
+        return (f"_r{j}_{k} = _r{j}_{k - 1} + (_r{j}_{k - 1} - _r{j - 1}_{k - 1})"
+                f" / {4.0**k - 1.0!r}")
+
+    level1 = ["_y0, _z0, _y1, _z1 = _f", quotient(0), quotient(1), entry(1, 1),
+              "_d = abs(_r1_1 - _r0_0)",
+              # _d <= rel_tol * max(1, |_r1_1|), without max()'s call
+              "if _d <= rel_tol or _d <= rel_tol * abs(_r1_1): return _r1_1, _d"]
+    # the steps h0/2^j, j = 0..3 (RICHARDSON_LEVELS = 3), in two groups (_k,
+    # _l = _k/2): the pairs of level 1 first, then the deeper pairs only where
+    # level 1 misses rel_tol
+    loop = ["for _k in (_h0, _h0 / 4.0):", "    _l = _k / 2.0",
+            f"    for {var} in (_c + _k, _c - _k, _c + _l, _c - _l):",
+            *(f"        {line}" for line in point),
+            "    if len(_f) == 4:", *(f"        {line}" for line in level1)]
+    table = ["_y2, _z2, _y3, _z3 = _f[4:]", quotient(2), quotient(3),
+             *(entry(j, k) for j in range(2, levels + 1) for k in range(1, j + 1))]
     last, before = f"_r{levels}_{levels}", f"_r{levels - 1}_{levels - 1}"
     table.append(f"return {last}, abs({last} - {before})")
     shrinks = ", ".join(repr(2.0**a) for a in range(_MAX_SHRINKS + 1))
-    body = ["flags = None", *head, f"_H = {BASE_STEP * 2.0**levels!r} * max(1.0, abs(_c))",
-            "_error = None", f"for _a in ({shrinks}):", "    _h0 = _H / _a",
-            *(f"    _h{j} = _h0 / {2.0**j!r}" for j in range(1, levels + 1)), "    _f = []",
+    # h0 = BASE_STEP * 2^levels * max(1, |_c|), without max()'s call (a NaN _c gives 1)
+    body = ["flags = None", *head,
+            f"_H = {BASE_STEP * 2.0**levels!r} * (_c if _c > 1.0 else -_c if _c < -1.0 else 1.0)",
+            "_error = None", f"for _a in ({shrinks}):", "    _h0 = _H / _a", "    _f = []",
             "    try:", *(f"        {line}" for line in guard + loop + table),
             "    except EVAL_ERRORS as _e:", "        _error = _e",
             f'if isinstance(_error, OverflowError): raise DomainError("{where}: the difference '
@@ -115,7 +139,7 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of:
             f'after {_MAX_SHRINKS} shrinks") from _error']
     return (f"def factory({', '.join(params)}):\n"
             f"    def maker(delta, _domain, _label):\n"
-            f"        def point(x):\n{''.join(indented(3, body))}"
+            f"        def point(x, rel_tol):\n{''.join(indented(3, body))}"
             f"        return point\n"
             f"    return maker\n")
 
@@ -230,8 +254,10 @@ def primal_qderiv_numeric_with_estimate(
     f: RealFunction, x: float, d: Deformation, config: DerivConfig = DerivConfig()
 ) -> tuple[float, float]:
     """primal_qderiv_numeric plus its extrapolation-table error estimate."""
-    value, err = (f.stencils.get(("primal", d.q)) or _point(f, "primal", d))(x)
-    if not err <= config.rel_tol * max(1.0, abs(value)):  # a NaN estimate warns
+    rel_tol = config.rel_tol
+    value, err = (f.stencils.get(("primal", d.q)) or _point(f, "primal", d))(x, rel_tol)
+    # err <= rel_tol * max(1, |value|), without max()'s call; a NaN estimate warns
+    if not (err <= rel_tol or err <= rel_tol * abs(value)):
         _warn("primal derivative", value, err, config)
     return value, err
 
@@ -255,7 +281,9 @@ def dual_qderiv_numeric_with_estimate(
     F: RealFunction, x: float, d: Deformation, config: DerivConfig = DerivConfig()
 ) -> tuple[float, float]:
     """dual_qderiv_numeric plus its extrapolation-table error estimate."""
-    value, err = (F.stencils.get(("dual", d.q)) or _point(F, "dual", d))(x)
-    if not err <= config.rel_tol * max(1.0, abs(value)):  # a NaN estimate warns
+    rel_tol = config.rel_tol
+    value, err = (F.stencils.get(("dual", d.q)) or _point(F, "dual", d))(x, rel_tol)
+    # err <= rel_tol * max(1, |value|), without max()'s call; a NaN estimate warns
+    if not (err <= rel_tol or err <= rel_tol * abs(value)):
         _warn("dual derivative", value, err, config)
     return value, err

@@ -247,7 +247,8 @@ def _refine(panel, a: float, b: float, config: QuadratureConfig):
     heap is summed instead while a sum is exactly zero (math.fsum takes the
     sign of a zero from its summands), and for good once `bound`, the sum of
     |value| + estimate over every panel made, reaches _EXACT_SUM_LIMIT or is
-    not finite. A non-finite estimate never meets the tolerance.
+    not finite. A non-finite estimate never meets the tolerance, and a run
+    whose total turns NaN ends there.
     """
     abs_tol, rel_tol = config.abs_tol, config.rel_tol
     value, err = panel(a, b)
@@ -259,7 +260,8 @@ def _refine(panel, a: float, b: float, config: QuadratureConfig):
         # total_err <= max(abs_tol, rel_tol * |total|) and finite, without max()'s call
         converged = total_err < _INF and (total_err <= abs_tol
                                           or total_err <= rel_tol * abs(total))
-        if converged or splits == config.max_subdivisions:
+        # a NaN total stays NaN whatever is split, so it ends the run unconverged
+        if converged or splits == config.max_subdivisions or total != total:
             return total, total_err, converged, order
         splits += 1
         if heap is None:  # built on the first split: (-err, insertion order, a, b, value, err)

@@ -518,9 +518,9 @@ class TestWarnings:
         assert res.returncode == 0
         assert res.stdout == (
             "x,derivative,error_estimate\n"
-            "0.0000000000000000e+00,-9.9999999999802069e-01,4.3718362263689414e-12\n"
+            "0.0000000000000000e+00,-9.9999999999872580e-01,9.9310448753442415e-11\n"
             "2.9999999999999999e-01,1.0660548754473858e-06,1.1004478692496267e-06\n"
-            "5.9999999999999998e-01,1.3000000000154355e+00,2.5609736553633411e-11\n"
+            "5.9999999999999998e-01,1.3000000000020482e+00,1.2528444948145534e-10\n"
         )
         assert res.stderr == (
             "qcalc: warning: primal derivative: error estimate 1.100e-06 exceeds "

@@ -510,3 +510,67 @@ class TestEvaluationCount:
                 calls.clear()
                 op(f, x, d)
                 assert 0 < len(calls) <= budget, (op.__name__, x, len(calls))
+
+
+# ---------------------------------------------------------------------------
+# Accuracy of the numeric derivatives against the closed ones
+
+# the smooth expressions of the benchmark's tables, each with its x range
+TABLE_POOL = (
+    ("x^2+3*x-1", (-0.5, 1.2)),
+    ("sin(x)*cos(x)", (-1.0, 1.5)),
+    ("exp(x/2)-1.2", (-2.0, 1.0)),
+    ("1/(x+3)", (-1.0, 3.0)),
+    ("sqrt(x+1.5)-1", (-1.0, 1.5)),
+    ("qexp(x/3)-1", (-1.0, 1.5)),
+    ("qlog(x+2)", (-1.0, 1.0)),
+    ("x*qexp(x/4)+sin(x)^2", (-1.0, 1.0)),
+    ("ln(x+2)*cos(x)", (-1.0, 1.5)),
+    ("(x+1)^3/(x^2+1)-0.5", (-1.0, 1.0)),
+)
+
+
+def _numeric_sweep():
+    """(error scaled by max(1, |slope|), absolute error, estimate) of every
+    numeric derivative of the pool on 40 points, 7 q and both operators that
+    has a closed slope to compare with."""
+    rows = []
+    for text, (lo, hi) in TABLE_POOL:
+        for q in (-1.0, 0.0, 0.5, 0.9, 1.0, 1.1, 2.0):
+            d = Deformation(q)
+            f = funcexpr.compile(parse(text, d))
+            for x in grid(lo, hi, 40):
+                for op in ("primal", "dual"):
+                    try:
+                        want = qdiff.slope_at(f, x, d, op)[1]
+                    except (DomainError, PoleError):
+                        continue
+                    numeric = getattr(qdiff, f"{op}_qderiv_numeric_with_estimate")
+                    got, estimate = numeric(f, x, d)
+                    rows.append((scaled_err(got, want), abs(got - want), estimate))
+    return rows
+
+
+class TestAccuracy:
+    def test_the_pool_sweep_is_accurate_and_its_estimates_honest(self):
+        rows = _numeric_sweep()
+        assert len(rows) > 5000
+        errors = sorted(row[0] for row in rows)
+        assert errors[len(errors) // 2] <= 2e-12
+        assert errors[int(0.99 * len(errors))] <= 5e-11
+        # estimates that claim less than the true error
+        assert sum(estimate < error for _, error, estimate in rows) <= 300
+
+    @pytest.mark.parametrize("op, q, value, estimate", [
+        ("primal", 0.5, 1.0660548754473858e-06, 1.1004478692496267e-06),
+        ("primal", 2.0, -1.2978098439587442e-06, 1.3396790410583103e-06),
+    ])
+    def test_a_level_one_miss_returns_the_full_table(self, op, q, value, estimate):
+        # level 1 misses rel_tol on the kink of abs(x-0.3): the value and the
+        # estimate are those of the full three-level table, bit for bit
+        d = Deformation(q)
+        f = funcexpr.compile(parse("abs(x-0.3)", d))
+        numeric = getattr(qdiff, f"{op}_qderiv_numeric_with_estimate")
+        with pytest.warns(ToleranceWarning, match="error estimate"):
+            got = numeric(f, 0.3, d)
+        assert [v.hex() for v in got] == [value.hex(), estimate.hex()]

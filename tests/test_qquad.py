@@ -236,6 +236,15 @@ class TestToleranceContract:
             assert IntegralFlag.TOLERANCE_NOT_MET not in res.flags
             assert res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
+    def test_a_nan_total_ends_the_run(self):
+        # qexp(x)-qexp(-x) at q = 2 is +inf past x = 1 and -inf before x = -1,
+        # so the total is NaN and no split can mend it
+        d = Deformation(2.0)
+        res = dual_qint(funcexpr.compile(parse("qexp(x)-qexp(-x)", d)), -3.0, 3.0, d)
+        assert math.isnan(res.value) and math.isnan(res.error_estimate)
+        assert res.flags == {IntegralFlag.TOLERANCE_NOT_MET}
+        assert res.n_panels <= 50
+
     def test_exhausted_subdivisions_are_flagged_not_raised(self):
         d = Deformation(0.5)
         spike = RealFunction(eval=lambda x: 1.0 / (1e-6 + (x - 0.37) ** 2))

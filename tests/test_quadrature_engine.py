@@ -2,7 +2,8 @@
 
 The reference below is the engine as it was before its totals were kept
 as exact running sums: a looped Kronrod panel, and a loop that sums the
-whole heap with math.fsum on every iteration. That costs O(n^2) in the
+whole heap with math.fsum on every iteration (and, a rule added since,
+stops when that sum is NaN). That costs O(n^2) in the
 number of subdivisions but is plainly right, so every (value, estimate,
 converged) triple of the engine, and every error it raises, must equal
 the reference's exactly.
@@ -62,6 +63,8 @@ def reference_adaptive(g, a, b, config):
         total_err = math.fsum(e[5] for e in heap)
         if met(total, total_err, config):
             return total, total_err, True
+        if math.isnan(total):  # no split can mend a NaN total
+            return total, total_err, False
         _, _, wa, wb, _, _ = heapq.heappop(heap)
         mid = 0.5 * wa + 0.5 * wb
         for lo, hi in ((wa, mid), (mid, wb)):
@@ -154,6 +157,13 @@ def _both_infinities(x):
 @pytest.mark.parametrize("config", [QuadratureConfig(), QuadratureConfig(1e-300, 1e-300, 60)])
 def test_infinities_of_both_signs_total_nan_and_are_flagged(config):
     assert same_outcome(_both_infinities, 0.0, 1.0, config) == ("nan", "nan", False)
+
+
+@pytest.mark.parametrize("g", [_window(0.77, math.nan), _both_infinities])
+def test_a_nan_total_ends_the_run_where_the_reference_ends(g):
+    config = QuadratureConfig(1e-300, 1e-300, 400)
+    n_panels = _refine(_kronrod(g, "none", 0.0), 0.0, 1.0, config)[3]
+    assert n_panels == counted_reference(g, 0.0, 1.0, config) < 2 * config.max_subdivisions
 
 
 @pytest.mark.parametrize("a, b", [(0.5, 1.7e308), (-1e308, 1e308), (-1.7e308, 1.7e308)])

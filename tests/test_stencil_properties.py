@@ -3,8 +3,10 @@
 The reference below is what ``qdiff`` ran before its stencils were generated:
 a ``phi`` closure per derivative (with the chart ``x_of`` for the primal
 one), ``_richardson``'s looped extrapolation table, and ``_refine``'s shrink
-loop, with one rule added since: a point where f is not finite is outside
-f's domain. For every call the generated form must give the same (value,
+loop, with two rules added since: a point where f is not finite is outside
+f's domain, and the table stops at level 1 where that level's estimate
+already meets rel_tol (``TIGHT`` below makes most points go on to the full
+table). For every call the generated form must give the same (value,
 estimate) bits, the same ``ToleranceWarning`` texts, the same steps tried
 (so the same shrinks), or an error of the same type and message, with a
 cause of the same type and message.
@@ -45,12 +47,15 @@ DUAL_DEFORMED = ("dual", *qdiff._CHARTS["dual"], "inline")
 # ---------------------------------------------------------------------------
 # The reference: qdiff's looped stencil. ``steps`` records (centre, h) per try.
 
-def _richardson(phi, h0):
+def _richardson(phi, h0, rel_tol):
     row = []
     for j in range(qdiff.RICHARDSON_LEVELS + 1):
         prev_row, row = row, [phi(h0 / 2.0**j)]
         for k in range(1, j + 1):
             row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / (4.0**k - 1.0))
+        # the table ends at level 1 where that level's estimate meets rel_tol
+        if j == 1 and abs(row[-1] - prev_row[-1]) <= rel_tol * max(1.0, abs(row[-1])):
+            break
     return row[-1], abs(row[-1] - prev_row[-1])
 
 
@@ -75,7 +80,7 @@ def _refine(phi, centre, config, where, steps, identity):
             # on the identity chart, an outermost point past the float range overflows
             if identity and abs(centre) + h0 / (2.0**attempt) == math.inf:
                 raise OverflowError("stencil point past the float range")
-            value, err = _richardson(phi, h0 / (2.0**attempt))
+            value, err = _richardson(phi, h0 / (2.0**attempt), config.rel_tol)
         except EVAL_ERRORS as e:
             last_error = e
             continue
@@ -346,17 +351,31 @@ def test_tolerance_warnings_point_at_the_caller():
 def test_a_hand_built_predicate_is_checked_at_every_stencil_point():
     d = Deformation(0.5)
     compiled = funcexpr.compile(parse("x^2", d)).eval
+    checked = []
+
+    def logged(predicate):
+        def domain(x):
+            checked.append(x)
+            return predicate(x)
+        return domain
+
     cases = [
         # a generated eval under a narrower predicate must not be inlined
-        RealFunction(eval=compiled, domain=lambda x: x > 0.5, label="x^2 on x > 0.5"),
-        RealFunction(eval=lambda x: x * x, domain=lambda x: x > 0.5),
-        RealFunction(eval=math.sqrt, domain=lambda x: x >= 0.0, label="sqrt"),
+        RealFunction(eval=compiled, domain=logged(lambda x: x > 0.5), label="x^2 on x > 0.5"),
+        RealFunction(eval=lambda x: x * x, domain=logged(lambda x: x > 0.5)),
+        RealFunction(eval=math.sqrt, domain=logged(lambda x: x >= 0.0), label="sqrt"),
     ]
     for f in cases:
         for x in (0.5 + 1e-9, 0.5 + 1e-6, 0.7, 0.0, 1e-7):
             for op in OPS:
                 for q in (1.0, 0.5, 2.0):
-                    compare(op, f, x, Deformation(q))
+                    for config in (DerivConfig(), TIGHT):
+                        checked.clear()
+                        compare(op, f, x, Deformation(q), config)
+                        # the reference, then the generated form: the predicate
+                        # at the same points, in the same order
+                        half = len(checked) // 2
+                        assert checked[:half] == checked[half:], (q, x)
 
 
 @pytest.mark.parametrize("name", funcexpr.BUILTIN_NAMES)
@@ -414,5 +433,10 @@ def test_a_function_without_a_tree_is_called_at_each_point():
 
     f = RealFunction(eval=g)  # no domain: defined where g succeeds
     compare(primal_qderiv_numeric, f, 0.3, d)
-    # reference, then generated: each evaluates g at x, then at every stencil point
+    # reference, then generated: each evaluates g at x, then at the two pairs of
+    # level 1, whose estimate meets the default rel_tol here
+    assert len(seen) == 2 * (1 + 4)
+    seen.clear()
+    compare(primal_qderiv_numeric, f, 0.3, d, TIGHT)
+    # level 1 misses 1e-14, so each also evaluates g at every deeper pair
     assert len(seen) == 2 * (1 + 2 * (qdiff.RICHARDSON_LEVELS + 1))
