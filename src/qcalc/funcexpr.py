@@ -71,9 +71,10 @@ class RealFunction(Record):
         label: human-readable description (expression text for parsed input).
 
     ``stencils`` keeps the point functions made from f on first use:
-    qdiff's numeric-derivative points by (operator, q), and qquad's Kronrod
-    panels by (weight, chart, delta); it takes no part in equality, and a
-    copy or an unpickled f starts with an empty one.
+    qdiff's numeric-derivative points by (operator, q), qquad's Kronrod
+    panels by (weight, chart, delta) and its tanh-sinh step sums by
+    ("tanh-sinh", weight, chart, delta); it takes no part in equality, and
+    a copy or an unpickled f starts with an empty one.
     """
 
     __slots__ = ("eval", "derivative", "domain", "label", "stencils")

@@ -1,27 +1,43 @@
-"""Deformed integrals: adaptive quadrature plus independent cross-checks.
+"""Deformed integrals: quadrature plus independent cross-checks.
 
 The primal integral is the ordinary integral of f(x(u)) du in the chart
 u = ln_big_e(x) (its inverse is funcexpr's CHART_ABOVE or CHART_BELOW text,
 on the lower bound's side of the pole); the dual integral applies ``ln_q . exp``
-once to the ordinary integral of the integrand. Both ride on one adaptive
-Gauss-Kronrod engine with deterministic worst-interval-first refinement.
+once to the ordinary integral of the integrand. Both ride on one engine that
+tries three rules in turn on [a, b], each with the weight and chart fused in:
 
-The engine's unit of work is a generated panel, one Python frame for the
-15 Kronrod nodes of an interval with the chart and weight fused in, whose
-text (rule, sums, error estimate) _panel_text writes. For a compiled
-expression it runs the tree's statements at each node, so it grows with
-the tree as the tree's own function does; funcexpr.point_loop compiles it
-once per tree shape, weight and chart (a cold cost below 1 ms), and each
-RealFunction keeps its panels in f.stencils by weight, chart and delta.
-Any other point function is called at each node by the same text. A run
-whose first panel meets the tolerance ends there, with that panel's value
-and estimate, which are the totals of a one-panel heap; a warm one-panel
-integral costs little more than its panel. Otherwise the totals
-over the heap of panels are math.fsum over the heap while it is short
-(below _SHORT_HEAP panels: cheaper than keeping sums), then exact running
-sums, which keep a long run linear in its subdivision count. Results equal
-those of the looped reference panel and of summing the heap on every
-iteration, bit for bit.
+1. One 15-point Gauss-Kronrod panel. A run whose panel meets the tolerance
+   ends there, with that panel's value and estimate; a warm one-panel
+   integral costs little more than its panel.
+2. A tanh-sinh step sum (Takahasi and Mori's double-exponential rule), with
+   steps h = 1, 1/2, ..., 2^-6 over t <= 3.2, whose weights vanish doubly
+   exponentially at both ends, so an endpoint singularity costs it a few
+   levels. Its nodes are distances from the ends, so none cancels next to a
+   singular end. Its estimate is the gap between the last two levels, plus
+   a round-off floor 50 eps h hl sum|w f| and the truncated tail, hl |w f|
+   of the outermost pair. It returns at the first level that meets the
+   tolerance with a finite value and estimate.
+3. Deterministic worst-interval-first adaptive refinement, from the first
+   panel, when the step sum misses or one of its nodes raises one of
+   EVAL_ERRORS. Its results, and the errors it raises, are those of a run
+   without the step sum.
+
+The engine's units of work are generated point loops: one Python frame
+for the 15 Kronrod nodes of an interval (its text, with the rule, sums and
+error estimate, is _panel_text's), and one per level of the step sum (the
+text of _steps_text, which evaluates the weighted integrand over a list of
+nodes). For a compiled expression each runs the tree's statements at each
+node, so it grows with the tree as the tree's own function does;
+funcexpr.point_loop compiles it once per tree shape, weight and chart (a
+cold cost below 1 ms), and each RealFunction keeps the panel in f.stencils
+by weight, chart and delta, and the step sum beside it, made only when a
+first panel misses. Any other point function is called at each node by
+the same texts. In the adaptive loop, the totals over the heap of panels
+are math.fsum over the heap while it is short (below _SHORT_HEAP panels:
+cheaper than keeping sums), then exact running sums, which keep a long run
+linear in its subdivision count. Results equal those of the looped
+reference panel and step sum and of summing the heap on every iteration,
+bit for bit.
 
 Cross-check paths that deliberately share no code with that engine:
 
@@ -40,9 +56,9 @@ from __future__ import annotations
 import heapq
 import math
 from enum import Enum
-from operator import itemgetter
+from operator import itemgetter, mul
 
-from .errors import DomainError, SingularityError
+from .errors import EVAL_ERRORS, DomainError, SingularityError
 from .funcexpr import CHART_ABOVE, CHART_BELOW, RealFunction, chart_point, indented, point_loop
 from .qcore import (
     QUAD_ABS_TOL,
@@ -122,13 +138,15 @@ class IntegralResult(Record):
 
     Unless TOLERANCE_NOT_MET is flagged, error_estimate is finite and at
     most max(abs_tol, rel_tol * |value|) of the config that produced it.
-    n_panels counts the 15-point Kronrod panels computed; it takes no part
-    in equality or hashing.
+    n_panels counts the 15-point Kronrod panels computed, so it is 1 for a
+    result of the tanh-sinh step sum; n_evals counts the integrand's
+    evaluations over both rules, a node that raised included (0 when the
+    bounds are equal). Neither takes part in equality or hashing.
     """
 
-    __slots__ = ("value", "error_estimate", "flags", "n_panels")
+    __slots__ = ("value", "error_estimate", "flags", "n_panels", "n_evals")
     _compared = __slots__[:3]
-    _defaults = {"flags": frozenset(), "n_panels": 0}
+    _defaults = {"flags": frozenset(), "n_panels": 0, "n_evals": 0}
 
     def __float__(self) -> float:
         return self.value
@@ -140,8 +158,11 @@ _NOT_MET = frozenset({IntegralFlag.TOLERANCE_NOT_MET})
 _REFLECTED = frozenset({IntegralFlag.SINGULARITY_CROSSED, IntegralFlag.REFLECTION_APPLIED})
 
 
+_INF, _isfinite = math.inf, math.isfinite
+
+
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 7/15 adaptive engine
+# The engine's first rule: one Gauss-Kronrod 7/15 panel
 
 # Kronrod abscissae (positive half); every other one is a Gauss-7 node.
 _XK = (
@@ -208,6 +229,120 @@ def _kronrod(g, weight: str, delta: float, x_of: str = "{}"):
     return point_loop(g, _panel_text, (_WEIGHTS[weight], x_of))(delta)
 
 
+# ---------------------------------------------------------------------------
+# The second rule, after a first panel that misses: a tanh-sinh step sum
+
+# On [-1, 1] the node of t is y = tanh(pi/2 sinh t), of weight dy/dt =
+# pi/2 cosh t sech^2(pi/2 sinh t). It lies e = 1 - |y| = 2/(exp(pi sinh |t|) + 1)
+# from an end, where sech^2 = e (2 - e), so neither needs 1 - y. Level k has
+# step h = 2^-k and adds the t = j h, j odd from level 1 on, up to _TS_T_MAX,
+# on both sides; level 0 also has the centre, at e = 1 from a.
+_TS_T_MAX = 3.2
+_TS_LEVELS = 7  # h = 1 down to 2^-6
+_EPS = 2.0**-52
+_ts_table: dict[int, tuple] = {}
+
+
+def _ts_level(k: int) -> tuple[float, tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """Level k, built on its first use: its step h, the distances e of its
+    nodes from a and from b, t increasing, and their weights in that order.
+    Each e and w is correctly rounded: it is computed in 34 decimal digits,
+    where float arithmetic would be off by up to 8 ulps."""
+    level = _ts_table.get(k)
+    if level is None:
+        from decimal import Decimal, localcontext
+
+        h = 0.5**k
+        es, ws = [], []
+        with localcontext() as ctx:
+            ctx.prec = 34
+            pi = Decimal("3.141592653589793238462643383279502884")
+            for j in range(1, int(_TS_T_MAX / h) + 1):
+                if k == 0 or j % 2:
+                    exp_t = Decimal(j * h).exp()
+                    e = 2 / ((pi / 2 * (exp_t - 1 / exp_t)).exp() + 1)
+                    es.append(float(e))
+                    ws.append(float(pi / 4 * (exp_t + 1 / exp_t) * e * (2 - e)))
+        centre = k == 0
+        level = _ts_table.setdefault(k, (h, tuple([1.0] * centre + es), tuple(es),
+                                         tuple([0.5 * math.pi] * centre + ws + ws)))
+    return level
+
+
+# steps(runs, values) appends to values the weighted integrand at the nodes
+# u = s + o*e of each run (s, o, es), at x = x_of(u), in one frame that runs
+# a tree's statements once per node; a run from b has o = -hl, and
+# b + (-hl)*e is b - hl*e exactly.
+
+def _steps_text(lines: list[str], result: str, params: list[str], weight: str, x_of: str) -> str:
+    var, point = chart_point(x_of, lines, weight.format(result))
+    head = ["flags = None", "_f = _values", "for _s, _o, _es in _runs:"]
+    body = "".join(indented(3, head) + indented(4, ["for _e in _es:"])
+                   + indented(5, [f"{var} = _s + _o * _e", *point]))
+    return (f"def factory({', '.join(params)}):\n"
+            f"    def steps_maker(delta):\n"
+            f"        def steps(_runs, _values):\n{body}        return steps\n"
+            f"    return steps_maker\n")
+
+
+def _tanh_sinh(g, weight: str, delta: float, x_of: str = "{}"):
+    """steps(runs, values) of g(x_of(u)) times the weight."""
+    return point_loop(g, _steps_text, (_WEIGHTS[weight], x_of))(delta)
+
+
+def _step_sum(steps, a: float, b: float, abs_tol: float, rel_tol: float):
+    """The tanh-sinh step sum of steps' integrand on [a, b], a < b, as
+    (value, estimate, evaluations) at the first level from 1 on that meets
+    the tolerance with a finite value and estimate; (None, None, evaluations)
+    when the last level misses, when a level's sums are not finite, and when
+    a node raises one of EVAL_ERRORS (that node counted).
+
+    A level's value is h hl times the math.fsum of w f over every node so
+    far; its estimate is the gap to the level before, plus the tail the
+    rule truncates, h hl |w f| of the outermost pair, plus the round-off
+    floor 50 eps h hl sum|w f|, infinite where that sum overflows. The floor
+    only adds, so it is summed only where the other two meet the tolerance.
+    """
+    hl = 0.5 * b - 0.5 * a
+    terms = []
+    previous = tail = 0.0
+    n_evals, e_out = 0, 2.0
+    for k in range(_TS_LEVELS):
+        h, from_a, from_b, ws = _ts_level(k)
+        values = []
+        try:
+            steps(((a, hl, from_a), (b, -hl, from_b)), values)
+        except EVAL_ERRORS:
+            return None, None, n_evals + len(values) + 1
+        n_evals += len(values)
+        new = list(map(mul, ws, values))
+        terms += new
+        if from_b[-1] < e_out:  # a new outermost pair: the last node from each end
+            e_out, tail = from_b[-1], abs(new[len(from_a) - 1]) + abs(new[-1])
+        try:
+            total = math.fsum(terms)
+        except (OverflowError, ValueError):  # a partial sum overflows; inf - inf
+            break
+        scale = h * hl
+        value = scale * total
+        if not abs(value) < _INF:  # a total that is not finite stays so
+            break
+        if k:
+            err = abs(value - previous) + scale * tail
+            if err <= abs_tol or err <= rel_tol * abs(value):
+                try:
+                    err += scale * (50.0 * _EPS * math.fsum(map(abs, terms)))
+                except OverflowError:
+                    err = _INF
+                if err <= abs_tol or err <= rel_tol * abs(value):
+                    return value, err, n_evals
+        previous = value
+    return None, None, n_evals
+
+
+# ---------------------------------------------------------------------------
+# The last rule: worst-first adaptive refinement from the first panel
+
 # Past this, a partial sum of the heap's values or estimates, in the order
 # math.fsum takes them, could overflow where the exact sum does not.
 _EXACT_SUM_LIMIT = 2.0**1000
@@ -217,7 +352,6 @@ _EXACT_SUM_LIMIT = 2.0**1000
 # of an iteration independent of the heap's size.
 _SHORT_HEAP = 48
 _value_of, _error_of = itemgetter(4), itemgetter(5)
-_INF, _isfinite = math.inf, math.isfinite
 
 
 def _grow(partials: list[float], x: float) -> None:
@@ -236,36 +370,26 @@ def _grow(partials: list[float], x: float) -> None:
     partials[i:] = [x] if x else []
 
 
-def _refine(panel, a: float, b: float, config: QuadratureConfig):
-    """Worst-first adaptive refinement; deterministic for a given input.
+def _refine(panel, a: float, b: float, config: QuadratureConfig, value: float, err: float):
+    """Worst-first adaptive refinement of [a, b] from its first panel's value
+    and estimate, which missed the tolerance; deterministic for a given input.
 
     Returns the value, its estimate, whether the tolerance was met, and the
-    number of panels computed. A run whose first panel meets the tolerance
-    ends there, with that panel's totals. The totals are math.fsum over the
-    heap while it is short. From _SHORT_HEAP panels on they are exact running
-    sums (Shewchuk partials), whose math.fsum equals that over the heap; the
-    heap is summed instead while a sum is exactly zero (math.fsum takes the
-    sign of a zero from its summands), and for good once `bound`, the sum of
-    |value| + estimate over every panel made, reaches _EXACT_SUM_LIMIT or is
-    not finite. A non-finite estimate never meets the tolerance, and a run
-    whose total turns NaN ends there.
+    number of panels computed, the first included. The totals are math.fsum
+    over the heap while it is short. From _SHORT_HEAP panels on they are
+    exact running sums (Shewchuk partials), whose math.fsum equals that over
+    the heap; the heap is summed instead while a sum is exactly zero
+    (math.fsum takes the sign of a zero from its summands), and for good once
+    `bound`, the sum of |value| + estimate over every panel made, reaches
+    _EXACT_SUM_LIMIT or is not finite. A non-finite estimate never meets the
+    tolerance, and a run whose total turns NaN ends there.
     """
     abs_tol, rel_tol = config.abs_tol, config.rel_tol
-    value, err = panel(a, b)
-    # math.fsum of the one-panel heap: a value of -0.0 totals +0.0
-    total, total_err = value + 0.0, err
-    heap = values = errors = None
-    order, splits = 1, 0
-    while True:
-        # total_err <= max(abs_tol, rel_tol * |total|) and finite, without max()'s call
-        converged = total_err < _INF and (total_err <= abs_tol
-                                          or total_err <= rel_tol * abs(total))
-        # a NaN total stays NaN whatever is split, so it ends the run unconverged
-        if converged or splits == config.max_subdivisions or total != total:
-            return total, total_err, converged, order
-        splits += 1
-        if heap is None:  # built on the first split: (-err, insertion order, a, b, value, err)
-            heap, bound = [(-err, 0, a, b, value, err)], abs(value) + err
+    # (-err, insertion order, a, b, value, err)
+    heap, bound = [(-err, 0, a, b, value, err)], abs(value) + err
+    values = errors = None
+    order = 1
+    for _ in range(config.max_subdivisions):
         _, _, wa, wb, value, err = heapq.heappop(heap)
         running = values is not None
         if running and bound < _EXACT_SUM_LIMIT:
@@ -286,6 +410,13 @@ def _refine(panel, a: float, b: float, config: QuadratureConfig):
                 _grow(values, entry[4])
                 _grow(errors, entry[5])
         total, total_err = _totals(heap, values, errors, bound)
+        # total_err <= max(abs_tol, rel_tol * |total|) and finite, without max()'s call
+        converged = total_err < _INF and (total_err <= abs_tol
+                                          or total_err <= rel_tol * abs(total))
+        # a NaN total stays NaN whatever is split, so it ends the run unconverged
+        if converged or total != total:
+            break
+    return total, total_err, converged, order
 
 
 def _totals(heap, values, errors, bound) -> tuple[float, float]:
@@ -306,23 +437,44 @@ def _unbounded(a: float, b: float) -> DomainError:
 
 def _integrate(f: RealFunction, a: float, b: float, config: QuadratureConfig,
                weight: str = "none", delta: float = 0.0, x_of: str = "{}"
-               ) -> tuple[float, float, bool, int]:
-    """_refine of f(x_of(u)) times the weight from a to b: swapped bounds
-    negate the value, a == b gives 0 from no panels, and a bound that is not
-    finite raises DomainError. The panel is made once per (weight, x_of,
-    delta) and kept in f.stencils."""
+               ) -> tuple[float, float, bool, int, int]:
+    """The engine on f(x_of(u)) times the weight from a to b: the value, its
+    estimate, whether the tolerance was met, and the panels and integrand
+    evaluations spent. A run whose first panel meets the tolerance, or whose
+    first total is NaN, ends there; otherwise the step sum is tried, then
+    _refine runs from that panel. Swapped bounds negate the value, a == b
+    gives 0 from no panels, and a bound that is not finite raises
+    DomainError. The panel is made once per (weight, x_of, delta) and kept in
+    f.stencils, and the step sum under ("tanh-sinh", weight, x_of, delta),
+    made when a first panel first misses."""
     if not (_isfinite(a) and _isfinite(b)):
         raise _unbounded(a, b)
     if a == b:
-        return 0.0, 0.0, True, 0
+        return 0.0, 0.0, True, 0, 0
+    lo, hi = (a, b) if a < b else (b, a)
     key = (weight, x_of, delta)
     panel = f.stencils.get(key)
     if panel is None:
         panel = f.stencils[key] = _kronrod(f.eval, weight, delta, x_of)
-    if a < b:
-        return _refine(panel, a, b, config)
-    value, err, converged, n_panels = _refine(panel, b, a, config)
-    return -value, err, converged, n_panels
+    value, err = panel(lo, hi)
+    # math.fsum of the one-panel heap: a value of -0.0 totals +0.0
+    total, n_panels, n_evals = value + 0.0, 1, 15
+    abs_tol, rel_tol = config.abs_tol, config.rel_tol
+    # err <= max(abs_tol, rel_tol * |total|) and finite, without max()'s call
+    converged = err < _INF and (err <= abs_tol or err <= rel_tol * abs(total))
+    if not converged and total == total:
+        steps_key = ("tanh-sinh", *key)
+        steps = f.stencils.get(steps_key)
+        if steps is None:
+            steps = f.stencils[steps_key] = _tanh_sinh(f.eval, weight, delta, x_of)
+        sum_value, sum_err, n_sum = _step_sum(steps, lo, hi, abs_tol, rel_tol)
+        n_evals += n_sum
+        if sum_value is not None:
+            total, err, converged = sum_value, sum_err, True
+        else:
+            total, err, converged, n_panels = _refine(panel, lo, hi, config, value, err)
+            n_evals += 15 * (n_panels - 1)
+    return (total if a < b else -total), err, converged, n_panels, n_evals
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +497,8 @@ def primal_qint(
     -2/delta - x_hi (of equal u), and flags it. A pole on a bound raises.
     """
     if d.classical:
-        value, err, converged, n_panels = _integrate(f, x_lo, x_hi, config)
-        return IntegralResult(value, err, _NO_FLAGS if converged else _NOT_MET, n_panels)
+        value, err, converged, n_panels, n_evals = _integrate(f, x_lo, x_hi, config)
+        return IntegralResult(value, err, _NO_FLAGS if converged else _NOT_MET, n_panels, n_evals)
     delta, pole = d.delta, d.pole
     s_lo, s_hi = 1.0 + delta * x_lo, 1.0 + delta * x_hi  # the brackets
     if s_lo == 0.0 or s_hi == 0.0:
@@ -363,9 +515,9 @@ def primal_qint(
         raise OverflowError(f"1 + delta*x at a bound of [{x_lo}, {x_hi}] is not finite")
     # x(u) on the lower bound's side of the pole
     x_of = CHART_ABOVE if (s_lo if x_lo < x_hi else s_hi) > 0.0 else CHART_BELOW
-    value, err, converged, n_panels = _integrate(f, ln_big_e(x_lo, d), ln_big_e(x_hi, d), config,
-                                                 "none", delta, x_of)
-    return IntegralResult(value, err, flags if converged else flags | _NOT_MET, n_panels)
+    value, err, converged, n_panels, n_evals = _integrate(
+        f, ln_big_e(x_lo, d), ln_big_e(x_hi, d), config, "none", delta, x_of)
+    return IntegralResult(value, err, flags if converged else flags | _NOT_MET, n_panels, n_evals)
 
 
 def primal_qint_riemann(
@@ -466,13 +618,14 @@ def dual_qint(
     inside the quadrature. The error estimate is transported through the
     outer map by its derivative, e^(delta * A).
     """
-    a_val, a_err, converged, n_panels = _integrate(f, x_lo, x_hi, config)
+    a_val, a_err, converged, n_panels, n_evals = _integrate(f, x_lo, x_hi, config)
     value = q_log_exp_of(a_val, d)
     try:
         scale = math.exp(d.delta * a_val)
     except OverflowError:
         scale = math.inf
-    return IntegralResult(value, a_err * scale, _NO_FLAGS if converged else _NOT_MET, n_panels)
+    return IntegralResult(value, a_err * scale, _NO_FLAGS if converged else _NOT_MET, n_panels,
+                          n_evals)
 
 
 def dual_qint_from(
@@ -490,9 +643,8 @@ def dual_qint_from(
     """
     inner = dual_qint(f, x_lo, x_hi, d, config)
     value = q_add(inner.value, start, d)
-    return IntegralResult(
-        value, inner.error_estimate * abs(d.bracket(start)), inner.flags, inner.n_panels
-    )
+    return IntegralResult(value, inner.error_estimate * abs(d.bracket(start)), inner.flags,
+                          inner.n_panels, inner.n_evals)
 
 
 def borges_dual_qint(

@@ -476,7 +476,7 @@ class TestEvaluationErrors:
 
     @pytest.mark.parametrize("argv, row", [
         (["integrate", "1e210*exp(x)", "primal", "0", "10", "--q", "1"],
-         "2.2025465794806727e+214,3.9735731247702648e+204,"),
+         "2.2025465794806713e+214,2.6592197263095862e+200,"),  # from the step sum
         (["integrate", "exp(x)", "dual", "0", "709.7", "--q", "1"],
          "1.6549840276801752e+308,1.1418249168648128e+299,"),
     ])

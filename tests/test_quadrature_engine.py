@@ -1,12 +1,13 @@
-"""The adaptive engine against a reference copy, bit for bit.
+"""The quadrature engine against a reference copy, bit for bit.
 
-The reference below is the engine as it was before its totals were kept
-as exact running sums: a looped Kronrod panel, and a loop that sums the
-whole heap with math.fsum on every iteration (and, a rule added since,
-stops when that sum is NaN). That costs O(n^2) in the
-number of subdivisions but is plainly right, so every (value, estimate,
-converged) triple of the engine, and every error it raises, must equal
-the reference's exactly.
+The reference below is the engine written as plain loops: a looped Kronrod
+panel; on a first panel that misses, a looped tanh-sinh step sum; and when
+that misses too, the adaptive loop as it was before its totals were kept as
+exact running sums, one that sums the whole heap with math.fsum on every
+iteration (and, a rule added since, stops when that sum is NaN). That costs
+O(n^2) in the number of subdivisions but is plainly right, so every value,
+estimate, convergence, panel count and evaluation count of the engine, and
+every error it raises, must equal the reference's exactly.
 """
 
 import heapq
@@ -16,10 +17,11 @@ import struct
 import pytest
 
 from qcalc import Deformation, RealFunction, parse
-from qcalc import funcexpr
+from qcalc import funcexpr, qquad
+from qcalc.errors import EVAL_ERRORS, DomainError
 from qcalc.qcore import ln_big_e
 from qcalc.qquad import (
-    QuadratureConfig, _EXACT_SUM_LIMIT, _XK, _WK, _WK_CENTER, _WG, _WG_CENTER, _kronrod, _refine,
+    QuadratureConfig, _EXACT_SUM_LIMIT, _XK, _WK, _WK_CENTER, _WG, _WG_CENTER, _integrate,
 )
 
 
@@ -55,6 +57,7 @@ def met(total, total_err, config):
 
 
 def reference_adaptive(g, a, b, config):
+    """The adaptive loop: value, estimate, convergence and panels computed."""
     value, err = reference_panel(g, a, b)
     heap = [(-err, 0, a, b, value, err)]
     order = 1
@@ -62,9 +65,9 @@ def reference_adaptive(g, a, b, config):
         total = fsum_or_nan(e[4] for e in heap)
         total_err = math.fsum(e[5] for e in heap)
         if met(total, total_err, config):
-            return total, total_err, True
+            return total, total_err, True, order
         if math.isnan(total):  # no split can mend a NaN total
-            return total, total_err, False
+            return total, total_err, False, order
         _, _, wa, wb, _, _ = heapq.heappop(heap)
         mid = 0.5 * wa + 0.5 * wb
         for lo, hi in ((wa, mid), (mid, wb)):
@@ -73,7 +76,93 @@ def reference_adaptive(g, a, b, config):
             order += 1
     total = fsum_or_nan(e[4] for e in heap)
     total_err = math.fsum(e[5] for e in heap)
-    return total, total_err, met(total, total_err, config)
+    return total, total_err, met(total, total_err, config), order
+
+
+# The tanh-sinh rule on [-1, 1]: node tanh(pi/2 sinh t) and weight
+# pi/2 cosh t sech^2(pi/2 sinh t), at steps h = 2^-k for k = 0..6 over
+# 0 <= t <= 3.2, from the engine's tables (test_tanh_sinh_tables_are_correctly_rounded
+# checks them against mpmath).
+T_MAX, LEVELS, EPS = 3.2, 7, 2.0**-52
+
+
+def reference_step_sum(g, a, b, config):
+    """The step sum as a loop over levels and nodes: ((value, estimate) or
+    None, evaluations). Level k evaluates, at t = j h with j odd (every
+    j > 0 at level 0), the nodes from a (after the centre, at level 0),
+    then those from b; its value is h hl times math.fsum over every node
+    so far. Its estimate is the gap to the level before, plus h hl |w f| at
+    the two nodes of the largest t so far, plus 50 eps h hl sum|w f| over
+    every node so far (infinite where that sum overflows). The first level
+    from 1 on whose estimate meets the tolerance ends it; a node that
+    raises, a sum that is not finite and a last level that misses make it
+    miss."""
+    hl = 0.5 * b - 0.5 * a
+    previous, every, evaluations = None, [], 0
+    t_out = tail = 0.0
+    for k in range(LEVELS):
+        h, _, es, weights = qquad._ts_level(k)
+        ts = [j * h for j in range(1, int(T_MAX / h) + 1) if k == 0 or j % 2]
+        ws = weights[-len(ts):]
+        nodes = [(a + hl * 1.0, math.pi / 2)] if k == 0 else []
+        nodes += [(a + hl * e, w) for e, w in zip(es, ws)]
+        nodes += [(b - hl * e, w) for e, w in zip(es, ws)]
+        level = []
+        for x, w in nodes:
+            evaluations += 1
+            try:
+                level.append(w * g(x))
+            except EVAL_ERRORS:
+                return None, evaluations
+        if ts[-1] > t_out:  # the last node from a, and the last from b
+            t_out, tail = ts[-1], abs(level[len(nodes) - len(ts) - 1]) + abs(level[-1])
+        every += level
+        try:
+            total = math.fsum(every)
+        except (OverflowError, ValueError):
+            return None, evaluations
+        value = h * hl * total
+        if not math.isfinite(value):
+            return None, evaluations
+        if k:
+            try:
+                size = math.fsum(abs(term) for term in every)
+            except OverflowError:
+                size = math.inf
+            err = abs(value - previous) + h * hl * tail + h * hl * (50.0 * EPS * size)
+            if met(value, err, config):
+                return (value, err), evaluations
+        previous = value
+    return None, evaluations
+
+
+def test_tanh_sinh_tables_are_correctly_rounded():
+    mp = pytest.importorskip("mpmath")
+    for k in range(LEVELS):
+        h, from_a, from_b, weights = qquad._ts_level(k)
+        assert h == 0.5**k
+        ts = [j * h for j in range(1, int(T_MAX / h) + 1) if k == 0 or j % 2]
+        with mp.workdps(50):
+            es = [2 / (mp.exp(mp.pi * mp.sinh(t)) + 1) for t in ts]
+            ws = [mp.pi / 2 * mp.cosh(t) * e * (2 - e) for t, e in zip(ts, es)]
+        centre = ((1.0,), (math.pi / 2,)) if k == 0 else ((), ())
+        assert from_a == centre[0] + from_b
+        assert from_b == tuple(map(float, es))
+        assert weights == centre[1] + 2 * tuple(map(float, ws))
+
+
+def reference_integral(g, a, b, config):
+    """The engine on a < b: its first panel; on a miss with a total that is
+    not NaN, the step sum; on a miss there too, the adaptive loop. The
+    value, estimate, convergence, panels and evaluations."""
+    value, err = reference_panel(g, a, b)
+    steps = 0
+    if not met(value + 0.0, err, config) and not math.isnan(value):
+        got, steps = reference_step_sum(g, a, b, config)
+        if got is not None:
+            return got[0], got[1], True, 1, 15 + steps
+    total, total_err, converged, panels = reference_adaptive(g, a, b, config)
+    return total, total_err, converged, panels, 15 * panels + steps
 
 
 def bits(value):
@@ -81,22 +170,23 @@ def bits(value):
 
 
 def outcome(engine, g, a, b, config):
-    """The triple with floats as bits, or (type, message) of the error."""
+    """The result with floats as bits, or (type, message) of the error."""
     try:
-        value, err, converged = engine(g, a, b, config)
+        value, err, *rest = engine(g, a, b, config)
     except Exception as exc:  # the type and message are what is compared
         return type(exc), str(exc)
-    return bits(value), bits(err), converged
+    return bits(value), bits(err), *rest
 
 
 def engine(g, a, b, config):
-    """The engine's value, estimate and convergence for g on [a, b]."""
-    return _refine(_kronrod(g, "none", 0.0), a, b, config)[:3]
+    """The engine's value, estimate, convergence, panels and evaluations
+    for g on [a, b]."""
+    return _integrate(RealFunction(g), a, b, config)
 
 
 def same_outcome(g, a, b, config):
     got = outcome(engine, g, a, b, config)
-    assert got == outcome(reference_adaptive, g, a, b, config)
+    assert got == outcome(reference_integral, g, a, b, config)
     return got
 
 
@@ -129,6 +219,46 @@ def test_budget_integrands_match_the_reference(text, q):
     assert same_outcome(f, -0.15, 0.75, config)[2] is False
 
 
+@pytest.mark.parametrize("text,q,a", [
+    ("sin(40*x)*exp(x)", 0.5, -0.15), ("cos(30*x)/(x+2)", 2.0, -0.15),  # budget runs
+    ("x^2*cos(x)-x", 0.5, -0.15), ("exp(-x)*sin(3*x)+1", 2.0, -0.15),  # one-panel runs
+    ("sqrt(x)*exp(x)", 0.5, 0.0),  # an endpoint singularity at a budget
+])
+@pytest.mark.parametrize("tol", [1e-300, 1e-8])
+def test_budget_and_one_panel_runs_are_those_of_the_engine_without_the_step_sum(text, q, a, tol):
+    f = funcexpr.compile(parse(text, Deformation(q))).eval
+    config = QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=500)
+    got = outcome(engine, f, a, 0.75, config)
+    if tol == 1e-300 or got[3:] == (1, 15):
+        assert got[:3] == outcome(reference_adaptive, f, a, 0.75, config)[:3]
+    if text[0] in "xe" and tol == 1e-8:
+        assert got[3:] == (1, 15)
+
+
+def _outside_below(limit):
+    """1/sqrt(x), outside its domain below limit."""
+    def g(x):
+        if x < limit:
+            raise DomainError(f"x = {x} is outside the domain")
+        return 1.0 / math.sqrt(x)
+
+    return g
+
+
+@pytest.mark.parametrize("limit", [1e-12, 1e-16])
+def test_a_node_that_raises_in_the_step_sum_hands_over_to_the_adaptive_loop(limit):
+    # a step-sum node raises on [0, 1] at both limits; the adaptive loop's
+    # nodes reach 1e-12 (it raises that error), but not 1e-16
+    g, config = _outside_below(limit), QuadratureConfig()
+    got = same_outcome(g, 0.0, 1.0, config)
+    today = outcome(reference_adaptive, g, 0.0, 1.0, config)
+    if limit == 1e-12:
+        assert got == today == (DomainError, got[1])
+    else:
+        assert got[:3] == today[:3] and got[2] is True
+        assert 15 * got[3] < got[4] < 15 * got[3] + 409  # the nodes up to the one that raised
+
+
 def _window(lo, value):
     """sin(40x) with `value` on (lo, lo + 0.004), a window the first dozen or
     more panels miss, so the sums turn non-finite in mid-run."""
@@ -156,14 +286,14 @@ def _both_infinities(x):
 
 @pytest.mark.parametrize("config", [QuadratureConfig(), QuadratureConfig(1e-300, 1e-300, 60)])
 def test_infinities_of_both_signs_total_nan_and_are_flagged(config):
-    assert same_outcome(_both_infinities, 0.0, 1.0, config) == ("nan", "nan", False)
+    assert same_outcome(_both_infinities, 0.0, 1.0, config) == ("nan", "nan", False, 1, 15)
 
 
 @pytest.mark.parametrize("g", [_window(0.77, math.nan), _both_infinities])
 def test_a_nan_total_ends_the_run_where_the_reference_ends(g):
     config = QuadratureConfig(1e-300, 1e-300, 400)
-    n_panels = _refine(_kronrod(g, "none", 0.0), 0.0, 1.0, config)[3]
-    assert n_panels == counted_reference(g, 0.0, 1.0, config) < 2 * config.max_subdivisions
+    n_panels = engine(g, 0.0, 1.0, config)[3]
+    assert n_panels == counted_reference(g, 0.0, 1.0, config)[0] < 2 * config.max_subdivisions
 
 
 @pytest.mark.parametrize("a, b", [(0.5, 1.7e308), (-1e308, 1e308), (-1.7e308, 1.7e308)])
@@ -259,7 +389,8 @@ def test_zero_totals_past_the_switch_fall_back_to_the_heap(n):
 
 
 def counted_reference(g, a, b, config):
-    """reference_adaptive on [min, max] and the panels it computed."""
+    """The panels and evaluations of reference_integral on [min, max],
+    checked against the calls it made to g."""
     calls = []
 
     def counting(x):
@@ -267,10 +398,11 @@ def counted_reference(g, a, b, config):
         return g(x)
 
     if a == b:
-        return 0
-    reference_adaptive(counting, min(a, b), max(a, b), config)
-    assert len(calls) % 15 == 0
-    return len(calls) // 15
+        return 0, 0
+    panels, evaluations = reference_integral(counting, min(a, b), max(a, b), config)[3:]
+    # unless the step sum returned, the adaptive loop computed the first panel again
+    assert len(calls) == evaluations + (0 if panels == 1 < evaluations - 15 else 15)
+    return panels, evaluations
 
 
 def in_the_chart(f, d):
@@ -278,6 +410,10 @@ def in_the_chart(f, d):
     if d.classical:
         return f
     return lambda u: f(math.expm1(d.delta * u) / d.delta)
+
+
+def counts(res):
+    return res.n_panels, res.n_evals
 
 
 @pytest.mark.parametrize("q", Q_VALUES)
@@ -290,11 +426,28 @@ def test_n_panels_counts_the_panels(text, q):
     primal_g = in_the_chart(f.eval, d)
     for a, b in ((0.0, 0.75), (0.75, 0.0), (0.5, 0.5)):
         u_a, u_b = ln_big_e(a, d), ln_big_e(b, d)
-        assert primal_qint(f, a, b, d).n_panels == counted_reference(primal_g, u_a, u_b,
-                                                                     CONFIGS[0])
+        assert counts(primal_qint(f, a, b, d)) == counted_reference(primal_g, u_a, u_b,
+                                                                    CONFIGS[0])
         want = counted_reference(f.eval, a, b, CONFIGS[0])
-        assert dual_qint(f, a, b, d).n_panels == want
-        assert dual_qint_from(f, a, b, 0.25, d).n_panels == want
+        assert counts(dual_qint(f, a, b, d)) == want
+        assert counts(dual_qint_from(f, a, b, 0.25, d)) == want
+        if a != b:  # the smooth integrand ends at its first panel, the others at the step sum
+            assert want == ((1, 15) if text[0] == "e" else (1, 15 + 51))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_n_evals_counts_every_rule(tol):
+    from qcalc.qquad import dual_qint
+
+    d = Deformation(0.5)
+    config = QuadratureConfig(1e-300, tol, 50)
+    f = funcexpr.compile(parse("1/sqrt(x)", d))
+    res = dual_qint(f, 0.0, 1.0, d, config)
+    if tol == 1e-8:  # met by the step sum at its level 4
+        assert counts(res) == (1, 15 + 103) and not res.flags
+    else:  # the tail the step sum truncates is too large: all 409 nodes spent, then 50 splits
+        assert counts(res) == (101, 15 * 101 + 409) and res.flags
+    assert counts(res) == counted_reference(f.eval, 0.0, 1.0, config)
 
 
 def test_n_panels_of_a_reflected_integral():
@@ -308,16 +461,17 @@ def test_n_panels_of_a_reflected_integral():
     # in the chart of 0.5's side, up to the u of 1.25 (that of its mirror 0.75)
     u_lo, u_hi = ln_big_e(0.5, d), ln_big_e(1.25, d)
     want = counted_reference(in_the_chart(f.eval, d), u_lo, u_hi, config)
-    assert res.n_panels == want > 1
-    assert primal_qint(f, 1.25, 0.5, d, config).n_panels == want
+    assert counts(res) == want == (1, 15 + 103)  # met by the step sum
+    assert counts(primal_qint(f, 1.25, 0.5, d, config)) == want
 
 
 def test_n_panels_takes_no_part_in_equality_or_hashing():
     from qcalc.qquad import IntegralResult
 
-    a, b = IntegralResult(1.0, 0.5, n_panels=3), IntegralResult(1.0, 0.5, n_panels=7)
+    a = IntegralResult(1.0, 0.5, n_panels=3, n_evals=45)
+    b = IntegralResult(1.0, 0.5, n_panels=7, n_evals=66)
     assert a == b and hash(a) == hash(b)
-    assert IntegralResult(1.0, 0.5).n_panels == 0
+    assert counts(IntegralResult(1.0, 0.5)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +496,14 @@ def _kronrod_only_inf(x):
 def test_first_panel_runs_match_the_reference(g, n):
     got = same_outcome(g, 0.0, 1.0, QuadratureConfig(max_subdivisions=n))
     if g(0.5) == 0.0:
-        assert got == (bits(0.0), bits(0.0), True)
+        assert got == (bits(0.0), bits(0.0), True, 1, 15)
     if g is _kronrod_only_inf:
         assert got[2] is False
 
 
-def _same_result(res, value, err, flags, n_panels):
+def _same_result(res, value, err, flags, work):
     assert (bits(res.value), bits(res.error_estimate)) == (bits(value), bits(err))
-    assert (res.flags, res.n_panels) == (flags, n_panels)
+    assert (res.flags, counts(res)) == (flags, work)
 
 
 @pytest.mark.parametrize("n", [1, 2000])
@@ -361,28 +515,27 @@ def test_one_panel_integrals_match_the_reference(n):
     f = funcexpr.compile(parse("x^2*cos(x)-x", d))
     config = QuadratureConfig(max_subdivisions=n)
     a, b = -0.15, 0.75
-    value, err, ok = reference_adaptive(in_the_chart(f.eval, d), ln_big_e(a, d), ln_big_e(b, d),
-                                        config)
-    assert ok and counted_reference(in_the_chart(f.eval, d), ln_big_e(a, d), ln_big_e(b, d),
-                                    config) == 1
-    _same_result(primal_qint(f, a, b, d, config), value, err, frozenset(), 1)
-    _same_result(primal_qint(f, b, a, d, config), -value, err, frozenset(), 1)
-    _same_result(primal_qint(f, a, a, d, config), 0.0, 0.0, frozenset(), 0)
+    value, err, ok, *work = reference_integral(in_the_chart(f.eval, d), ln_big_e(a, d),
+                                              ln_big_e(b, d), config)
+    assert ok and work == [1, 15]
+    _same_result(primal_qint(f, a, b, d, config), value, err, frozenset(), (1, 15))
+    _same_result(primal_qint(f, b, a, d, config), -value, err, frozenset(), (1, 15))
+    _same_result(primal_qint(f, a, a, d, config), 0.0, 0.0, frozenset(), (0, 0))
 
-    value, err, ok = reference_adaptive(f.eval, a, b, config)
-    assert ok
+    value, err, ok, *work = reference_integral(f.eval, a, b, config)
+    assert ok and work == [1, 15]
     scale = math.exp(d.delta * value)
     _same_result(dual_qint(f, a, b, d, config), q_log_exp_of(value, d), err * scale,
-                 frozenset(), 1)
+                 frozenset(), (1, 15))
     _same_result(dual_qint(f, b, a, d, config), q_log_exp_of(-value, d),
-                 err * math.exp(-d.delta * value), frozenset(), 1)
-    _same_result(dual_qint(f, b, b, d, config), 0.0, 0.0, frozenset(), 0)
+                 err * math.exp(-d.delta * value), frozenset(), (1, 15))
+    _same_result(dual_qint(f, b, b, d, config), 0.0, 0.0, frozenset(), (0, 0))
 
     def borges(x):
         y = f.eval(x)
         return (1.0 + d.delta * y) * y
 
-    value = reference_adaptive(borges, a, b, config)[0]
+    value = reference_integral(borges, a, b, config)[0]
     assert bits(borges_dual_qint(f, a, b, d, config)) == bits(value)
     assert bits(borges_dual_qint(f, b, a, d, config)) == bits(-value)
     assert bits(borges_dual_qint(f, a, a, d, config)) == bits(0.0)
@@ -401,12 +554,14 @@ def test_reflected_runs_match_the_reference(n):
     for text, config in cases:
         f = funcexpr.compile(parse(text, d))
         g = in_the_chart(f.eval, d)
-        value, err, ok = reference_adaptive(g, u_lo, u_hi, config)
+        value, err, ok, *work = reference_integral(g, u_lo, u_hi, config)
         flags = reflected if ok else reflected | {IntegralFlag.TOLERANCE_NOT_MET}
-        panels = counted_reference(g, u_lo, u_hi, config)
-        assert panels == 1 if ok else panels == 2 * n + 1
-        _same_result(primal_qint(f, 0.5, 1.25, d, config), value, err, flags, panels)
-        _same_result(primal_qint(f, 1.25, 0.5, d, config), -value, err, flags, panels)
+        work = tuple(work)
+        # the step sum misses a tolerance of 1e-300 with every node spent
+        assert work == (1, 15) if ok else work == (2 * n + 1, 15 * (2 * n + 1) + 409)
+        assert work == counted_reference(g, u_lo, u_hi, config)
+        _same_result(primal_qint(f, 0.5, 1.25, d, config), value, err, flags, work)
+        _same_result(primal_qint(f, 1.25, 0.5, d, config), -value, err, flags, work)
 
 
 def test_a_one_panel_integral_makes_its_panel_once_and_calls_it_once():
@@ -419,4 +574,16 @@ def test_a_one_panel_integral_makes_its_panel_once_and_calls_it_once():
     for _ in range(3):
         assert primal_qint(f, -0.15, 0.75, d).n_panels == 1
     assert len(nodes) == 3 * 15
-    assert len(f.stencils) == 1  # the panel, kept from the first call
+    assert len(f.stencils) == 1  # the panel, kept from the first call; no step sum
+
+
+def test_a_first_panel_that_misses_makes_the_step_sum_once():
+    from qcalc.qquad import primal_qint
+
+    d = Deformation(0.5)
+    f = funcexpr.compile(parse("ln(x)+2", d))
+    for _ in range(3):
+        assert counts(primal_qint(f, 0.0, 0.75, d)) == (1, 15 + 51)
+    # the panel and the step sum, each kept from the first call
+    assert sorted(map(str, f.stencils)) == ["('none', 'expm1(delta * {0}) / delta', 0.5)",
+                                            "('tanh-sinh', 'none', 'expm1(delta * {0}) / delta', 0.5)"]

@@ -147,6 +147,7 @@ class IntegralResult:
     error_estimate: float
     flags: frozenset = field(default_factory=frozenset)
     n_panels: int = field(default=0, compare=False)
+    n_evals: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,7 @@ CASES = {
     "IntegralResult": [
         lambda n: n.IntegralResult(1.25, 1e-12),
         lambda n: n.IntegralResult(1.25, 1e-12, n_panels=7),
+        lambda n: n.IntegralResult(1.25, 1e-12, frozenset(), 1, 66),
         lambda n: n.IntegralResult(1.25, 1e-12, frozenset({IntegralFlag.TOLERANCE_NOT_MET}), 3),
         lambda n: n.IntegralResult(value=NAN, error_estimate=0.0, flags=frozenset()),
     ],
@@ -371,10 +373,11 @@ def test_nan_fields_compare_by_identity_as_in_a_tuple():
 
 
 def test_n_panels_is_in_the_repr_but_not_in_equality():
-    a = OURS.IntegralResult(1.0, 0.0, n_panels=3)
-    b = OURS.IntegralResult(1.0, 0.0, n_panels=9)
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) != repr(b) and "n_panels=3" in repr(a)
+    a = OURS.IntegralResult(1.0, 0.0, n_panels=3, n_evals=45)
+    b = OURS.IntegralResult(1.0, 0.0, n_panels=3, n_evals=66)
+    c = OURS.IntegralResult(1.0, 0.0, n_panels=9, n_evals=45)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({repr(a), repr(b), repr(c)}) == 3 and "n_panels=3, n_evals=45" in repr(a)
 
 
 def test_partition_nodes_take_part_in_equality():
