@@ -524,10 +524,10 @@ LN_E_BELOW = ("(log(-1.0 - delta * {0}) if delta * {0} > -inf"
 CHART_ABOVE, CHART_BELOW = "expm1(delta * {0}) / delta", "(-exp(delta * {0}) - 1.0) / delta"
 
 
-# expm1, log1p and inf are read by qlog and by the chart texts
+# expm1, log1p and inf are read by qlog and by the chart texts, fsum by qquad's step sum
 _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
             "sqrt": math.sqrt, "math_pow": math.pow, "expm1": math.expm1,
-            "log1p": math.log1p, "inf": math.inf,
+            "log1p": math.log1p, "inf": math.inf, "fsum": math.fsum,
             "DomainError": DomainError, "PoleError": PoleError,
             "EVAL_ERRORS": EVAL_ERRORS, "Q1_BRANCH": _Q1}
 # per operator or function: the expression, and the checks (condition,

@@ -65,13 +65,14 @@ class Record:
     (default: those slots). Equality and hashing read ``_compared``, and
     pickling and ``copy.copy`` call the class on ``_args`` (both default to
     the fields). A subclass with fields and without an ``__init__`` of its
-    own gets one that takes its fields, those in ``_defaults`` optional, and
-    sets each slot through its member descriptor; one without fields takes
-    no arguments, as ``object`` does. Records compare as the tuples of their
-    compared fields, only with records of the same class, and hash as those
-    tuples; their repr is ``Class(field=value, ...)``. Assigning or deleting
-    an attribute raises ``FrozenInstanceError``, the error of the standard
-    library's frozen records.
+    own gets one, generated when its first instance is made, that takes its
+    fields, those in ``_defaults`` optional, and sets each slot through its
+    member descriptor; one without fields takes no arguments, as ``object``
+    does. Records compare as the tuples of their compared fields, only with
+    records of the same class, and hash as those tuples; their repr is
+    ``Class(field=value, ...)``. Assigning or deleting an attribute raises
+    ``FrozenInstanceError``, the error of the standard library's frozen
+    records.
     """
 
     __slots__ = ()
@@ -88,7 +89,7 @@ class Record:
         cls._key = staticmethod(_tuple_of(own.get("_compared", cls._fields)))
         cls._argv = staticmethod(_tuple_of(own.get("_args", cls._fields)))
         if "__init__" not in own and cls._fields:
-            cls.__init__ = _generated_init(cls)
+            cls.__init__ = _first_init(cls)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -120,6 +121,17 @@ def _tuple_of(names: tuple[str, ...]):
         get = attrgetter(*names)
         return lambda self: (get(self),)
     return lambda self: ()
+
+
+def _first_init(cls):
+    """An ``__init__`` that generates the class's own on the first instance,
+    puts it in its place and runs it, so importing a record costs no exec."""
+    def __init__(self, *args, **kwargs):
+        init = cls.__init__ = _generated_init(cls)
+        init(self, *args, **kwargs)
+
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return __init__
 
 
 def _generated_init(cls):

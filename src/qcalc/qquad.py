@@ -24,20 +24,22 @@ tries three rules in turn on [a, b], each with the weight and chart fused in:
 
 The engine's units of work are generated point loops: one Python frame
 for the 15 Kronrod nodes of an interval (its text, with the rule, sums and
-error estimate, is _panel_text's), and one per level of the step sum (the
-text of _steps_text, which evaluates the weighted integrand over a list of
-nodes). For a compiled expression each runs the tree's statements at each
-node, so it grows with the tree as the tree's own function does;
-funcexpr.point_loop compiles it once per tree shape, weight and chart (a
-cold cost below 1 ms), and each RealFunction keeps the panel in f.stencils
-by weight, chart and delta, and the step sum beside it, made only when a
-first panel misses. Any other point function is called at each node by
-the same texts. In the adaptive loop, the totals over the heap of panels
-are math.fsum over the heap while it is short (below _SHORT_HEAP panels:
-cheaper than keeping sums), then exact running sums, which keep a long run
-linear in its subdivision count. Results equal those of the looped
-reference panel and step sum and of summing the heap on every iteration,
-bit for bit.
+error estimate, is _panel_text's), and one for a whole step sum (the text
+of _step_sum_text: every level, both runs of nodes, the sums, the estimate
+and the test at each level). For a compiled expression each runs the
+tree's statements, written once in its text, at each node, so it grows
+with the tree as the tree's own function does; funcexpr.point_loop
+compiles it once per tree shape, weight and chart (a cold cost below 1 ms),
+and each RealFunction keeps the panel in f.stencils by weight, chart and
+delta, and the step sum beside it, made only when a first panel misses.
+Any other point function is called at each node by the same texts. The
+step sum's nodes and weights are float literals in qcalc.tanh_sinh, each
+correctly rounded, imported with the first step sum. In the adaptive loop,
+the totals over the heap of panels are math.fsum over the heap while it is
+short (below _SHORT_HEAP panels: cheaper than keeping sums), then exact
+running sums, which keep a long run linear in its subdivision count.
+Results equal those of the looped reference panel and step sum and of
+summing the heap on every iteration, bit for bit.
 
 Cross-check paths that deliberately share no code with that engine:
 
@@ -56,9 +58,9 @@ from __future__ import annotations
 import heapq
 import math
 from enum import Enum
-from operator import itemgetter, mul
+from operator import itemgetter
 
-from .errors import EVAL_ERRORS, DomainError, SingularityError
+from .errors import DomainError, SingularityError
 from .funcexpr import CHART_ABOVE, CHART_BELOW, RealFunction, chart_point, indented, point_loop
 from .qcore import (
     QUAD_ABS_TOL,
@@ -232,112 +234,63 @@ def _kronrod(g, weight: str, delta: float, x_of: str = "{}"):
 # ---------------------------------------------------------------------------
 # The second rule, after a first panel that misses: a tanh-sinh step sum
 
-# On [-1, 1] the node of t is y = tanh(pi/2 sinh t), of weight dy/dt =
-# pi/2 cosh t sech^2(pi/2 sinh t). It lies e = 1 - |y| = 2/(exp(pi sinh |t|) + 1)
-# from an end, where sech^2 = e (2 - e), so neither needs 1 - y. Level k has
-# step h = 2^-k and adds the t = j h, j odd from level 1 on, up to _TS_T_MAX,
-# on both sides; level 0 also has the centre, at e = 1 from a.
-_TS_T_MAX = 3.2
-_TS_LEVELS = 7  # h = 1 down to 2^-6
 _EPS = 2.0**-52
-_ts_table: dict[int, tuple] = {}
 
 
-def _ts_level(k: int) -> tuple[float, tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """Level k, built on its first use: its step h, the distances e of its
-    nodes from a and from b, t increasing, and their weights in that order.
-    Each e and w is correctly rounded: it is computed in 34 decimal digits,
-    where float arithmetic would be off by up to 8 ulps."""
-    level = _ts_table.get(k)
-    if level is None:
-        from decimal import Decimal, localcontext
+def _step_sum_text(lines: list[str], result: str, params: list[str], weight: str, x_of: str
+                   ) -> str:
+    """``maker(delta, levels) -> step_sum``, where ``step_sum(a, b, abs_tol,
+    rel_tol)`` is the tanh-sinh step sum of the weighted integrand on [a, b],
+    a < b, over tanh_sinh.LEVELS: (value, estimate, evaluations) at the first
+    level from 1 on that meets the tolerance with a finite value and
+    estimate; (None, None, evaluations) when the last level misses, when a
+    level's sums are not finite, and when a node raises one of EVAL_ERRORS
+    (that node counted).
 
-        h = 0.5**k
-        es, ws = [], []
-        with localcontext() as ctx:
-            ctx.prec = 34
-            pi = Decimal("3.141592653589793238462643383279502884")
-            for j in range(1, int(_TS_T_MAX / h) + 1):
-                if k == 0 or j % 2:
-                    exp_t = Decimal(j * h).exp()
-                    e = 2 / ((pi / 2 * (exp_t - 1 / exp_t)).exp() + 1)
-                    es.append(float(e))
-                    ws.append(float(pi / 4 * (exp_t + 1 / exp_t) * e * (2 - e)))
-        centre = k == 0
-        level = _ts_table.setdefault(k, (h, tuple([1.0] * centre + es), tuple(es),
-                                         tuple([0.5 * math.pi] * centre + ws + ws)))
-    return level
-
-
-# steps(runs, values) appends to values the weighted integrand at the nodes
-# u = s + o*e of each run (s, o, es), at x = x_of(u), in one frame that runs
-# a tree's statements once per node; a run from b has o = -hl, and
-# b + (-hl)*e is b - hl*e exactly.
-
-def _steps_text(lines: list[str], result: str, params: list[str], weight: str, x_of: str) -> str:
-    var, point = chart_point(x_of, lines, weight.format(result))
-    head = ["flags = None", "_f = _values", "for _s, _o, _es in _runs:"]
-    body = "".join(indented(3, head) + indented(4, ["for _e in _es:"])
-                   + indented(5, [f"{var} = _s + _o * _e", *point]))
+    One frame runs every level: at each, both runs (from a, then from b)
+    and their nodes u = s + o*e, s the run's end and o = hl or -hl (b +
+    (-hl)*e is b - hl*e exactly), at x = x_of(u), with the tree's statements
+    written once; each node appends w f to the one list of terms. A level's
+    value is h hl times the math.fsum of every term so far; its estimate is
+    the gap to the level before (level 0 has none: its gap to inf never
+    meets the tolerance), plus the tail the rule truncates, h hl |w f| of the
+    outermost pair, plus the round-off floor 50 eps h hl sum|w f|, infinite
+    where that sum overflows. The floor only adds, so it is summed only where
+    the other two meet the tolerance."""
+    var, point = chart_point(x_of, lines, f"_w * ({weight.format(result)})")
+    head = ["flags = None", "_hl = 0.5 * _b - 0.5 * _a", "_m = -_hl", "_f = []",
+            "_previous, _tail = inf, 0.0", "for _h, _from_a, _from_b, _back in _levels:"]
+    runs = ["try:", "    for _s, _o, _nodes in ((_a, _hl, _from_a), (_b, _m, _from_b)):",
+            "        for _e, _w in _nodes:"]
+    level = ["except EVAL_ERRORS:", "    return None, None, len(_f) + 1",
+             "if _back:  # a new outermost pair: the last node from each end",
+             "    _tail = abs(_f[_back]) + abs(_f[-1])",
+             "try:", "    _total = fsum(_f)",
+             "except (OverflowError, ValueError):  # a partial sum overflows; inf - inf",
+             "    break",
+             "_scale = _h * _hl", "_value = _scale * _total",
+             "if not abs(_value) < inf:  # a total that is not finite stays so", "    break",
+             "_err = abs(_value - _previous) + _scale * _tail",
+             "if _err <= _abs_tol or _err <= _rel_tol * abs(_value):",
+             "    try:", f"        _err += _scale * ({50.0 * _EPS!r} * fsum(map(abs, _f)))",
+             "    except OverflowError:", "        _err = inf",
+             "    if _err <= _abs_tol or _err <= _rel_tol * abs(_value):",
+             "        return _value, _err, len(_f)",
+             "_previous = _value"]
+    body = "".join(indented(3, head) + indented(4, runs)
+                   + indented(7, [f"{var} = _s + _o * _e", *point]) + indented(4, level)
+                   + indented(3, ["return None, None, len(_f)"]))
     return (f"def factory({', '.join(params)}):\n"
-            f"    def steps_maker(delta):\n"
-            f"        def steps(_runs, _values):\n{body}        return steps\n"
-            f"    return steps_maker\n")
+            f"    def step_sum_maker(delta, _levels):\n"
+            f"        def step_sum(_a, _b, _abs_tol, _rel_tol):\n{body}        return step_sum\n"
+            f"    return step_sum_maker\n")
 
 
 def _tanh_sinh(g, weight: str, delta: float, x_of: str = "{}"):
-    """steps(runs, values) of g(x_of(u)) times the weight."""
-    return point_loop(g, _steps_text, (_WEIGHTS[weight], x_of))(delta)
+    """step_sum(a, b, abs_tol, rel_tol) of g(x_of(u)) times the weight."""
+    from .tanh_sinh import LEVELS  # loaded with the first step sum, not with qquad
 
-
-def _step_sum(steps, a: float, b: float, abs_tol: float, rel_tol: float):
-    """The tanh-sinh step sum of steps' integrand on [a, b], a < b, as
-    (value, estimate, evaluations) at the first level from 1 on that meets
-    the tolerance with a finite value and estimate; (None, None, evaluations)
-    when the last level misses, when a level's sums are not finite, and when
-    a node raises one of EVAL_ERRORS (that node counted).
-
-    A level's value is h hl times the math.fsum of w f over every node so
-    far; its estimate is the gap to the level before, plus the tail the
-    rule truncates, h hl |w f| of the outermost pair, plus the round-off
-    floor 50 eps h hl sum|w f|, infinite where that sum overflows. The floor
-    only adds, so it is summed only where the other two meet the tolerance.
-    """
-    hl = 0.5 * b - 0.5 * a
-    terms = []
-    previous = tail = 0.0
-    n_evals, e_out = 0, 2.0
-    for k in range(_TS_LEVELS):
-        h, from_a, from_b, ws = _ts_level(k)
-        values = []
-        try:
-            steps(((a, hl, from_a), (b, -hl, from_b)), values)
-        except EVAL_ERRORS:
-            return None, None, n_evals + len(values) + 1
-        n_evals += len(values)
-        new = list(map(mul, ws, values))
-        terms += new
-        if from_b[-1] < e_out:  # a new outermost pair: the last node from each end
-            e_out, tail = from_b[-1], abs(new[len(from_a) - 1]) + abs(new[-1])
-        try:
-            total = math.fsum(terms)
-        except (OverflowError, ValueError):  # a partial sum overflows; inf - inf
-            break
-        scale = h * hl
-        value = scale * total
-        if not abs(value) < _INF:  # a total that is not finite stays so
-            break
-        if k:
-            err = abs(value - previous) + scale * tail
-            if err <= abs_tol or err <= rel_tol * abs(value):
-                try:
-                    err += scale * (50.0 * _EPS * math.fsum(map(abs, terms)))
-                except OverflowError:
-                    err = _INF
-                if err <= abs_tol or err <= rel_tol * abs(value):
-                    return value, err, n_evals
-        previous = value
-    return None, None, n_evals
+    return point_loop(g, _step_sum_text, (_WEIGHTS[weight], x_of))(delta, LEVELS)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +416,11 @@ def _integrate(f: RealFunction, a: float, b: float, config: QuadratureConfig,
     # err <= max(abs_tol, rel_tol * |total|) and finite, without max()'s call
     converged = err < _INF and (err <= abs_tol or err <= rel_tol * abs(total))
     if not converged and total == total:
-        steps_key = ("tanh-sinh", *key)
-        steps = f.stencils.get(steps_key)
-        if steps is None:
-            steps = f.stencils[steps_key] = _tanh_sinh(f.eval, weight, delta, x_of)
-        sum_value, sum_err, n_sum = _step_sum(steps, lo, hi, abs_tol, rel_tol)
+        sum_key = ("tanh-sinh", *key)
+        step_sum = f.stencils.get(sum_key)
+        if step_sum is None:
+            step_sum = f.stencils[sum_key] = _tanh_sinh(f.eval, weight, delta, x_of)
+        sum_value, sum_err, n_sum = step_sum(lo, hi, abs_tol, rel_tol)
         n_evals += n_sum
         if sum_value is not None:
             total, err, converged = sum_value, sum_err, True

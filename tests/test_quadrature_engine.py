@@ -17,7 +17,7 @@ import struct
 import pytest
 
 from qcalc import Deformation, RealFunction, parse
-from qcalc import funcexpr, qquad
+from qcalc import funcexpr, qquad, tanh_sinh
 from qcalc.errors import EVAL_ERRORS, DomainError
 from qcalc.qcore import ln_big_e
 from qcalc.qquad import (
@@ -86,6 +86,13 @@ def reference_adaptive(g, a, b, config):
 T_MAX, LEVELS, EPS = 3.2, 7, 2.0**-52
 
 
+def tanh_sinh_level(k):
+    """h, then the distances e from an end and the weights of level k's t."""
+    h, _, pairs, _ = tanh_sinh.LEVELS[k]
+    es, ws = zip(*pairs)
+    return h, es, ws
+
+
 def reference_step_sum(g, a, b, config):
     """The step sum as a loop over levels and nodes: ((value, estimate) or
     None, evaluations). Level k evaluates, at t = j h with j odd (every
@@ -101,9 +108,8 @@ def reference_step_sum(g, a, b, config):
     previous, every, evaluations = None, [], 0
     t_out = tail = 0.0
     for k in range(LEVELS):
-        h, _, es, weights = qquad._ts_level(k)
+        h, es, ws = tanh_sinh_level(k)
         ts = [j * h for j in range(1, int(T_MAX / h) + 1) if k == 0 or j % 2]
-        ws = weights[-len(ts):]
         nodes = [(a + hl * 1.0, math.pi / 2)] if k == 0 else []
         nodes += [(a + hl * e, w) for e, w in zip(es, ws)]
         nodes += [(b - hl * e, w) for e, w in zip(es, ws)]
@@ -138,17 +144,19 @@ def reference_step_sum(g, a, b, config):
 
 def test_tanh_sinh_tables_are_correctly_rounded():
     mp = pytest.importorskip("mpmath")
-    for k in range(LEVELS):
-        h, from_a, from_b, weights = qquad._ts_level(k)
+    assert len(tanh_sinh.LEVELS) == LEVELS
+    t_out = 0.0
+    for k, (h, from_a, from_b, back) in enumerate(tanh_sinh.LEVELS):
         assert h == 0.5**k
         ts = [j * h for j in range(1, int(T_MAX / h) + 1) if k == 0 or j % 2]
         with mp.workdps(50):
             es = [2 / (mp.exp(mp.pi * mp.sinh(t)) + 1) for t in ts]
             ws = [mp.pi / 2 * mp.cosh(t) * e * (2 - e) for t, e in zip(ts, es)]
-        centre = ((1.0,), (math.pi / 2,)) if k == 0 else ((), ())
-        assert from_a == centre[0] + from_b
-        assert from_b == tuple(map(float, es))
-        assert weights == centre[1] + 2 * tuple(map(float, ws))
+        assert from_b == tuple(zip(map(float, es), map(float, ws)))
+        assert from_a == ((1.0, math.pi / 2),) * (k == 0) + from_b
+        # the last node from a among the level's terms, where its pair is the outermost yet
+        assert back == (-1 - len(ts) if ts[-1] > t_out else 0)
+        t_out = max(t_out, ts[-1])
 
 
 def reference_integral(g, a, b, config):
@@ -257,6 +265,78 @@ def test_a_node_that_raises_in_the_step_sum_hands_over_to_the_adaptive_loop(limi
     else:
         assert got[:3] == today[:3] and got[2] is True
         assert 15 * got[3] < got[4] < 15 * got[3] + 409  # the nodes up to the one that raised
+
+
+# Cumulative step-sum evaluations at the end of each level
+LEVEL_ENDS = (7, 13, 25, 51, 103, 205, 409)
+
+
+def test_the_step_sum_frame_matches_the_reference_on_drawn_runs():
+    """The endpoint integrands on [0, b], b drawn, at tolerances from 1e-4 to
+    1e-300 (so every level is reached), with either weight, on the identity
+    chart and on the primal one at each q, and with a node of a drawn level
+    and run that raises: the engine and reference_integral agree on value
+    and estimate bits, convergence, panels and evaluations, or on the error."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    ended, raised = [], []  # the step sum's evaluations, by how it ended
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(text=st.sampled_from(ENDPOINT), b=st.floats(0.03, 3.0).map(lambda s: 10.0**-s),
+           digits=st.floats(4.0, 17.0) | st.floats(4.0, 300.0),
+           abs_tol=st.sampled_from([None, 1e-300]), weight=st.sampled_from(["none", "borges"]),
+           primal=st.booleans(), q=st.sampled_from(Q_VALUES),
+           node=st.none() | st.tuples(st.integers(0, 6), st.booleans(), st.integers(0, 101)))
+    @example("sqrt(x)*exp(x)", 0.01, 4.0, None, "none", False, 0.5, None)  # ends at level 1
+    @example("ln(x)+2", 0.01, 14.5, None, "borges", False, 2.0, None)  # ends at level 5
+    def check(text, b, digits, abs_tol, weight, primal, q, node):
+        d = Deformation(q)
+        delta, tol = d.delta, 10.0**-digits
+        config = QuadratureConfig(abs_tol or tol, tol, max_subdivisions=20)
+        if primal and not d.classical:  # the primal chart above the pole, where u(0) = 0
+            x_of, b = funcexpr.CHART_ABOVE, ln_big_e(b, d)
+
+            def chart(u):
+                return math.expm1(delta * u) / delta
+        else:
+            x_of = "{}"
+
+            def chart(u):
+                return u
+        f = funcexpr.compile(parse(text, d))
+        g, hit = f.eval, []
+        if node is not None:  # g raises at the x of that node, and is called at each node
+            k, from_b, i = node
+            _, from_a, nodes_b, _ = tanh_sinh.LEVELS[k]
+            nodes, hl = (nodes_b if from_b else from_a), 0.5 * b
+            e = nodes[i % len(nodes)][0]
+            target = chart(b + -hl * e if from_b else 0.0 + hl * e)
+
+            def g(x, tree=f.eval):
+                if x == target:
+                    hit.append(x)
+                    raise DomainError(f"x = {x} is the drawn node")
+                return tree(x)
+
+            f = RealFunction(g)
+
+        def weighted(u):
+            y = g(chart(u))
+            return (1.0 + delta * y) * y if weight == "borges" else y
+
+        def drawn(f, a, b, config):
+            return _integrate(f, a, b, config, weight, delta, x_of)
+
+        got = outcome(drawn, f, 0.0, b, config)
+        assert got == outcome(reference_integral, weighted, 0.0, b, config)
+        if len(got) == 5 and got[4] > 15 * got[3]:  # the step sum ran
+            steps = got[4] - 15 * got[3]
+            (raised if hit else ended).append(steps)
+
+    check()
+    # the drawn runs end at every level from 1 on, and some at a node that raises
+    assert set(ended) == set(LEVEL_ENDS[1:]) and raised
 
 
 def _window(lo, value):
