@@ -19,8 +19,9 @@ legal there.
 symbolically differentiated ordinary derivative, and no domain predicate:
 it is defined where evaluation succeeds. :func:`builtin` names a handful of
 expressions, compiled with their derivatives. :func:`point_loop` compiles a
-caller's loop text (qquad's Kronrod panel, qdiff's numeric-derivative point)
-over a compiled tree's statements, once per tree and text.
+caller's loop body (qdiff's numeric-derivative point, qquad's Kronrod panel
+and tanh-sinh step sum) in one frame over a compiled tree's statements, once
+per tree shape and text.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ class RealFunction(Record):
             (the default) means exactly where eval raises no EVAL_ERRORS.
         label: human-readable description (expression text for parsed input).
 
-    ``stencils`` keeps the point functions made from f on first use:
-    qdiff's numeric-derivative points by (operator, q), qquad's Kronrod
-    panels by (weight, chart, delta) and its tanh-sinh step sums by
-    ("tanh-sinh", weight, chart, delta); it takes no part in equality, and
-    a copy or an unpickled f starts with an empty one.
+    ``stencils`` is the one cache of the point loops made from f, each made
+    on first use: qdiff's numeric-derivative points by (operator, q),
+    qquad's Kronrod panels by (weight, chart, delta) and its tanh-sinh step
+    sums by ("tanh-sinh", weight, chart, delta). It takes no part in
+    equality, and a copy or an unpickled f starts with an empty one.
     """
 
     __slots__ = ("eval", "derivative", "domain", "label", "stencils")
@@ -635,11 +636,11 @@ def _factory(source: str) -> Callable[..., Callable[..., float]]:
 
 
 def _generate(node: Expr) -> Callable[..., float]:
-    """The tree's function, kept in its _compiled slot."""
+    """The tree's function, kept in its _compiled slot. Its ``tree`` marks it
+    as generated: point_loop writes a loop over that tree's statements."""
     source = _Source(node)
     f = _factory(source.text())(*source.bound.values())
-    f.tree = node  # to generate its panels and stencils from
-    f.panels = {}  # (text, args) -> panel maker or stencil; see point_loop
+    f.tree = node
     object.__setattr__(node, "_compiled", f)
     return f
 
@@ -649,24 +650,25 @@ def _generate(node: Expr) -> Callable[..., float]:
 # point. The tree's names are x, flags, t<i> and those of _Source.bind; a
 # loop's names start with an underscore, apart from delta, which loops may read.
 
-def point_loop(g: Callable[[float], float], text: Callable[..., str], args: tuple):
-    """What the factory of ``text(lines, result, params, *args)`` returns: over
-    the tree's statements for a generated g (compiled once per tree shape and
-    args, kept in ``g.panels[text, args]``), over ``t0 = g(x)`` for any other g."""
-    panels = getattr(g, "panels", None)
-    if panels is None:
-        return _point_factory(text, args)(g)
-    made = panels.get((text, args))
-    if made is None:
-        source = _Source(g.tree)
-        code = text(source.lines, source.result, list(source.bound), *args)
-        made = panels[text, args] = _factory(code)(*source.bound.values())
-    return made
-
-
-@lru_cache(maxsize=16)
-def _point_factory(text: Callable[..., str], args: tuple) -> Callable:
-    return _factory(text(["t0 = g(x)"], "t0", ["g"], *args))
+def point_loop(g: Callable[[float], float], text: Callable[..., tuple], args: tuple):
+    """The maker of a loop over points of g. ``text(lines, result, *args)``
+    gives the parameters of the maker and of the loop, and the loop's body
+    over the statements of a generated g's tree, or over ``t0 = g(x)`` for
+    any other g. Around them goes one frame: ``def factory(<the bound
+    names>)``, in it ``def maker(...)``, in that ``def loop(...)``, whose
+    first line is ``flags = None``. _factory compiles it once per text, which
+    every tree of one shape shares, as every plain g does."""
+    tree = getattr(g, "tree", None)
+    if tree is None:
+        lines, result, bound = ["t0 = g(x)"], "t0", {"g": g}
+    else:
+        source = _Source(tree)
+        lines, result, bound = source.lines, source.result, source.bound
+    maker, loop, body = text(lines, result, *args)
+    code = "\n".join([f"def factory({', '.join(bound)}):", f"    def maker({maker}):",
+                      f"        def loop({loop}):", *indented(3, ["flags = None", *body]),
+                      "        return loop", "    return maker\n"])
+    return _factory(code)(*bound.values())
 
 
 def chart_point(x_of: str, lines: list[str], value: str) -> tuple[str, list[str]]:
@@ -677,8 +679,8 @@ def chart_point(x_of: str, lines: list[str], value: str) -> tuple[str, list[str]
 
 
 def indented(depth: int, lines) -> list[str]:
-    """Lines of a point loop's text, indented ``depth`` levels and ended."""
-    return [f"{'    ' * depth}{line}\n" for line in lines]
+    """Lines of a point loop's body, indented ``depth`` levels."""
+    return [f"{'    ' * depth}{line}" for line in lines]
 
 
 def evaluate(node: Expr, x: float) -> float:

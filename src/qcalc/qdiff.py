@@ -21,7 +21,7 @@ estimate misses ``rel_tol`` a :class:`~qcalc.errors.ToleranceWarning` is
 emitted.
 
 A numeric derivative at a point is one call of a function made once per
-function, operator and q (kept in ``f.stencils``) from the text that
+function, operator and q (kept in ``f.stencils``) from the loop body that
 ``_point_text`` writes and :func:`~qcalc.funcexpr.point_loop` compiles once
 per tree shape: it checks x, finds the centre (u0 = ln_big_e(x) on x's side
 of the pole, or x), and runs the shrinking stencils and their Richardson
@@ -65,15 +65,15 @@ _CUTOFF = "F(x) = {y} lies in the cutoff region at x = {x}; the dual derivative 
 _CHARTS = {"primal": (f"{CHART_ABOVE} if _above else {CHART_BELOW}", "{}"), "dual": ("{}", LN_E)}
 
 
-def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of: str, y_of: str,
-                domain: str) -> str:
-    """``maker(delta, _domain, _label) -> point``, where ``point(x, rel_tol) ->
-    (value, estimate)`` is the ``op`` ("primal" or "dual") derivative at x: the
-    classical derivative of y_of(f(x_of(u))) at the u of x. It checks x
-    against f's domain: _domain at x and before every point ("checked"; an
-    "inline" f has no predicate), then f(x), which must evaluate to a finite
-    number. Then it tries central differences at x = x_of(c +- h), c
-    the centre, h = h0/2^j, j = 0..RICHARDSON_LEVELS; h0 halves after each
+def _point_text(lines: list[str], result: str, op: str, x_of: str, y_of: str, domain: str) -> tuple:
+    """The parameters and body of point_loop's ``maker(delta, _domain, _label)
+    -> point``, where ``point(x, rel_tol) -> (value, estimate)`` is the ``op``
+    ("primal" or "dual") derivative at x: the classical derivative of
+    y_of(f(x_of(u))) at the u of x. It checks x against f's domain: _domain
+    at x and before every point ("checked"; an "inline" f has no predicate),
+    then f(x), which must evaluate to a finite number. Then it tries central
+    differences at x = x_of(c +- h), c the centre, h = h0/2^j,
+    j = 0..RICHARDSON_LEVELS; h0 halves after each
     try that raises, up to _MAX_SHRINKS times, and the error then says
     whether the last try overflowed or left the domain. A try evaluates the
     pairs of j = 0, 1 first, and returns entry (1, 1) of its Richardson table,
@@ -89,7 +89,7 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of:
     if domain == "checked":
         lines = [f"if not _domain(x): {outside['f']}", *lines]
     name, cause = ("F", "_e") if op == "dual" else ("f", "None")
-    head = ["try:", *(f"    {line}" for line in lines or ["pass"]),
+    head = ["try:", *indented(1, lines or ["pass"]),
             f"except EVAL_ERRORS as _e: {outside[name]} from {cause}",
             f"if not -inf < {result} < inf: {outside[name]}"]
     if op == "dual":
@@ -120,28 +120,23 @@ def _point_text(lines: list[str], result: str, params: list[str], op: str, x_of:
     # level 1 misses rel_tol
     loop = ["for _k in (_h0, _h0 / 4.0):", "    _l = _k / 2.0",
             f"    for {var} in (_c + _k, _c - _k, _c + _l, _c - _l):",
-            *(f"        {line}" for line in point),
-            "    if len(_f) == 4:", *(f"        {line}" for line in level1)]
+            *indented(2, point), "    if len(_f) == 4:", *indented(2, level1)]
     table = ["_y2, _z2, _y3, _z3 = _f[4:]", quotient(2), quotient(3),
              *(entry(j, k) for j in range(2, levels + 1) for k in range(1, j + 1))]
     last, before = f"_r{levels}_{levels}", f"_r{levels - 1}_{levels - 1}"
     table.append(f"return {last}, abs({last} - {before})")
     shrinks = ", ".join(repr(2.0**a) for a in range(_MAX_SHRINKS + 1))
     # h0 = BASE_STEP * 2^levels * max(1, |_c|), without max()'s call (a NaN _c gives 1)
-    body = ["flags = None", *head,
+    body = [*head,
             f"_H = {BASE_STEP * 2.0**levels!r} * (_c if _c > 1.0 else -_c if _c < -1.0 else 1.0)",
             "_error = None", f"for _a in ({shrinks}):", "    _h0 = _H / _a", "    _f = []",
-            "    try:", *(f"        {line}" for line in guard + loop + table),
+            "    try:", *indented(2, guard + loop + table),
             "    except EVAL_ERRORS as _e:", "        _error = _e",
             f'if isinstance(_error, OverflowError): raise DomainError("{where}: the difference '
             f'stencil still overflows after {_MAX_SHRINKS} shrinks") from _error',
             f'raise DomainError("{where}: no difference stencil fits inside the domain '
             f'after {_MAX_SHRINKS} shrinks") from _error']
-    return (f"def factory({', '.join(params)}):\n"
-            f"    def maker(delta, _domain, _label):\n"
-            f"        def point(x, rel_tol):\n{''.join(indented(3, body))}"
-            f"        return point\n"
-            f"    return maker\n")
+    return "delta, _domain, _label", "x, rel_tol", body
 
 
 class DerivConfig(Record):
@@ -228,9 +223,9 @@ def _point(f: RealFunction, op: str, d: Deformation):
 
 def _warn(where: str, value: float, err: float, config: DerivConfig) -> None:
     """The ToleranceWarning of a missed rel_tol, attributed to the first caller
-    outside this module."""
+    outside the qcalc package (qgeom's tangents reach here through slope_at)."""
     frame, level = sys._getframe(1), 2
-    while frame.f_globals is globals():
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
         frame, level = frame.f_back, level + 1
     message = (f"{where}: error estimate {err:.3e} exceeds "
                f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")

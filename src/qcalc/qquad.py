@@ -23,16 +23,17 @@ tries three rules in turn on [a, b], each with the weight and chart fused in:
    without the step sum.
 
 The engine's units of work are generated point loops: one Python frame
-for the 15 Kronrod nodes of an interval (its text, with the rule, sums and
-error estimate, is _panel_text's), and one for a whole step sum (the text
+for the 15 Kronrod nodes of an interval (its body, with the rule, sums and
+error estimate, is _panel_text's), and one for a whole step sum (the body
 of _step_sum_text: every level, both runs of nodes, the sums, the estimate
 and the test at each level). For a compiled expression each runs the
-tree's statements, written once in its text, at each node, so it grows
-with the tree as the tree's own function does; funcexpr.point_loop
-compiles it once per tree shape, weight and chart (a cold cost below 1 ms),
-and each RealFunction keeps the panel in f.stencils by weight, chart and
-delta, and the step sum beside it, made only when a first panel misses.
-Any other point function is called at each node by the same texts. The
+tree's statements, written once in its body, at each node, so it grows
+with the tree as the tree's own function does; funcexpr.point_loop writes
+the frame around the body and compiles it once per tree shape, weight and
+chart (a cold cost below 1 ms), and each RealFunction keeps the panel in
+f.stencils by weight, chart and delta, and the step sum beside it, made
+only when a first panel misses. Any other point function is called at
+each node by the same bodies. The
 step sum's nodes and weights are float literals in qcalc.tanh_sinh, each
 correctly rounded, imported with the first step sum. In the adaptive loop,
 the totals over the heap of panels are math.fsum over the heap while it is
@@ -199,7 +200,8 @@ _WEIGHTS = {
 }
 
 
-# A panel, panel(a, b) -> (value, estimate), is one frame that loops over
+# A panel, panel(a, b) -> (value, estimate), made by point_loop's
+# maker(delta) from _panel_text's body, is one frame that loops over
 # the rule's nodes on [a, b] (the centre, then c + hl*x_k and c - hl*x_k
 # from the outermost node in; c and hl halve each bound first, so they stay
 # finite), runs a tree's statements once per node at x = x_of(node) and
@@ -207,23 +209,19 @@ _WEIGHTS = {
 # order of the looped rule. The estimate min(d, (200 d)^1.5) of the gap d
 # between them is d from d = 1 on, where the power could overflow.
 
-def _panel_text(lines: list[str], result: str, params: list[str], weight: str, x_of: str) -> str:
+def _panel_text(lines: list[str], result: str, weight: str, x_of: str) -> tuple:
     n = len(_XK)
     nodes = ", ".join(["_c"] + [f"_c {s} _hl * {x!r}" for x in _XK for s in "+-"])
     names = ", ".join(["_fc"] + [f"_{s}{k}" for k in range(1, n + 1) for s in "yz"])
     sk = " + ".join([f"{_WK_CENTER!r} * _fc"] + [f"{w!r} * _p{k}" for k, w in enumerate(_WK, 1)])
     sg = " + ".join([f"{_WG_CENTER!r} * _fc"] + [f"{w!r} * _p{2 * k}" for k, w in enumerate(_WG, 1)])
     var, point = chart_point(x_of, lines, weight.format(result))
-    head = ["flags = None", "_c = 0.5 * _a + 0.5 * _b", "_hl = 0.5 * _b - 0.5 * _a", "_f = []",
+    head = ["_c = 0.5 * _a + 0.5 * _b", "_hl = 0.5 * _b - 0.5 * _a", "_f = []",
             f"for {var} in ({nodes}):"]
     tail = [f"{names} = _f", *(f"_p{k} = _y{k} + _z{k}" for k in range(1, n + 1)),
             f"_sk = {sk}", f"_sg = {sg}", "_value = _sk * _hl", "_d = abs(_value - _sg * _hl)",
             "return _value, _d if _d >= 1.0 else min(_d, (200.0 * _d) ** 1.5)"]
-    body = "".join(indented(3, head) + indented(4, point) + indented(3, tail))
-    return (f"def factory({', '.join(params)}):\n"
-            f"    def panel_maker(delta):\n"
-            f"        def panel(_a, _b):\n{body}        return panel\n"
-            f"    return panel_maker\n")
+    return "delta", "_a, _b", head + indented(1, point) + tail
 
 
 def _kronrod(g, weight: str, delta: float, x_of: str = "{}"):
@@ -237,11 +235,11 @@ def _kronrod(g, weight: str, delta: float, x_of: str = "{}"):
 _EPS = 2.0**-52
 
 
-def _step_sum_text(lines: list[str], result: str, params: list[str], weight: str, x_of: str
-                   ) -> str:
-    """``maker(delta, levels) -> step_sum``, where ``step_sum(a, b, abs_tol,
-    rel_tol)`` is the tanh-sinh step sum of the weighted integrand on [a, b],
-    a < b, over tanh_sinh.LEVELS: (value, estimate, evaluations) at the first
+def _step_sum_text(lines: list[str], result: str, weight: str, x_of: str) -> tuple:
+    """The parameters and body of point_loop's ``maker(delta, levels) ->
+    step_sum``, where ``step_sum(a, b, abs_tol, rel_tol)`` is the tanh-sinh
+    step sum of the weighted integrand on [a, b], a < b, over
+    tanh_sinh.LEVELS: (value, estimate, evaluations) at the first
     level from 1 on that meets the tolerance with a finite value and
     estimate; (None, None, evaluations) when the last level misses, when a
     level's sums are not finite, and when a node raises one of EVAL_ERRORS
@@ -258,7 +256,7 @@ def _step_sum_text(lines: list[str], result: str, params: list[str], weight: str
     where that sum overflows. The floor only adds, so it is summed only where
     the other two meet the tolerance."""
     var, point = chart_point(x_of, lines, f"_w * ({weight.format(result)})")
-    head = ["flags = None", "_hl = 0.5 * _b - 0.5 * _a", "_m = -_hl", "_f = []",
+    head = ["_hl = 0.5 * _b - 0.5 * _a", "_m = -_hl", "_f = []",
             "_previous, _tail = inf, 0.0", "for _h, _from_a, _from_b, _back in _levels:"]
     runs = ["try:", "    for _s, _o, _nodes in ((_a, _hl, _from_a), (_b, _m, _from_b)):",
             "        for _e, _w in _nodes:"]
@@ -277,13 +275,9 @@ def _step_sum_text(lines: list[str], result: str, params: list[str], weight: str
              "    if _err <= _abs_tol or _err <= _rel_tol * abs(_value):",
              "        return _value, _err, len(_f)",
              "_previous = _value"]
-    body = "".join(indented(3, head) + indented(4, runs)
-                   + indented(7, [f"{var} = _s + _o * _e", *point]) + indented(4, level)
-                   + indented(3, ["return None, None, len(_f)"]))
-    return (f"def factory({', '.join(params)}):\n"
-            f"    def step_sum_maker(delta, _levels):\n"
-            f"        def step_sum(_a, _b, _abs_tol, _rel_tol):\n{body}        return step_sum\n"
-            f"    return step_sum_maker\n")
+    body = (head + indented(1, runs) + indented(4, [f"{var} = _s + _o * _e", *point])
+            + indented(1, level) + ["return None, None, len(_f)"])
+    return "delta, _levels", "_a, _b, _abs_tol, _rel_tol", body
 
 
 def _tanh_sinh(g, weight: str, delta: float, x_of: str = "{}"):

@@ -95,17 +95,17 @@ def test_trees_of_one_shape_share_one_panel_factory():
     assert len({p(0.1, 0.6) for p in panels}) == len(qs)
 
 
-def test_a_tree_keeps_one_panel_maker_per_weight():
+def test_a_tree_compiles_one_panel_per_weight_and_chart():
     f = funcexpr.compile(parse("exp(-x)*sin(3*x)+1", Deformation(0.5))).eval
-    assert f.panels == {}  # nothing is kept for a tree that is never integrated
-    for delta in (0.5, -1.0, 2.0, 0.25):
-        qquad._kronrod(f, "none", delta, ABOVE)
-    qquad._kronrod(f, "none", -1.0, BELOW)  # and one per chart
-    qquad._kronrod(f, "borges", 0.5)
-    assert len(f.panels) == 3
-    makers = dict(f.panels)
-    qquad._kronrod(f, "none", 3.0, ABOVE)
-    assert f.panels == makers  # the same maker objects: nothing regenerated
+    funcexpr._factory.cache_clear()
+    for weight, x_of in (("none", ABOVE), ("none", BELOW), ("borges", "{}")):
+        first = qquad._kronrod(f, weight, 0.5, x_of)
+        misses = funcexpr._factory.cache_info().misses
+        for delta in (-1.0, 2.0, 0.25):  # another delta, the same weight and chart
+            again = qquad._kronrod(f, weight, delta, x_of)
+            assert again.__code__ is first.__code__
+        assert funcexpr._factory.cache_info().misses == misses  # nothing compiled
+    assert funcexpr._factory.cache_info().misses == 3
 
 
 def test_a_panel_holds_the_statements_of_its_tree_once():

@@ -16,13 +16,12 @@ NaN compares equal to every other here.
 """
 
 import math
-import re
 import warnings
 
 import pytest
 
 from qcalc import Deformation, DomainError, PoleError, RealFunction, ToleranceWarning, builtin
-from qcalc import funcexpr, parse, qdiff
+from qcalc import dual_qint, funcexpr, parse, qdiff, qgeom
 from qcalc.errors import EVAL_ERRORS
 from qcalc.qcore import ln_big_e
 from qcalc.qdiff import DerivConfig, dual_qderiv_numeric, primal_qderiv_numeric
@@ -183,14 +182,12 @@ def _run(call):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-def _recording_text(lines, result, params, *args):
-    """qdiff's point text, whose maker takes one more argument, a list that
+def _recording_text(lines, result, *args):
+    """qdiff's point text, whose maker takes one more parameter, a list that
     each try appends its (centre, h0) to."""
-    code = qdiff._point_text(lines, result, params, *args)
-    code = code.replace("def maker(delta, _domain, _label):",
-                        "def maker(delta, _domain, _label, _steps):")
-    return re.sub(r"^( *)_h0 = _H / _a$", r"\g<0>\n\1_steps.append((_c, _h0))", code,
-                  flags=re.M)
+    maker, point, body = qdiff._point_text(lines, result, *args)
+    at = body.index("    _h0 = _H / _a") + 1
+    return f"{maker}, _steps", point, [*body[:at], "    _steps.append((_c, _h0))", *body[at:]]
 
 
 class _Recording:
@@ -341,10 +338,17 @@ def test_tolerance_warnings_point_at_the_caller():
     f = funcexpr.compile(parse("x*qexp(x/4)+sin(x)^2", d))
     with_estimate = (qdiff.primal_qderiv_numeric_with_estimate,
                      qdiff.dual_qderiv_numeric_with_estimate)
-    for op in OPS + with_estimate:
+    cases = [lambda op=op: op(f, 0.3, d, TIGHT) for op in OPS + with_estimate]
+    # numeric tangent slopes (no derivative is attached) at a kink, which
+    # reach the warning through qgeom and qdiff.slope_at
+    kink = RealFunction(funcexpr.compile(parse("abs(x-0.3)*x", d)).eval)
+    cases += [lambda: qgeom.primal_qtangent(kink, 0.3, d),
+              lambda: qgeom.dual_qtangent(kink, 0.3, d),
+              lambda: qgeom.slope_duality(kink, RealFunction(lambda y: y + 0.3), 0.3, d)]
+    for case in cases:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            op(f, 0.3, d, TIGHT)
+            case()
         assert [(w.category, w.filename) for w in caught] == [(ToleranceWarning, __file__)]
 
 
@@ -414,13 +418,25 @@ def test_one_stencil_per_tree_and_template_and_one_compile_per_shape():
             dual_qderiv_numeric(f, x, d)
     info = funcexpr._factory.cache_info()
     assert (info.misses, info.hits) == (2, 4)  # one per text; the other trees share them
-    assert [set(f.eval.panels) for f in fs] == [
-        {(qdiff._point_text, PRIMAL_DEFORMED), (qdiff._point_text, DUAL_DEFORMED)}] * 3
     assert [set(f.stencils) for f in fs] == [{("primal", q), ("dual", q)} for q in (0.5, 0.9, 2.0)]
     made = dict(fs[0].stencils)
     primal_qderiv_numeric(fs[0], 0.4, Deformation(0.5))
     primal_qderiv_numeric(fs[0], -2.5, Deformation(0.5))  # below the pole
     assert fs[0].stencils == made  # the same point functions: nothing regenerated
+
+
+def test_functions_over_one_plain_callable_compile_each_loop_text_once():
+    d = Deformation(0.5)
+    fs = [RealFunction(math.sqrt), RealFunction(math.sqrt, label="sqrt")]
+    funcexpr._factory.cache_clear()
+    for f in fs:
+        primal_qderiv_numeric(f, 0.3, d)
+        dual_qderiv_numeric(f, 0.3, d)
+        # an endpoint singularity: the first panel misses and the step sum ends the run
+        assert dual_qint(f, 0.0, 0.75, d).n_panels == 1
+    # two point texts, the panel and the step sum, each compiled once
+    assert funcexpr._factory.cache_info().misses == 4
+    assert [len(f.stencils) for f in fs] == [4, 4]
 
 
 def test_a_function_without_a_tree_is_called_at_each_point():
