@@ -21,7 +21,9 @@ it is defined where evaluation succeeds. :func:`builtin` names a handful of
 expressions, compiled with their derivatives. :func:`point_loop` compiles a
 caller's loop body (qdiff's numeric-derivative point, qquad's Kronrod panel
 and tanh-sinh step sum) in one frame over a compiled tree's statements, once
-per tree shape and text.
+per tree shape and text. :func:`break_points` names the points where a
+tree's function can break, and :func:`shifted` writes a tree in the
+distance from one of them.
 """
 
 from __future__ import annotations
@@ -74,11 +76,14 @@ class RealFunction(Record):
     ``stencils`` is the one cache of the point loops made from f, each made
     on first use: qdiff's numeric-derivative points by (operator, q),
     qquad's Kronrod panels by (weight, chart, delta) and its tanh-sinh step
-    sums by ("tanh-sinh", weight, chart, delta). It takes no part in
-    equality, and a copy or an unpickled f starts with an empty one.
+    sums by ("tanh-sinh", weight, chart, delta), and qquad's f in y = x - p
+    by ("shifted", p). ``breaks`` holds f's break points, and ``poles``
+    those of them that are poles of a qexp, once :meth:`break_points` has
+    found them (None before). None of these takes part in equality, and a
+    copy or an unpickled f starts without them.
     """
 
-    __slots__ = ("eval", "derivative", "domain", "label", "stencils")
+    __slots__ = ("eval", "derivative", "domain", "label", "stencils", "breaks", "poles")
     _fields = ("eval", "derivative", "domain", "label")
 
     def __init__(
@@ -93,6 +98,8 @@ class RealFunction(Record):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "stencils", {})
+        object.__setattr__(self, "breaks", None)
+        object.__setattr__(self, "poles", None)
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -107,6 +114,25 @@ class RealFunction(Record):
         except EVAL_ERRORS:
             return False
         return True
+
+    def break_points(self) -> tuple[float, ...]:
+        """The sorted break points (see the module function break_points) of
+        the tree of a generated eval, or of the generated function an eval
+        wraps (its ``__wrapped__``, as functools.wraps sets it), and none for
+        any other eval; found on the first call, which the integrators make
+        at f's first integral, and kept in ``breaks``, the poles among them
+        in ``poles``."""
+        breaks = self.breaks
+        if breaks is None:
+            g = self.eval
+            while not hasattr(g, "tree") and hasattr(g, "__wrapped__"):
+                g = g.__wrapped__
+            tree = getattr(g, "tree", None)
+            points, poles = (set(), set()) if tree is None else _linear_pass(tree)[:2]
+            breaks = tuple(sorted(points))
+            object.__setattr__(self, "breaks", breaks)
+            object.__setattr__(self, "poles", frozenset(poles))
+        return breaks
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +551,13 @@ LN_E_BELOW = ("(log(-1.0 - delta * {0}) if delta * {0} > -inf"
 CHART_ABOVE, CHART_BELOW = "expm1(delta * {0}) / delta", "(-exp(delta * {0}) - 1.0) / delta"
 
 
+def chart_from(bracket: float) -> str:
+    """The chart of y = x - p in v = ln_E(x) - ln_E(p), on either side of
+    the pole, from bracket = 1 + delta*p: y = bracket * expm1(delta*v) / delta,
+    which keeps the relative precision of a small v."""
+    return f"{bracket!r} * {CHART_ABOVE}"
+
+
 # expm1, log1p and inf are read by qlog and by the chart texts, fsum by qquad's step sum
 _GLOBALS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
             "sqrt": math.sqrt, "math_pow": math.pow, "expm1": math.expm1,
@@ -701,6 +734,125 @@ def evaluate_extended(node: Expr, x: float) -> ExtendedValue:
     flags: set[EvalFlag] = set()
     value = f(x, flags)
     return ExtendedValue(value, frozenset(flags))
+
+
+# ---------------------------------------------------------------------------
+# Break points: where an operand that is linear in x crosses a point at which
+# its operation breaks. A subtree is linear when it folds to a*x + b, held as
+# the pair (a, b); a constant is (0, b).
+
+# the operations that break where their operand is 0, and the constant folds
+_BREAK_AT_ZERO = ("ln", "sqrt", "abs", "qlog")
+_FOLD = {"ln": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos,
+         "sqrt": math.sqrt, "abs": abs}
+
+
+def _zero(form, at: float = 0.0) -> float | None:
+    """The x where the linear form is `at`, if it is not constant and that x
+    is finite."""
+    if form is not None and form[0] != 0.0 and math.isfinite(form[0] + form[1]):
+        x = (at - form[1]) / form[0] + 0.0
+        return x if math.isfinite(x) else None
+    return None
+
+
+def _linear_pass(tree: Expr, p: float | None = None) -> tuple[set, set, Expr | None]:
+    """One _post_order pass: the break points (see break_points), those of
+    them that are poles of a qexp, and, given p, the tree in y = x - p.
+    There every linear subtree that is not part of a larger one, a*x + b, is
+    written a*y + (a*p + b), and a*y alone where its zero is p, so such an
+    operand keeps its full relative precision next to p; the rest of the
+    tree is the same."""
+    points: set[float] = set()
+    poles: set[float] = set()
+
+    def in_y(form, node: Expr | None) -> Expr:  # an operand of the tree in y
+        if form is None:
+            return node
+        a, b = form
+        if a == 0.0:
+            return Num(b)
+        term = Var() if a == 1.0 else BinOp("*", Num(a), Var())
+        c = 0.0 if _zero(form) == p else a * p + b
+        return term if c == 0.0 else BinOp("+", term, Num(c))
+
+    def leaf(node: Expr):
+        return ((1.0, 0.0) if isinstance(node, Var) else (0.0, node.value)), None
+
+    def combine(node: Expr, *operands):
+        form = _folded(node, [u for u, _ in operands], points, poles)
+        if p is None or form is not None:
+            return form, None
+        subtrees = [in_y(*operand) for operand in operands]
+        return None, node.__class__(*_substituted(node._key(node), node._operands, subtrees))
+
+    form, node = _post_order(tree, leaf, combine)
+    return points, poles, None if p is None else in_y(form, node)
+
+
+def _folded(node: Expr, forms: list, points: set[float], poles: set[float]):
+    """The linear form of an operation node from those of its operands (None
+    where it is not linear), after adding the break points it makes (a qexp
+    with delta < 0 to poles as well)."""
+    u = forms[0]
+    if isinstance(node, Neg):
+        return None if u is None else (-u[0], -u[1])
+    if isinstance(node, Call):
+        d, at = node.deformation, None
+        if node.func in _BREAK_AT_ZERO:
+            at = _zero(u)
+        elif node.func in ("qexp", "qexp'") and not d.classical:
+            at = _zero(u, -1.0 / d.delta)
+            if at is not None and d.delta < 0.0:  # the pole, past which qexp is inf
+                poles.add(at)
+        if at is not None:
+            points.add(at)
+        if u is None or u[0] != 0.0 or node.func not in _FOLD:
+            return None
+        try:
+            return 0.0, _FOLD[node.func](u[1])
+        except (ValueError, OverflowError):
+            return None
+    op, v = node.op, forms[1]
+    if op == "/" or op == "^" and (v is None or v[0] != 0.0 or v[1] < 0.0
+                                   or not v[1].is_integer()):
+        at = _zero(v if op == "/" else u)
+        if at is not None:
+            points.add(at)
+    if u is None or v is None:
+        return None
+    (a, b), (c, e) = u, v
+    if op in "+-":
+        return (a + c, b + e) if op == "+" else (a - c, b - e)
+    if op == "*":
+        return (a * e, b * e) if c == 0.0 else (c * b, e * b) if a == 0.0 else None
+    if c != 0.0 or op == "/" and e == 0.0:
+        return None
+    if op == "/":
+        return a / e, b / e
+    if e == 1.0:
+        return u
+    try:
+        return (0.0, math.pow(b, e)) if a == 0.0 else None
+    except (ValueError, OverflowError):
+        return None
+
+
+def break_points(tree: Expr) -> tuple[float, ...]:
+    """The sorted points where the tree's function can break: the zeros of
+    the linear operands (a*x + b with a != 0, after folding constants) of
+    ln, sqrt, abs and qlog, of a denominator, and of the base of a power
+    whose exponent is not a constant integer of at least 0; and where
+    1 + delta*arg = 0 for the argument of a deformed qexp, its cutoff or
+    pole. A nonlinear operand adds no point. One _post_order pass."""
+    return tuple(sorted(_linear_pass(tree)[0]))
+
+
+def shifted(tree: Expr, p: float) -> Expr:
+    """The tree as a function of y = x - p, with every linear operand that is
+    0 at p written a*y (see _linear_pass): near a break point p, its
+    function takes the distance from p at full precision, where x cannot."""
+    return _linear_pass(tree, p)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ level 1 (two central pairs) when that level's estimate meets ``rel_tol``,
 and only otherwise evaluates two more pairs for the full three-level table,
 as Ridders' method grows its tableau only while it needs to; if the final
 estimate misses ``rel_tol`` a :class:`~qcalc.errors.ToleranceWarning` is
-emitted.
+emitted. So is one where the estimate is exactly 0 at a break point of f
+(``f.break_points()``): there the central pairs straddle the break, and
+symmetric ones, as at the kink of ``abs(x-0.3)``, cancel exactly.
 
 A numeric derivative at a point is one call of a function made once per
 function, operator and q (kept in ``f.stencils``) from the loop body that
@@ -221,14 +223,20 @@ def _point(f: RealFunction, op: str, d: Deformation):
     return point
 
 
-def _warn(where: str, value: float, err: float, config: DerivConfig) -> None:
-    """The ToleranceWarning of a missed rel_tol, attributed to the first caller
-    outside the qcalc package (qgeom's tangents reach here through slope_at)."""
+def _warn(where: str, value: float, err: float, config: DerivConfig, x: float) -> None:
+    """The ToleranceWarning of a missed rel_tol, or of an estimate of exactly
+    0 at a break point of f, whose central pairs straddle it (symmetric
+    ones may cancel exactly), attributed to the first caller outside the
+    qcalc package (qgeom's tangents reach here through slope_at)."""
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals.get("__package__") == __package__:
         frame, level = frame.f_back, level + 1
-    message = (f"{where}: error estimate {err:.3e} exceeds "
-               f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")
+    if err:
+        message = (f"{where}: error estimate {err:.3e} exceeds "
+                   f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")
+    else:
+        message = (f"{where}: the central stencil at x = {x!r} straddles a break point of "
+                   f"the function; the error estimate 0 bounds nothing (value {value:.6e})")
     warnings.warn(ToleranceWarning(message), stacklevel=level)
 
 
@@ -251,9 +259,10 @@ def primal_qderiv_numeric_with_estimate(
     """primal_qderiv_numeric plus its extrapolation-table error estimate."""
     rel_tol = config.rel_tol
     value, err = (f.stencils.get(("primal", d.q)) or _point(f, "primal", d))(x, rel_tol)
-    # err <= rel_tol * max(1, |value|), without max()'s call; a NaN estimate warns
-    if not (err <= rel_tol or err <= rel_tol * abs(value)):
-        _warn("primal derivative", value, err, config)
+    # err <= rel_tol * max(1, |value|), without max()'s call; a NaN estimate
+    # warns, and so does an estimate of 0 at a break point
+    if not (err <= rel_tol or err <= rel_tol * abs(value)) or not err and x in f.break_points():
+        _warn("primal derivative", value, err, config, x)
     return value, err
 
 
@@ -278,7 +287,8 @@ def dual_qderiv_numeric_with_estimate(
     """dual_qderiv_numeric plus its extrapolation-table error estimate."""
     rel_tol = config.rel_tol
     value, err = (F.stencils.get(("dual", d.q)) or _point(F, "dual", d))(x, rel_tol)
-    # err <= rel_tol * max(1, |value|), without max()'s call; a NaN estimate warns
-    if not (err <= rel_tol or err <= rel_tol * abs(value)):
-        _warn("dual derivative", value, err, config)
+    # err <= rel_tol * max(1, |value|), without max()'s call; a NaN estimate
+    # warns, and so does an estimate of 0 at a break point
+    if not (err <= rel_tol or err <= rel_tol * abs(value)) or not err and x in F.break_points():
+        _warn("dual derivative", value, err, config, x)
     return value, err

@@ -22,6 +22,18 @@ tries three rules in turn on [a, b], each with the weight and chart fused in:
    EVAL_ERRORS. Its results, and the errors it raises, are those of a run
    without the step sum.
 
+A compiled expression names its break points (funcexpr.break_points, found
+at f's first integral and kept in f.breaks), which the integrators compare
+with the bounds in x before the chart maps them, in one test that is cheap
+when none lies in [x_lo, x_hi]. A run with a break point at a bound starts
+at the step sum (2.), and only when that misses runs the panel and the
+adaptive loop (1. and 3.); its result has no panels when the step sum
+returned. A break point strictly inside splits the interval there (see
+_split): each run starts at the step sum from its break point, on the
+tree written in the distance from that point, so no node evaluates a break
+point. A qexp pole strictly inside does not split (the integrand is inf
+past it), and neither does a primal integral reflected across the pole.
+
 The engine's units of work are generated point loops: one Python frame
 for the 15 Kronrod nodes of an interval (its body, with the rule, sums and
 error estimate, is _panel_text's), and one for a whole step sum (the body
@@ -32,7 +44,7 @@ with the tree as the tree's own function does; funcexpr.point_loop writes
 the frame around the body and compiles it once per tree shape, weight and
 chart (a cold cost below 1 ms), and each RealFunction keeps the panel in
 f.stencils by weight, chart and delta, and the step sum beside it, made
-only when a first panel misses. Any other point function is called at
+only when a run first needs it. Any other point function is called at
 each node by the same bodies. The
 step sum's nodes and weights are float literals in qcalc.tanh_sinh, each
 correctly rounded, imported with the first step sum. In the adaptive loop,
@@ -58,11 +70,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from operator import itemgetter
 
 from .errors import DomainError, SingularityError
-from .funcexpr import CHART_ABOVE, CHART_BELOW, RealFunction, chart_point, indented, point_loop
+from .funcexpr import (CHART_ABOVE, CHART_BELOW, RealFunction, chart_from, chart_point, indented,
+                       point_loop, shifted)
+from .funcexpr import compile as compile_tree
 from .qcore import (
     QUAD_ABS_TOL,
     QUAD_REL_TOL,
@@ -141,10 +156,12 @@ class IntegralResult(Record):
 
     Unless TOLERANCE_NOT_MET is flagged, error_estimate is finite and at
     most max(abs_tol, rel_tol * |value|) of the config that produced it.
-    n_panels counts the 15-point Kronrod panels computed, so it is 1 for a
-    result of the tanh-sinh step sum; n_evals counts the integrand's
-    evaluations over both rules, a node that raised included (0 when the
-    bounds are equal). Neither takes part in equality or hashing.
+    n_panels counts the 15-point Kronrod panels computed: 0 for a result
+    that started at the tanh-sinh step sum (at a break point) and ended
+    there, and for equal bounds; 1 for a result of a first panel, or of the
+    step sum after a first panel that missed. n_evals counts the
+    integrand's evaluations over both rules, a node that raised included (0
+    when the bounds are equal). Neither takes part in equality or hashing.
     """
 
     __slots__ = ("value", "error_estimate", "flags", "n_panels", "n_evals")
@@ -280,11 +297,19 @@ def _step_sum_text(lines: list[str], result: str, weight: str, x_of: str) -> tup
     return "delta, _levels", "_a, _b, _abs_tol, _rel_tol", body
 
 
-def _tanh_sinh(g, weight: str, delta: float, x_of: str = "{}"):
-    """step_sum(a, b, abs_tol, rel_tol) of g(x_of(u)) times the weight."""
-    from .tanh_sinh import LEVELS  # loaded with the first step sum, not with qquad
+def _tanh_sinh(f: RealFunction, key: tuple):
+    """f's step_sum(a, b, abs_tol, rel_tol) of f(x_of(u)) times the
+    weight, key = (weight, x_of, delta): made on first use and kept in
+    f.stencils["tanh-sinh", *key]."""
+    sum_key = ("tanh-sinh", *key)
+    step_sum = f.stencils.get(sum_key)
+    if step_sum is None:
+        from .tanh_sinh import LEVELS  # loaded with the first step sum, not with qquad
 
-    return point_loop(g, _step_sum_text, (_WEIGHTS[weight], x_of))(delta, LEVELS)
+        weight, x_of, delta = key
+        maker = point_loop(f.eval, _step_sum_text, (_WEIGHTS[weight], x_of))
+        step_sum = f.stencils[sum_key] = maker(delta, LEVELS)
+    return step_sum
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +408,17 @@ def _unbounded(a: float, b: float) -> DomainError:
 
 
 def _integrate(f: RealFunction, a: float, b: float, config: QuadratureConfig,
-               weight: str = "none", delta: float = 0.0, x_of: str = "{}"
+               weight: str = "none", delta: float = 0.0, x_of: str = "{}", tried: bool = False
                ) -> tuple[float, float, bool, int, int]:
     """The engine on f(x_of(u)) times the weight from a to b: the value, its
     estimate, whether the tolerance was met, and the panels and integrand
     evaluations spent. A run whose first panel meets the tolerance, or whose
-    first total is NaN, ends there; otherwise the step sum is tried, then
-    _refine runs from that panel. Swapped bounds negate the value, a == b
-    gives 0 from no panels, and a bound that is not finite raises
-    DomainError. The panel is made once per (weight, x_of, delta) and kept in
-    f.stencils, and the step sum under ("tanh-sinh", weight, x_of, delta),
-    made when a first panel first misses."""
+    first total is NaN, ends there; otherwise the step sum is tried (unless
+    it was `tried` already, by _at_break), then _refine runs from that panel.
+    Swapped bounds negate the value, a == b gives 0 from no panels, and a
+    bound that is not finite raises DomainError. The panel is made once per
+    (weight, x_of, delta) and kept in f.stencils, and the step sum (see
+    _tanh_sinh) when a first panel first misses."""
     if not (_isfinite(a) and _isfinite(b)):
         raise _unbounded(a, b)
     if a == b:
@@ -410,18 +435,113 @@ def _integrate(f: RealFunction, a: float, b: float, config: QuadratureConfig,
     # err <= max(abs_tol, rel_tol * |total|) and finite, without max()'s call
     converged = err < _INF and (err <= abs_tol or err <= rel_tol * abs(total))
     if not converged and total == total:
-        sum_key = ("tanh-sinh", *key)
-        step_sum = f.stencils.get(sum_key)
-        if step_sum is None:
-            step_sum = f.stencils[sum_key] = _tanh_sinh(f.eval, weight, delta, x_of)
-        sum_value, sum_err, n_sum = step_sum(lo, hi, abs_tol, rel_tol)
-        n_evals += n_sum
+        sum_value = None
+        if not tried:
+            sum_value, sum_err, n_sum = _tanh_sinh(f, key)(lo, hi, abs_tol, rel_tol)
+            n_evals += n_sum
         if sum_value is not None:
             total, err, converged = sum_value, sum_err, True
         else:
             total, err, converged, n_panels = _refine(panel, lo, hi, config, value, err)
             n_evals += 15 * (n_panels - 1)
     return (total if a < b else -total), err, converged, n_panels, n_evals
+
+
+def _at_break(f: RealFunction, a: float, b: float, config: QuadratureConfig, weight: str,
+              delta: float, x_of: str) -> tuple[float, float, bool, int, int]:
+    """_integrate on a run from a to b (finite) with a break point at a bound:
+    the step sum first, whose result has no panels; when it misses, or a
+    node raises, _integrate from the first panel without it, its
+    evaluations added."""
+    if a == b:
+        return 0.0, 0.0, True, 0, 0
+    lo, hi = (a, b) if a < b else (b, a)
+    value, err, n_sum = _tanh_sinh(f, (weight, x_of, delta))(lo, hi, config.abs_tol,
+                                                             config.rel_tol)
+    if value is not None:
+        return (value if a < b else -value), err, True, 0, n_sum
+    value, err, converged, n_panels, n_evals = _integrate(f, a, b, config, weight, delta, x_of,
+                                                          True)
+    return value, err, converged, n_panels, n_evals + n_sum
+
+
+def _shifted(f: RealFunction, p: float) -> RealFunction | None:
+    """f in y = x - p (funcexpr.shifted), made once and kept in
+    f.stencils["shifted", p]; None where f.eval is not itself generated
+    (a wrapper of a generated function), which is run as it is."""
+    g = f.stencils.get(("shifted", p))
+    if g is None and hasattr(f.eval, "tree"):
+        g = f.stencils["shifted", p] = compile_tree(shifted(f.eval.tree, p))
+    return g
+
+
+def _split(f: RealFunction, x_lo: float, x_hi: float, config: QuadratureConfig,
+           weight: str = "none", delta: float = 0.0, x_of: str = "{}", d: Deformation = None
+           ) -> tuple[float, float, bool, int, int]:
+    """The engine from x_lo to x_hi, in u = ln_big_e(x, d) (x itself without
+    d), for an f with break points (f.breaks), some of which may lie in the
+    interval. Without one there, and with a pole of a qexp strictly inside
+    (past it the integrand is inf, so the integral diverges), this is
+    _integrate. Otherwise the interval is split at each break point strictly
+    inside, and a piece between two break points again at its midpoint, into
+    runs that each have one break point p at an end. A run is _at_break's,
+    from 0 on f in y = x - p when p is not 0 (in v = u - ln_big_e(p, d), on
+    funcexpr.chart_from's chart, when d is given), so the step sum's nodes
+    next to p keep their exact distances from it and none evaluates p (a
+    wrapper of a generated function runs unshifted, on f itself). One run's
+    result is its own; the value of several is the math.fsum of theirs,
+    their estimate the sum of theirs, and they are converged when every run
+    is and that sum meets the tolerance. Each run has the whole subdivision
+    budget. A single run on f from a break point at 0, the common endpoint
+    integral, is found first."""
+    breaks = f.breaks
+    lo, hi = (x_lo, x_hi) if x_lo < x_hi else (x_hi, x_lo)
+    i, j = bisect_right(breaks, lo), bisect_left(breaks, hi)  # breaks[i:j] lie inside
+    at_lo, at_hi = i > 0 and breaks[i - 1] == lo, j < len(breaks) and breaks[j] == hi
+    if (not (lo < hi and _isfinite(lo) and _isfinite(hi)) or i == j and not (at_lo or at_hi)
+            or f.poles and not f.poles.isdisjoint(breaks[i:j])):
+        if d is not None:
+            x_lo, x_hi = ln_big_e(x_lo, d), ln_big_e(x_hi, d)
+        return _integrate(f, x_lo, x_hi, config, weight, delta, x_of)
+    if i == j and at_lo is not at_hi and (lo if at_lo else hi) == 0.0:  # one run, on f
+        if d is not None:
+            x_lo, x_hi = ln_big_e(x_lo, d), ln_big_e(x_hi, d)
+        return _at_break(f, x_lo, x_hi, config, weight, delta, x_of)
+    # each run (x0, x1, p), from x0 to x1, lo to hi
+    cuts, runs = [lo, *breaks[i:j], hi], []
+    for k in range(len(cuts) - 1):
+        x0, x1 = cuts[k:k + 2]
+        break0, break1 = k > 0 or at_lo, k < len(cuts) - 2 or at_hi
+        if break0 and break1:
+            mid = 0.5 * x0 + 0.5 * x1
+            runs += ((x0, mid, x0), (mid, x1, x1))
+        else:
+            runs.append((x0, x1, x0 if break0 else x1))
+    results = []
+    for x0, x1, p in runs:
+        g = _shifted(f, p) if p != 0.0 else None
+        if g is None:
+            g, chart = f, x_of
+            if d is not None:
+                x0, x1 = ln_big_e(x0, d), ln_big_e(x1, d)
+        elif d is None:
+            chart, x0, x1 = x_of, x0 - p, x1 - p
+        else:  # v = u - u(p), 0 at p
+            chart, u_p = chart_from(d.bracket(p)), ln_big_e(p, d)
+            x0, x1 = [0.0 if x == p else ln_big_e(x, d) - u_p for x in (x0, x1)]
+        results.append(_at_break(g, x0, x1, config, weight, delta, chart))
+    if len(results) == 1:
+        value, err, converged, n_panels, n_evals = results[0]
+    else:
+        values, errors, met, panels, evals = zip(*results)
+        try:
+            value = math.fsum(values)
+        except ValueError:  # -inf + inf
+            value = math.nan
+        err, n_panels, n_evals = sum(errors), sum(panels), sum(evals)
+        converged = all(met) and err < _INF and (err <= config.abs_tol
+                                                  or err <= config.rel_tol * abs(value))
+    return (value if x_lo < x_hi else -value), err, converged, n_panels, n_evals
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +561,19 @@ def primal_qint(
     negate the value exactly. If the pole lies strictly inside the interval,
     config.singularity_mode decides: ERROR raises SingularityError; REFLECT
     keeps that side's chart, so it integrates up to x_hi's mirror image
-    -2/delta - x_hi (of equal u), and flags it. A pole on a bound raises.
+    -2/delta - x_hi (of equal u), and flags it, without splitting at f's
+    break points. A pole on a bound raises.
     """
+    breaks = f.breaks
+    if breaks is None:
+        breaks = f.break_points()
     if d.classical:
-        value, err, converged, n_panels, n_evals = _integrate(f, x_lo, x_hi, config)
+        # a break point may lie in [x_lo, x_hi]: not all below, nor all above
+        if breaks and (breaks[0] <= x_lo or breaks[0] <= x_hi) and (
+                x_lo <= breaks[-1] or x_hi <= breaks[-1]):
+            value, err, converged, n_panels, n_evals = _split(f, x_lo, x_hi, config)
+        else:
+            value, err, converged, n_panels, n_evals = _integrate(f, x_lo, x_hi, config)
         return IntegralResult(value, err, _NO_FLAGS if converged else _NOT_MET, n_panels, n_evals)
     delta, pole = d.delta, d.pole
     s_lo, s_hi = 1.0 + delta * x_lo, 1.0 + delta * x_hi  # the brackets
@@ -462,8 +591,12 @@ def primal_qint(
         raise OverflowError(f"1 + delta*x at a bound of [{x_lo}, {x_hi}] is not finite")
     # x(u) on the lower bound's side of the pole
     x_of = CHART_ABOVE if (s_lo if x_lo < x_hi else s_hi) > 0.0 else CHART_BELOW
-    value, err, converged, n_panels, n_evals = _integrate(
-        f, ln_big_e(x_lo, d), ln_big_e(x_hi, d), config, "none", delta, x_of)
+    if breaks and flags is _NO_FLAGS and breaks[0] <= hi and lo <= breaks[-1]:
+        value, err, converged, n_panels, n_evals = _split(f, x_lo, x_hi, config, "none",
+                                                          delta, x_of, d)
+    else:
+        value, err, converged, n_panels, n_evals = _integrate(
+            f, ln_big_e(x_lo, d), ln_big_e(x_hi, d), config, "none", delta, x_of)
     return IntegralResult(value, err, flags if converged else flags | _NOT_MET, n_panels, n_evals)
 
 
@@ -565,7 +698,15 @@ def dual_qint(
     inside the quadrature. The error estimate is transported through the
     outer map by its derivative, e^(delta * A).
     """
-    a_val, a_err, converged, n_panels, n_evals = _integrate(f, x_lo, x_hi, config)
+    breaks = f.breaks
+    if breaks is None:
+        breaks = f.break_points()
+    # a break point may lie in [x_lo, x_hi]: not all below, nor all above
+    if breaks and (breaks[0] <= x_lo or breaks[0] <= x_hi) and (
+            x_lo <= breaks[-1] or x_hi <= breaks[-1]):
+        a_val, a_err, converged, n_panels, n_evals = _split(f, x_lo, x_hi, config)
+    else:
+        a_val, a_err, converged, n_panels, n_evals = _integrate(f, x_lo, x_hi, config)
     value = q_log_exp_of(a_val, d)
     try:
         scale = math.exp(d.delta * a_val)
@@ -607,4 +748,11 @@ def borges_dual_qint(
     inverse of the dual derivative but is not one: already for f = 1/x it
     produces ln x - delta/x + c. Kept as the negative control.
     """
+    breaks = f.breaks
+    if breaks is None:
+        breaks = f.break_points()
+    # a break point may lie in [x_lo, x_hi]: not all below, nor all above
+    if breaks and (breaks[0] <= x_lo or breaks[0] <= x_hi) and (
+            x_lo <= breaks[-1] or x_hi <= breaks[-1]):
+        return _split(f, x_lo, x_hi, config, "borges", d.delta)[0]
     return _integrate(f, x_lo, x_hi, config, "borges", d.delta)[0]

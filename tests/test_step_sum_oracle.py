@@ -1,11 +1,13 @@
 """The tanh-sinh step sum against mpmath: every result it returns is honest.
 
-Integrands singular, or not smooth, at the lower bound 0 miss their first
-Kronrod panel, so the engine tries the step sum. Wherever the step sum
-returns (one panel, more than its 15 evaluations), its true error must be
-at most its estimate, which must meet the tolerance. Results of the
-adaptive loop after a step sum that missed are not checked here: their
-estimates are those of the engine without the step sum.
+Integrands singular, or not smooth, at the lower bound 0 break there, so
+the engine starts at the step sum (where it runs the weighted integrand
+through _integrate, with no break points, the first Kronrod panel misses
+and the step sum comes next). Wherever the step sum returns (no panel, or
+one panel and more than its 15 evaluations), its true error must be at
+most its estimate, which must meet the tolerance. Results of the adaptive
+loop after a step sum that missed are not checked here: their estimates
+are those of the engine without the step sum.
 """
 
 import functools
@@ -82,7 +84,7 @@ def test_step_sum_results_bound_their_true_error(text, mode):
     for b, c, config in cases(mode):
         value, err, n_panels, n_evals, want = run(text, mode, b, c, config)
         assert math.isfinite(value)
-        if not (n_panels == 1 and n_evals > 15):
+        if not (n_panels == 0 or n_panels == 1 and n_evals > 15):
             continue  # the first panel's result, or the adaptive loop's
         returned += 1
         true_err = abs(mp.mpf(value) - want)
