@@ -226,8 +226,9 @@ def _point(f: RealFunction, op: str, d: Deformation):
 def _warn(where: str, value: float, err: float, config: DerivConfig, x: float) -> None:
     """The ToleranceWarning of a missed rel_tol, or of an estimate of exactly
     0 at a break point of f, whose central pairs straddle it (symmetric
-    ones may cancel exactly), attributed to the first caller outside the
-    qcalc package (qgeom's tangents reach here through slope_at)."""
+    ones cancel exactly at a kink, and also where f is smooth with slope 0,
+    which this does not tell apart), attributed to the first caller outside
+    the qcalc package (qgeom's tangents reach here through slope_at)."""
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals.get("__package__") == __package__:
         frame, level = frame.f_back, level + 1
@@ -236,7 +237,8 @@ def _warn(where: str, value: float, err: float, config: DerivConfig, x: float) -
                    f"rel_tol={config.rel_tol:.1e} (value {value:.6e})")
     else:
         message = (f"{where}: the central stencil at x = {x!r} straddles a break point of "
-                   f"the function; the error estimate 0 bounds nothing (value {value:.6e})")
+                   f"the function, where it may not be differentiable; the error estimate "
+                   f"is exactly 0 (value {value:.6e})")
     warnings.warn(ToleranceWarning(message), stacklevel=level)
 
 

@@ -342,9 +342,11 @@ def _grow(partials: list[float], x: float) -> None:
     partials[i:] = [x] if x else []
 
 
-def _refine(panel, a: float, b: float, config: QuadratureConfig, value: float, err: float):
+def _refine(panel, a: float, b: float, config: QuadratureConfig, value: float, err: float,
+            budget: int):
     """Worst-first adaptive refinement of [a, b] from its first panel's value
-    and estimate, which missed the tolerance; deterministic for a given input.
+    and estimate, which missed the tolerance, in at most `budget`
+    subdivisions; deterministic for a given input.
 
     Returns the value, its estimate, whether the tolerance was met, and the
     number of panels computed, the first included. The totals are math.fsum
@@ -360,8 +362,9 @@ def _refine(panel, a: float, b: float, config: QuadratureConfig, value: float, e
     # (-err, insertion order, a, b, value, err)
     heap, bound = [(-err, 0, a, b, value, err)], abs(value) + err
     values = errors = None
-    order = 1
-    for _ in range(config.max_subdivisions):
+    # math.fsum of the one-panel heap, for a budget of 0
+    total, total_err, converged, order = value + 0.0, err, False, 1
+    for _ in range(budget):
         _, _, wa, wb, value, err = heapq.heappop(heap)
         running = values is not None
         if running and bound < _EXACT_SUM_LIMIT:
@@ -408,13 +411,14 @@ def _unbounded(a: float, b: float) -> DomainError:
 
 
 def _integrate(f: RealFunction, a: float, b: float, config: QuadratureConfig,
-               weight: str = "none", delta: float = 0.0, x_of: str = "{}", tried: bool = False
-               ) -> tuple[float, float, bool, int, int]:
+               weight: str = "none", delta: float = 0.0, x_of: str = "{}", tried: bool = False,
+               budget: int | None = None) -> tuple[float, float, bool, int, int]:
     """The engine on f(x_of(u)) times the weight from a to b: the value, its
     estimate, whether the tolerance was met, and the panels and integrand
     evaluations spent. A run whose first panel meets the tolerance, or whose
     first total is NaN, ends there; otherwise the step sum is tried (unless
-    it was `tried` already, by _at_break), then _refine runs from that panel.
+    it was `tried` already, by _at_break), then _refine runs from that panel
+    with `budget` subdivisions (config.max_subdivisions when None).
     Swapped bounds negate the value, a == b gives 0 from no panels, and a
     bound that is not finite raises DomainError. The panel is made once per
     (weight, x_of, delta) and kept in f.stencils, and the step sum (see
@@ -442,17 +446,19 @@ def _integrate(f: RealFunction, a: float, b: float, config: QuadratureConfig,
         if sum_value is not None:
             total, err, converged = sum_value, sum_err, True
         else:
-            total, err, converged, n_panels = _refine(panel, lo, hi, config, value, err)
+            if budget is None:
+                budget = config.max_subdivisions
+            total, err, converged, n_panels = _refine(panel, lo, hi, config, value, err, budget)
             n_evals += 15 * (n_panels - 1)
     return (total if a < b else -total), err, converged, n_panels, n_evals
 
 
 def _at_break(f: RealFunction, a: float, b: float, config: QuadratureConfig, weight: str,
-              delta: float, x_of: str) -> tuple[float, float, bool, int, int]:
+              delta: float, x_of: str, budget: int) -> tuple[float, float, bool, int, int]:
     """_integrate on a run from a to b (finite) with a break point at a bound:
     the step sum first, whose result has no panels; when it misses, or a
-    node raises, _integrate from the first panel without it, its
-    evaluations added."""
+    node raises, _integrate from the first panel without it, with `budget`
+    subdivisions, its evaluations added."""
     if a == b:
         return 0.0, 0.0, True, 0, 0
     lo, hi = (a, b) if a < b else (b, a)
@@ -461,7 +467,7 @@ def _at_break(f: RealFunction, a: float, b: float, config: QuadratureConfig, wei
     if value is not None:
         return (value if a < b else -value), err, True, 0, n_sum
     value, err, converged, n_panels, n_evals = _integrate(f, a, b, config, weight, delta, x_of,
-                                                          True)
+                                                          True, budget)
     return value, err, converged, n_panels, n_evals + n_sum
 
 
@@ -491,9 +497,10 @@ def _split(f: RealFunction, x_lo: float, x_hi: float, config: QuadratureConfig,
     wrapper of a generated function runs unshifted, on f itself). One run's
     result is its own; the value of several is the math.fsum of theirs,
     their estimate the sum of theirs, and they are converged when every run
-    is and that sum meets the tolerance. Each run has the whole subdivision
-    budget. A single run on f from a break point at 0, the common endpoint
-    integral, is found first."""
+    is and that sum meets the tolerance. The runs share one budget of
+    config.max_subdivisions subdivisions, each taking what the runs before
+    it left, and a run whose value is not finite ends the split there, since
+    no later run can make the total finite."""
     breaks = f.breaks
     lo, hi = (x_lo, x_hi) if x_lo < x_hi else (x_hi, x_lo)
     i, j = bisect_right(breaks, lo), bisect_left(breaks, hi)  # breaks[i:j] lie inside
@@ -503,21 +510,16 @@ def _split(f: RealFunction, x_lo: float, x_hi: float, config: QuadratureConfig,
         if d is not None:
             x_lo, x_hi = ln_big_e(x_lo, d), ln_big_e(x_hi, d)
         return _integrate(f, x_lo, x_hi, config, weight, delta, x_of)
-    if i == j and at_lo is not at_hi and (lo if at_lo else hi) == 0.0:  # one run, on f
-        if d is not None:
-            x_lo, x_hi = ln_big_e(x_lo, d), ln_big_e(x_hi, d)
-        return _at_break(f, x_lo, x_hi, config, weight, delta, x_of)
-    # each run (x0, x1, p), from x0 to x1, lo to hi
-    cuts, runs = [lo, *breaks[i:j], hi], []
-    for k in range(len(cuts) - 1):
-        x0, x1 = cuts[k:k + 2]
-        break0, break1 = k > 0 or at_lo, k < len(cuts) - 2 or at_hi
-        if break0 and break1:
-            mid = 0.5 * x0 + 0.5 * x1
-            runs += ((x0, mid, x0), (mid, x1, x1))
-        else:
-            runs.append((x0, x1, x0 if break0 else x1))
-    results = []
+    # each run (x0, x1, p), from x0 to x1, lo to hi, around the break points in [lo, hi]
+    p0 = breaks[i - at_lo]
+    runs = [(lo, p0, p0)] if lo < p0 else []
+    for p1 in breaks[i - at_lo + 1:j + at_hi]:
+        mid = 0.5 * p0 + 0.5 * p1
+        runs += ((p0, mid, p0), (mid, p1, p1))
+        p0 = p1
+    if p0 < hi:
+        runs.append((p0, hi, p0))
+    results, budget = [], config.max_subdivisions
     for x0, x1, p in runs:
         g = _shifted(f, p) if p != 0.0 else None
         if g is None:
@@ -529,8 +531,12 @@ def _split(f: RealFunction, x_lo: float, x_hi: float, config: QuadratureConfig,
         else:  # v = u - u(p), 0 at p
             chart, u_p = chart_from(d.bracket(p)), ln_big_e(p, d)
             x0, x1 = [0.0 if x == p else ln_big_e(x, d) - u_p for x in (x0, x1)]
-        results.append(_at_break(g, x0, x1, config, weight, delta, chart))
-    if len(results) == 1:
+        result = _at_break(g, x0, x1, config, weight, delta, chart, budget)
+        results.append(result)
+        if not _isfinite(result[0]):
+            break
+        budget -= result[3] // 2  # a run of n panels made (n - 1) / 2 subdivisions
+    if len(runs) == 1:
         value, err, converged, n_panels, n_evals = results[0]
     else:
         values, errors, met, panels, evals = zip(*results)
@@ -539,8 +545,8 @@ def _split(f: RealFunction, x_lo: float, x_hi: float, config: QuadratureConfig,
         except ValueError:  # -inf + inf
             value = math.nan
         err, n_panels, n_evals = sum(errors), sum(panels), sum(evals)
-        converged = all(met) and err < _INF and (err <= config.abs_tol
-                                                  or err <= config.rel_tol * abs(value))
+        converged = (len(results) == len(runs) and all(met) and err < _INF
+                     and (err <= config.abs_tol or err <= config.rel_tol * abs(value)))
     return (value if x_lo < x_hi else -value), err, converged, n_panels, n_evals
 
 

@@ -24,7 +24,7 @@ from qcalc import Deformation, ToleranceWarning, cli, funcexpr, parse, qquad
 from qcalc.errors import EVAL_ERRORS
 from qcalc.funcexpr import BinOp, Call, Num, Var, break_points, shifted
 from qcalc.qdiff import dual_qderiv_numeric_with_estimate, primal_qderiv_numeric_with_estimate
-from qcalc.qquad import QuadratureConfig, dual_qint, primal_qint
+from qcalc.qquad import IntegralFlag, QuadratureConfig, dual_qint, primal_qint
 from test_quadrature_engine import bits, reference_integral
 
 mp = pytest.importorskip("mpmath")
@@ -227,6 +227,7 @@ def test_kinks_split_at_their_point_cost_two_step_sums(text, head):
     ("ln(x)+2", 0.0, 0.75),  # at the bound 0, on f itself
     ("abs(x-0.3)*abs(x-0.6)+sqrt(x)", 0.0, 1.0),  # two inside: a piece split at its midpoint
     ("sqrt(abs(x-0.3))", -1.0, -0.5),  # none in the interval
+    ("1/(x-0.1)+1/(x-0.5)+1/(x-0.9)", 0.0, 1.0),  # runs that diverge share one budget
 ])
 @pytest.mark.parametrize("tol", [1e-8, 1e-13, 1e-300])
 def test_split_runs_match_the_reference(text, a, b, tol):
@@ -245,6 +246,21 @@ def test_split_runs_match_the_reference(text, a, b, tol):
     sign = 1.0 if a < b else -1.0
     assert (bits(got[0]), bits(got[1]), *got[2:]) == (bits(sign * want[0]), bits(want[1]),
                                                      *want[2:])
+
+
+@pytest.mark.parametrize("text", ["1/(x-0.3)", "1/(x-0.1)+1/(x-0.3)+1/(x-0.5)+1/(x-0.7)+1/(x-0.9)"])
+@pytest.mark.parametrize("n", [200, 2000])
+def test_a_split_spends_one_subdivision_budget(text, n):
+    # each run had the whole budget: 1/(x-0.3) made 8002 panels at n = 2000,
+    # and the second form 10 runs' worth; a run that totals -inf (as the first
+    # does at n = 2000) ends the split
+    d = Deformation(0.5)
+    config = QuadratureConfig(max_subdivisions=n)
+    res = dual_qint(funcexpr.compile(parse(text, d)), 0.0, 1.0, d, config)
+    assert res.flags == {IntegralFlag.TOLERANCE_NOT_MET}
+    assert 2 * n < res.n_panels <= 2 * n + 10  # a first panel a run, 2 a subdivision
+    if n == 2000:  # the first run reaches -inf and is the last
+        assert res.n_panels == 2 * n + 1 and math.isnan(res.error_estimate)
 
 
 def test_a_pole_inside_is_not_split():
@@ -279,11 +295,16 @@ def test_an_interior_singularity_integrates_from_the_cli(mode):
 @pytest.mark.parametrize("op,q", [(dual_qderiv_numeric_with_estimate, 0.5),
                                   (dual_qderiv_numeric_with_estimate, 1.0),
                                   (primal_qderiv_numeric_with_estimate, 1.0)])
-def test_a_zero_estimate_at_a_break_point_warns(op, q):
-    # the central pairs straddle the kink symmetrically: each quotient is 0
+@pytest.mark.parametrize("text", ["abs(x-0.3)", "abs(x-0.3)^2"])
+def test_a_zero_estimate_at_a_break_point_warns(op, q, text):
+    # the central pairs straddle the kink symmetrically: each quotient is 0.
+    # They cancel as exactly where f is smooth with slope 0 at its break point
+    # (abs(x-0.3)^2), which the warning does not tell apart: it says only that
+    # f may not be differentiable there
     d = Deformation(q)
-    f = funcexpr.compile(parse("abs(x-0.3)", d))
-    with pytest.warns(ToleranceWarning, match="straddles a break point") as caught:
+    f = funcexpr.compile(parse(text, d))
+    with pytest.warns(ToleranceWarning, match="straddles a break point of the function, where "
+                                              "it may not be differentiable") as caught:
         assert op(f, 0.3, d) == (0.0, 0.0)
     assert len(caught) == 1
     with warnings.catch_warnings():

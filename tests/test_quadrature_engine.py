@@ -59,14 +59,15 @@ def met(total, total_err, config):
     return total_err < math.inf and total_err <= max(config.abs_tol, config.rel_tol * abs(total))
 
 
-def reference_adaptive(g, a, b, config, first=None):
-    """The adaptive loop: value, estimate, convergence and panels computed;
-    `first` is the first panel's (value, estimate) where it is computed
-    already."""
+def reference_adaptive(g, a, b, config, first=None, budget=None):
+    """The adaptive loop in at most `budget` subdivisions
+    (config.max_subdivisions when None): value, estimate, convergence and
+    panels computed; `first` is the first panel's (value, estimate) where it
+    is computed already."""
     value, err = first or reference_panel(g, a, b)
     heap = [(-err, 0, a, b, value, err)]
     order = 1
-    for _ in range(config.max_subdivisions):
+    for _ in range(config.max_subdivisions if budget is None else budget):
         total = fsum_or_nan(e[4] for e in heap)
         total_err = math.fsum(e[5] for e in heap)
         if met(total, total_err, config):
@@ -164,12 +165,13 @@ def test_tanh_sinh_tables_are_correctly_rounded():
         t_out = max(t_out, ts[-1])
 
 
-def reference_run(g, a, b, config, at_break=False):
+def reference_run(g, a, b, config, at_break=False, budget=None):
     """The engine on one run, a < b: its first panel; on a miss with a total
-    that is not NaN, the step sum; on a miss there too, the adaptive loop.
-    A run with a break point at a bound (at_break) starts at the step sum
-    instead, and on a miss runs the first panel and the adaptive loop
-    without it. The value, estimate, convergence, panels and evaluations."""
+    that is not NaN, the step sum; on a miss there too, the adaptive loop
+    (in `budget` subdivisions). A run with a break point at a bound
+    (at_break) starts at the step sum instead, and on a miss runs the first
+    panel and the adaptive loop without it. The value, estimate,
+    convergence, panels and evaluations."""
     steps = 0
     if at_break:
         got, steps = reference_step_sum(g, a, b, config)
@@ -182,7 +184,7 @@ def reference_run(g, a, b, config, at_break=False):
             got, steps = reference_step_sum(g, a, b, config)
             if got is not None:
                 return got[0], got[1], True, 1, 15 + steps
-    total, total_err, converged, panels = reference_adaptive(g, a, b, config, first)
+    total, total_err, converged, panels = reference_adaptive(g, a, b, config, first, budget)
     return total, total_err, converged, panels, 15 * panels + steps
 
 
@@ -194,25 +196,33 @@ def reference_integral(g, a, b, config, breaks=(), shift=None):
     shift(p), g in y = x - p, from p's side of 0 (on g itself when p = 0).
     Several runs give the math.fsum of their values and the sum of their
     estimates, converged when every run is and that sum meets the
-    tolerance, and the sums of their panels and evaluations."""
+    tolerance, and the sums of their panels and evaluations. The runs
+    spend one budget of config.max_subdivisions subdivisions between them,
+    in order, and the first run whose value is not finite is the last run
+    made (the result is then not converged)."""
     inside = [p for p in breaks if a <= p <= b]
     if not inside:
         return reference_run(g, a, b, config)
-    cuts, results = sorted({a, b, *inside}), []
+    cuts, runs = sorted({a, b, *inside}), []
     for x0, x1 in zip(cuts, cuts[1:]):
         if x0 in breaks and x1 in breaks:
             mid = 0.5 * x0 + 0.5 * x1
-            runs = [(x0, mid, x0), (mid, x1, x1)]
+            runs += [(x0, mid, x0), (mid, x1, x1)]
         else:
-            runs = [(x0, x1, x0 if x0 in breaks else x1)]
-        for lo, hi, p in runs:
-            h = shift(p) if p else g
-            results.append(reference_run(h, lo - p, hi - p, config, at_break=True))
-    if len(results) == 1:
+            runs.append((x0, x1, x0 if x0 in breaks else x1))
+    results, budget = [], config.max_subdivisions
+    for lo, hi, p in runs:
+        h = shift(p) if p else g
+        results.append(reference_run(h, lo - p, hi - p, config, True, budget))
+        if not math.isfinite(results[-1][0]):
+            break
+        budget -= (results[-1][3] - 1) // 2 if results[-1][3] else 0
+    if len(runs) == 1:
         return results[0]
     values, errors, oks, panels, evaluations = zip(*results)
     total, total_err = fsum_or_nan(values), sum(errors)
-    return (total, total_err, all(oks) and met(total, total_err, config), sum(panels),
+    done = len(results) == len(runs)
+    return (total, total_err, done and all(oks) and met(total, total_err, config), sum(panels),
             sum(evaluations))
 
 
